@@ -1,0 +1,12 @@
+"""Test setup for the benchmark: one BLAS thread, ./src and bench/ on the path."""
+
+import os
+import sys
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
