@@ -1,20 +1,26 @@
 """Complex eigenstructure and the normalized matrix logarithm.
 
-The eigen machinery is self-contained: complex Householder reduction to
-Hessenberg form followed by a single-shift QR iteration with Wilkinson
-shifts, plus unitary reordering of the triangular factor.  Dense desk
-scale (r <= 16) is the target; numpy only supplies the BLAS products.
+The complex Schur form and its reordering come from LAPACK through
+scipy (``zgees`` via :func:`scipy.linalg.schur`, and ``ztrsen``).
+Dense desk scale (r <= 16) is the target.
 
 The normalized logarithm of an invertible G is the K with
-exp(2*pi*i*K) = G whose eigenvalues all have real part in [0, 1).  It
-is assembled per eigenvalue cluster: the scalar branch is chosen for
-the cluster representative and the remaining (nilpotent to tolerance)
-part is summed with the finite logarithm series.
+exp(2*pi*i*K) = G whose eigenvalues all have real part in [0, 1).
+:func:`norm_log` and :func:`cluster_expm` share one blocked
+Schur-Parlett evaluation (Davies & Higham, SIMAX 2003): the Schur
+diagonal is grouped into well-separated blocks, each diagonal block is
+a scalar plus one convergent power series, and the off-diagonal blocks
+follow from the Parlett recurrence, solved as triangular Sylvester
+equations.  No non-orthogonal basis is ever inverted, so both stay
+accurate on defective and nearly defective inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from .series import as_matrix
 
@@ -22,7 +28,6 @@ __all__ = [
     "CLUSTER_TOL",
     "NonConvergenceError",
     "SingularMatrixError",
-    "hessenberg",
     "schur",
     "reorder_schur",
     "eigenvalues",
@@ -39,13 +44,33 @@ __all__ = [
 # resonance classification downstream.
 CLUSTER_TOL = 1e-8
 
-_DEFLATE_EPS = 1e-15
-_MAX_SWEEPS_PER_EIGENVALUE = 40
+# Block separation of the Schur-Parlett evaluation (Davies & Higham's
+# delta).  The keys are the eigenvalues of the exponent: lambda for
+# cluster_expm, 2 pi i norm_log_scalar(lambda) for norm_log.  Keys that
+# chain at distance below _BLOCK_SEP share one diagonal block, so a
+# multiple eigenvalue that rounding has split (by about
+# (eps ||A|| ||N||^(p-1))^(1/p) for p equal eigenvalues under a
+# nilpotent part N) stays in one block.  Between blocks the Parlett
+# recurrence divides by eigenvalue differences of at least _BLOCK_SEP
+# (for the log, _BLOCK_SEP times |lambda|, except across the branch cut
+# where the normalized logarithm itself jumps), which costs up to about
+# eps / _BLOCK_SEP ~ 5e-15 relative accuracy.  Within a block of size
+# m <= 16 the keys lie within d = (m - 1) * _BLOCK_SEP <= 0.75 of their
+# mean: the exp series argument has spectral radius at most 0.75 and
+# the squared argument of the log (Gregory) series at most
+# |tanh(d / 2)|^2 <= 0.16, so both converge geometrically once the
+# nilpotent part of the block is used up.
+_BLOCK_SEP = 0.05
+
+_EPS = np.finfo(float).eps
+_MAX_SERIES_TERMS = 200
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, message, iterations):
-        super().__init__(f"{message} (after {iterations} iterations)")
+    def __init__(self, message, iterations=None):
+        if iterations is not None:
+            message = f"{message} (after {iterations} iterations)"
+        super().__init__(message)
         self.iterations = iterations
 
 
@@ -53,131 +78,17 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def hessenberg(a):
-    """Unitary reduction to upper Hessenberg form: Q^* A Q = H."""
-    h = as_matrix(a, square=True).copy()
-    n = h.shape[0]
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if abs(alpha) > 0 else 1.0
-        v = x.copy()
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        # H <- P H P with P = I - 2 v v^*
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def _wilkinson_shift(h, q_hi):
-    """Eigenvalue of the trailing 2x2 closest to the corner entry."""
-    a = h[q_hi - 1, q_hi - 1]
-    b = h[q_hi - 1, q_hi]
-    c = h[q_hi, q_hi - 1]
-    d = h[q_hi, q_hi]
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0.0j)
-    e1 = (tr + disc) / 2.0
-    e2 = (tr - disc) / 2.0
-    return e1 if abs(e1 - d) <= abs(e2 - d) else e2
-
-
-def schur(a, max_sweeps=None):
+def schur(a):
     """Complex Schur decomposition A = Q T Q^* with T upper triangular.
 
-    Single-shift QR iteration on the Hessenberg form with Wilkinson
-    shifts and occasional exceptional shifts.  Raises
-    :class:`NonConvergenceError` with the iteration count if a
-    subdiagonal refuses to deflate.
+    LAPACK's failure to converge is raised as :class:`NonConvergenceError`.
     """
-    t, q = hessenberg(a)
-    n = t.shape[0]
-    if max_sweeps is None:
-        max_sweeps = _MAX_SWEEPS_PER_EIGENVALUE * max(n, 1)
-    scale = max(np.linalg.norm(t, np.inf), 1e-300)
-
-    def deflatable(i):
-        return abs(t[i + 1, i]) <= _DEFLATE_EPS * (
-            abs(t[i, i]) + abs(t[i + 1, i + 1]) + 0.1 * scale
-        )
-
-    hi = n - 1
-    total = 0
-    stuck = 0
-    while hi > 0:
-        if deflatable(hi - 1):
-            t[hi, hi - 1] = 0.0
-            hi -= 1
-            stuck = 0
-            continue
-        lo = hi - 1
-        while lo > 0 and not deflatable(lo - 1):
-            lo -= 1
-        if lo > 0:
-            t[lo, lo - 1] = 0.0
-        total += 1
-        stuck += 1
-        if total > max_sweeps:
-            raise NonConvergenceError("QR iteration failed to deflate", total)
-        if stuck % 12 == 0:
-            # exceptional ad-hoc shift to break symmetric stalls
-            mu = t[hi, hi] + 0.75 * abs(t[hi, hi - 1])
-        else:
-            mu = _wilkinson_shift(t, hi)
-        # explicit single-shift step: QR factor (T - mu I) on the active
-        # window by Givens rotations, then form RQ + mu I
-        for i in range(lo, hi + 1):
-            t[i, i] -= mu
-        rots = []
-        for k in range(lo, hi):
-            x = t[k, k]
-            y = t[k + 1, k]
-            r = np.hypot(abs(x), abs(y))
-            if r < 1e-300:
-                g = np.eye(2, dtype=np.complex128)
-            else:
-                g = np.array([[np.conj(x), np.conj(y)], [-y, x]], dtype=np.complex128) / r
-            rots.append(g)
-            t[k : k + 2, k:] = g @ t[k : k + 2, k:]
-            t[k + 1, k] = 0.0
-        for k in range(lo, hi):
-            gh = rots[k - lo].conj().T
-            t[: min(k + 3, hi + 1), k : k + 2] = t[: min(k + 3, hi + 1), k : k + 2] @ gh
-            q[:, k : k + 2] = q[:, k : k + 2] @ gh
-        for i in range(lo, hi + 1):
-            t[i, i] += mu
-    # clean numeric dust below the diagonal
-    for i in range(1, n):
-        t[i, :i] = 0.0
+    a = as_matrix(a, square=True)
+    try:
+        t, q = scipy.linalg.schur(a, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"LAPACK Schur iteration failed: {exc}") from exc
     return t, q
-
-
-def _swap_adjacent(t, q, k):
-    """Unitary similarity swapping diagonal entries k and k+1 of triangular t."""
-    a = t[k, k]
-    b = t[k, k + 1]
-    d = t[k + 1, k + 1]
-    # eigenvector of [[a, b], [0, d]] for eigenvalue d
-    x = np.array([b, d - a], dtype=np.complex128)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        return  # equal eigenvalues, nothing to move
-    x /= nx
-    g = np.array([[x[0], -np.conj(x[1])], [x[1], np.conj(x[0])]], dtype=np.complex128)
-    t[:, k : k + 2] = t[:, k : k + 2] @ g
-    t[k : k + 2, :] = g.conj().T @ t[k : k + 2, :]
-    q[:, k : k + 2] = q[:, k : k + 2] @ g
-    t[k + 1, k] = 0.0
 
 
 def reorder_schur(t, q, select):
@@ -186,28 +97,12 @@ def reorder_schur(t, q, select):
     Returns fresh (t, q); `select` is a boolean mask over diagonal
     positions of the triangular factor.
     """
-    t = t.copy()
-    q = q.copy()
-    n = t.shape[0]
-    sel = list(bool(s) for s in select)
-    target = 0
-    for _ in range(n):
-        src = None
-        for j in range(target, n):
-            if sel[j]:
-                src = j
-                break
-        if src is None:
-            break
-        for k in range(src - 1, target - 1, -1):
-            _swap_adjacent(t, q, k)
-            sel[k], sel[k + 1] = sel[k + 1], sel[k]
-        target += 1
-    return t, q
+    ts, qs, *_ = lapack.ztrsen(np.asarray(select, dtype=bool), t, q, job="N")
+    return ts, qs
 
 
 def eigenvalues(a):
-    """Eigenvalues (with multiplicity) via the in-module Schur form."""
+    """Eigenvalues (with multiplicity) from the Schur form."""
     t, _ = schur(a)
     return np.diag(t).copy()
 
@@ -232,7 +127,7 @@ def _cluster_indices(vals, tol):
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    # deterministic ordering: by first appearance in the Schur diagonal
+    # deterministic ordering: by first appearance
     return sorted(groups.values(), key=lambda g: g[0])
 
 
@@ -275,6 +170,60 @@ def spectral_split(g, tol=CLUSTER_TOL):
     return SpectralSplit(tuple(clusters))
 
 
+def _power_series(x, coeff):
+    """sum_k coeff(k) x^k for a triangular Schur block x of small spectral radius.
+
+    Terms up to the block size carry the nilpotent part of x; past it
+    they decay geometrically, and the sum stops at the first such term
+    below eps relative to the sum.
+    """
+    m = x.shape[0]
+    acc = coeff(0) * np.eye(m, dtype=np.complex128)
+    power = np.eye(m, dtype=np.complex128)
+    for k in range(1, _MAX_SERIES_TERMS + 1):
+        power = power @ x
+        term = coeff(k) * power
+        acc += term
+        if k >= m and np.max(np.abs(term)) <= _EPS * np.max(np.abs(acc)):
+            return acc
+    raise NonConvergenceError("block power series did not converge", _MAX_SERIES_TERMS)
+
+
+def _schur_parlett(a, keys, block):
+    """f(A) = Q F Q^* by the blocked Schur-Parlett algorithm.
+
+    `keys` maps the Schur diagonal to the points f is expanded around;
+    positions whose keys chain within _BLOCK_SEP form one diagonal
+    block, made contiguous by reordering.  `block(T_ii, mu)` evaluates
+    f on a diagonal block around its mean key mu.  The off-diagonal
+    blocks of F follow from T F = F T: block column j solves
+    T[:s, :s] X - X T_jj = F[:s, :s] T[:s, j] - T[:s, j] F_jj, one
+    triangular Sylvester equation (the Parlett recurrence) per block.
+    """
+    t, q = schur(a)
+    key = keys(np.diag(t))
+    groups = _cluster_indices(key, _BLOCK_SEP)
+    label = np.empty(len(key), dtype=int)
+    for g, idx in enumerate(groups):
+        label[idx] = g
+    for g in range(len(groups) - 1):
+        lead = label <= g
+        if not lead[: np.count_nonzero(lead)].all():
+            t, q = reorder_schur(t, q, lead)
+            label = np.concatenate([label[lead], label[~lead]])
+    f = np.zeros_like(t)
+    s = 0
+    for idx in groups:
+        e = s + len(idx)
+        f[s:e, s:e] = block(t[s:e, s:e], np.mean(key[idx]))
+        if s:
+            rhs = f[:s, :s] @ t[:s, s:e] - t[:s, s:e] @ f[s:e, s:e]
+            x, scale, _ = lapack.ztrsyl(t[:s, :s], t[s:e, s:e], rhs, isgn=-1)
+            f[:s, s:e] = x / scale
+        s = e
+    return q @ f @ q.conj().T
+
+
 @dataclass(frozen=True)
 class NormalizedLog:
     """K with exp(2*pi*i*K) equal to the source and Re(spec K) in [0, 1)."""
@@ -299,81 +248,44 @@ def norm_log_scalar(rho, snap_tol=CLUSTER_TOL):
     return mu
 
 
-def _log_unipotent(u, terms):
-    """log(u) for u = I + nilpotent-to-tolerance, by the finite series."""
-    n = u.shape[0]
-    x = u - np.eye(n)
-    acc = np.zeros_like(u)
-    power = np.eye(n, dtype=np.complex128)
-    for j in range(1, terms + 1):
-        power = power @ x
-        acc += ((-1.0) ** (j + 1) / j) * power
-    return acc
-
-
 def norm_log(g, tol=CLUSTER_TOL):
     """Normalized logarithm: exp(2*pi*i*K) = G, eigenvalue real parts in [0, 1).
 
-    Splits G into eigenvalue clusters; each block contributes its scalar
-    branch plus the finite logarithm series of the unipotent remainder.
+    Each eigenvalue's branch is 2 pi i norm_log_scalar(lambda, tol).  A
+    Schur block T_ii around its mean branch mu contributes mu I plus
+    log(Z) for Z = T_ii e^{-mu}, summed as the Gregory series
+    log(Z) = 2 atanh(Y) with Y = (Z + I)^{-1} (Z - I).
     """
     g = as_matrix(g, square=True)
-    split = spectral_split(g, tol)
-    if any(abs(mu) < 1e-14 for mu, _, _ in split.clusters):
-        raise SingularMatrixError("matrix is singular: zero eigenvalue cluster")
-    blocks = []
-    for mu, mult, basis in split.clusters:
-        gb = basis.conj().T @ g @ basis
-        scalar = norm_log_scalar(mu, snap_tol=tol)
-        nil = _log_unipotent(gb / mu, mult) / (2.0j * np.pi)
-        blocks.append(scalar * np.eye(mult) + nil)
-    w = split.joint_basis()
-    kblock = np.zeros_like(g)
-    start = 0
-    for b in blocks:
-        d = b.shape[0]
-        kblock[start : start + d, start : start + d] = b
-        start += d
-    k = w @ kblock @ np.linalg.inv(w)
-    return NormalizedLog(k)
+
+    def keys(vals):
+        if np.any(np.abs(vals) < 1e-14):
+            raise SingularMatrixError("matrix is singular: zero eigenvalue")
+        return np.array([2j * np.pi * norm_log_scalar(v, snap_tol=tol) for v in vals])
+
+    def block(t, mu):
+        eye = np.eye(t.shape[0])
+        z = t * np.exp(-mu)
+        y = scipy.linalg.solve_triangular(z + eye, z - eye)
+        return mu * eye + 2.0 * y @ _power_series(y @ y, lambda j: 1.0 / (2 * j + 1))
+
+    return NormalizedLog(_schur_parlett(g, keys, block) / (2j * np.pi))
 
 
-def _exp_small(x):
-    """Taylor exponential with scaling and squaring; x any square matrix."""
-    nx = np.linalg.norm(x, 2)
-    s = 0 if nx <= 0.5 else int(np.ceil(np.log2(nx / 0.5)))
-    y = x / (2 ** s)
-    acc = np.eye(x.shape[0], dtype=np.complex128)
-    term = np.eye(x.shape[0], dtype=np.complex128)
-    for j in range(1, 40):
-        term = term @ y / j
-        acc = acc + term
-        if np.linalg.norm(term, 2) < 1e-18 * max(1.0, np.linalg.norm(acc, 2)):
-            break
-    for _ in range(s):
-        acc = acc @ acc
-    return acc
+def cluster_expm(m):
+    """exp(m) by the blocked Schur-Parlett evaluation.
 
-
-def cluster_expm(m, tol=CLUSTER_TOL):
-    """exp(m) assembled per eigenvalue cluster.
-
-    Blockwise e^{mu} exp(m_b - mu I) keeps the nilpotent-to-tolerance
-    part small before scaling and squaring, which stays accurate on the
-    defective, highly non-normal matrices that generic Pade scaling and
-    squaring handles poorly.
+    Each Schur block contributes e^{mu} exp(T_ii - mu I) by the Taylor
+    series, with mu its mean eigenvalue; no scaling and squaring is
+    needed, which keeps it accurate on the defective, highly non-normal
+    matrices that generic Pade scaling and squaring handles poorly.
     """
     m = as_matrix(m, square=True)
-    split = spectral_split(m, tol)
-    w = split.joint_basis()
-    out = np.zeros_like(m)
-    start = 0
-    for mu, mult, basis in split.clusters:
-        mb = basis.conj().T @ m @ basis
-        block = np.exp(mu) * _exp_small(mb - mu * np.eye(mult))
-        out[start : start + mult, start : start + mult] = block
-        start += mult
-    return w @ out @ np.linalg.inv(w)
+
+    def block(t, mu):
+        return np.exp(mu) * _power_series(t - mu * np.eye(t.shape[0]), lambda k: 1.0 / math.factorial(k))
+
+    return _schur_parlett(m, lambda vals: vals, block)
 
 
 def floor_snap(x, tol=CLUSTER_TOL):

@@ -757,15 +757,10 @@ def solve_weights_parabolic(rep, mode="strict-a", tol=CLUSTER_TOL):
     else:
         sol = _solve_cases(classes, lam, n, range(r), relaxed)
     phi = tuple(tuple(sol[i][j] for i in range(r)) for j in range(n))
-    eq_ok = validate_weight_family(rho, lam, phi_rows_to_cols(phi), mode="relaxed-a'", tol=tol)
-    if not validate_weight_family(rho, lam, phi_rows_to_cols(phi), mode="strict-a", tol=tol):
+    eq_ok = validate_weight_family(rho, lam, phi, mode="relaxed-a'", tol=tol)
+    if not validate_weight_family(rho, lam, phi, mode="strict-a", tol=tol):
         raise AssertionError("solver produced weights violating the ordering constraints")
     return WeightMatrixFamily(phi=phi, satisfies_equalities=eq_ok)
-
-
-def phi_rows_to_cols(phi):
-    """Weight family stored per puncture row -> indexed phi[j][i]."""
-    return [list(row) for row in phi]
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,12 +10,26 @@ from logconn import (
     floor_snap,
     norm_log,
     norm_log_scalar,
+    normal_form,
     schur,
     spectral_split,
 )
-from logconn.eigen import hessenberg, reorder_schur
+from logconn.eigen import reorder_schur
+
+from conftest import random_connection
 
 TWO_PI_I = 2j * np.pi
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _mp_expm(a):
+    """exp(a) at 30 significant digits, rounded to complex128."""
+    with mpmath.workdps(30):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])])
 
 
 def test_schur_against_lapack_eigenvalues(rng):
@@ -56,13 +71,6 @@ def test_norm_log_roots_of_unity():
         assert np.linalg.norm(cluster_expm(TWO_PI_I * k) - p) < 1e-12
         got = np.sort(np.linalg.eigvals(k).real)
         assert np.allclose(got, np.arange(n) / n, atol=1e-9)
-
-
-def test_hessenberg_structure(rng):
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h, q = hessenberg(a)
-    assert np.linalg.norm(np.tril(h, -2)) == 0.0
-    assert np.linalg.norm(q @ h @ q.conj().T - a) < 1e-12 * np.linalg.norm(a)
 
 
 def test_reorder_schur_moves_selection(rng):
@@ -161,6 +169,50 @@ def test_cluster_expm_matches_series(rng):
         assert np.linalg.norm(cluster_expm(m) - scipy.linalg.expm(m)) < 1e-9 * max(
             1, np.linalg.norm(scipy.linalg.expm(m))
         )
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-7, 0.0])
+def test_near_jordan_pair(gap):
+    # a Jordan pair split by `gap` in a generic frame: the logarithm and
+    # the exponential are well conditioned although the eigenvector
+    # basis is nearly singular
+    rng = np.random.default_rng(11)
+    s = np.eye(4) + 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    assert 2 < np.linalg.cond(s) < 100
+    lam = 0.9 * np.exp(0.7j)
+    j = np.diag([lam, lam + gap, 1.3 * np.exp(2.5j), 0.7 * np.exp(-1.9j)])
+    j[0, 1] = 1.0
+    g = s @ j @ np.linalg.inv(s)
+    assert _rel(scipy.linalg.expm(TWO_PI_I * norm_log(g).k), g) <= 1e-13
+    assert _rel(cluster_expm(g), _mp_expm(g)) <= 1e-13
+
+
+def test_cluster_expm_resonant_normal_forms():
+    # Resonant normal forms (criterion 02's generator) give K with a
+    # repeated eigenvalue and a large nilpotent part.  On these
+    # triangular K, scipy.linalg.expm(2 pi i K) is off from the mpmath
+    # reference by up to 1e-1 relative (scipy 1.17), which is why
+    # cluster_expm exists.  In a generic frame S K S^-1 rounding splits
+    # the repeated eigenvalue, and its parts must still share one
+    # Schur-Parlett block.
+    rng = np.random.default_rng(102)
+    frames = np.random.default_rng(7)
+    checked = 0
+    for trial in range(60):
+        r = int(rng.integers(1, 6))
+        order = int(rng.integers(0, 21))
+        conn = random_connection(rng, r, order, resonant=(trial % 2 == 0))
+        if trial % 2 or r == 1:
+            continue
+        k = normal_form(conn).k
+        ev = np.linalg.eigvals(k)
+        if np.min(np.abs(ev[:, None] - ev[None, :]) + 10 * np.eye(r)) > 1e-6:
+            continue
+        s = np.eye(r) + 0.5 * (frames.normal(size=(r, r)) + 1j * frames.normal(size=(r, r))) / np.sqrt(2 * r)
+        for m in (TWO_PI_I * k, s @ (TWO_PI_I * k) @ np.linalg.inv(s)):
+            assert _rel(cluster_expm(m), _mp_expm(m)) <= 1e-13
+        checked += 1
+    assert checked >= 10
 
 
 def test_cluster_expm_defective_large_nilpotent():
