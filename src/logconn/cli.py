@@ -290,7 +290,7 @@ def _cmd_growth(args):
         raise doc.DocumentError("growth expects a local-connection or fuchsian-system")
     vector = [doc.decode_complex(x) for x in json.loads(args.vector)]
     radii = np.geomspace(args.r0, args.r0 * 10.0 ** (-args.decades), args.num_radii)
-    est = growth_exponent(source, vector, radii, center=center, tol=args.tol)
+    est = growth_exponent(source, vector, radii, center=center)
     _emit(
         args,
         "report",

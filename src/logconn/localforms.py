@@ -13,7 +13,7 @@ blocks whose weight classes differ by exactly the current degree are
 resonant and receive the canonical correction: the right-hand side's
 cokernel component goes into B (hence into K) and M takes the
 minimum-norm solution.  exp(2 pi i K) is the monodromy of the local
-system around 0, which the fundamental check verifies by quadrature.
+system around 0, which the fundamental check verifies by loop transport.
 """
 
 import math
@@ -257,12 +257,16 @@ def gauge_residual(conn, nf):
     return worst
 
 
-def fundamental_check(nf, tol=1e-7, conn=None, radius=0.5, quad_tol=None):
+def fundamental_check(nf, tol=1e-7, conn=None, radius=0.5):
     """Verify that exp(2 pi i K) is the loop monodromy of the normal form.
 
-    Integrates d + B dz/z around an anticlockwise circle and compares
-    the transported frame with Y0 exp(2 pi i K), Y0 = z0^Phi z0^K being
-    the fundamental frame at the start point.  When the original
+    Transports a frame along d + B dz/z around an anticlockwise circle
+    and compares it with Y0 exp(2 pi i K), Y0 = z0^Phi z0^K being the
+    fundamental frame at the start point, to relative threshold `tol`.
+    The transport (:func:`logconn.verify.integrate_local`) steps at most
+    0.4 radius along the circle and sums each step's Taylor series until
+    its Cauchy majorant's tail is below roundoff, so it adds only
+    rounding error to the comparison.  When the original
     connection is supplied, the check runs against it instead, with the
     full gauge T M(z0) Y0 as initial frame; M is then evaluated as its
     truncating polynomial, so the circle radius should sit inside the
@@ -272,15 +276,13 @@ def fundamental_check(nf, tol=1e-7, conn=None, radius=0.5, quad_tol=None):
     z0 = complex(radius)
     y0 = cluster_expm(phi_m * math.log(radius)) @ cluster_expm(nf.k * math.log(radius))
     loop = circle_loop(0.0, radius)
-    if quad_tol is None:
-        quad_tol = tol / 10.0
     if conn is None:
         series = nf.b
         frame0 = y0
     else:
         series = conn.a
         frame0 = nf.t @ nf.m.eval(z0) @ y0
-    transported = integrate_local(series, loop, quad_tol, y0=frame0)
+    transported = integrate_local(series, loop, y0=frame0)
     expected = frame0 @ cluster_expm(2j * np.pi * nf.k)
     scale = max(np.linalg.norm(expected, 2), 1.0)
     return bool(np.linalg.norm(transported - expected, 2) <= tol * scale)

@@ -170,10 +170,9 @@ class MatrixSeries:
             )
         n = min(self.order, other.order)
         mixed = self.order != other.order
-        out = np.zeros((n + 1, self.dim_out, other.dim_in), dtype=np.complex128)
-        for j in range(n + 1):
-            for k in range(j + 1):
-                out[j] += self.coeffs[k] @ other.coeffs[j - k]
+        out = np.array(
+            [np.einsum("kab,kbc->ac", self.coeffs[: j + 1], other.coeffs[j::-1]) for j in range(n + 1)]
+        )
         return MatrixSeries(out, truncated=mixed or self.truncated or other.truncated)
 
     def __rmul__(self, other):
@@ -349,16 +348,13 @@ def twist(series, phi_out, phi_in, ztol=ZERO_TOL):
         # zero series: untouched knowledge horizon
         return MatrixSeries(series.coeffs.copy(), truncated=series.truncated), 0
     out_order = max(out_order, 0)
+    target = np.arange(n + 1)[:, None, None] + shifts  # z-power each coefficient moves to
+    if np.any((target < 0) & nonzero):
+        raise AssertionError("pole escaped the valuation scan")
     out = np.zeros((out_order + 1, series.dim_out, series.dim_in), dtype=np.complex128)
-    for i in range(series.dim_out):
-        for m in range(series.dim_in):
-            s = int(shifts[i, m])
-            for j in range(n + 1):
-                t = j + s
-                if 0 <= t <= out_order:
-                    out[t, i, m] = series.coeffs[j, i, m]
-                elif t < 0 and abs(series.coeffs[j, i, m]) > ztol:
-                    raise AssertionError("pole escaped the valuation scan")
+    keep = (target >= 0) & (target <= out_order)
+    _, rows, cols = np.nonzero(keep)
+    out[target[keep], rows, cols] = series.coeffs[keep]
     return MatrixSeries(out, truncated=series.truncated), (
         0 if min_valuation is None else min_valuation
     )

@@ -396,13 +396,13 @@ def test_criterion_10_verifier_self_consistency():
     worst = 0.0
     for system in systems:
         loops, s = standard_loops(system.punctures)
-        mats = [integrate_fuchsian(system, lp, tol) for lp in loops]
+        mats = [integrate_fuchsian(system, lp) for lp in loops]
         order = relation_order(system.punctures, s)
         prod = np.eye(system.rank, dtype=complex)
         for j in order:
             prod = prod @ mats[j]
         defect = float(np.linalg.norm(prod - np.eye(system.rank), 2))
-        rev = integrate_fuchsian(system, loops[0].reversed(), tol)
+        rev = integrate_fuchsian(system, loops[0].reversed())
         rev_defect = float(np.linalg.norm(mats[0] @ rev - np.eye(system.rank), 2))
         worst = max(worst, defect, rev_defect)
         ok = ok and defect <= 10 * tol and rev_defect <= 10 * tol

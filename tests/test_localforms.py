@@ -98,7 +98,7 @@ def test_fundamental_check_examples(rng):
     conn = LocalLogConnection.constant(np.array([[-0.25]]), order=0)
     nf = normal_form(conn)
     assert np.allclose(nf.k, [[0.25]])
-    got = integrate_local(nf.b, circle_loop(0.0, 0.5), 1e-10)
+    got = integrate_local(nf.b, circle_loop(0.0, 0.5))
     assert abs(got[0, 0] - np.exp(TWO_PI_I * 0.25)) < 1e-8
     assert fundamental_check(nf, 1e-7)
 
@@ -194,3 +194,12 @@ def test_gauge_relation_definition(rng):
     lhs = nf.m.z_derivative()
     rhs = nf.m * nf.b.truncate(conn.order).pad(conn.order) - a_arr * nf.m
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs[: lhs.order + 1])) < 1e-10
+
+
+def test_fundamental_check_to_roundoff(rng):
+    # the transport sums every step to roundoff, so the loop reproduces
+    # Y0 exp(2 pi i K) far below the default threshold
+    for r, order in ((2, 10), (5, 20), (8, 30)):
+        for resonant in (False, True):
+            nf = normal_form(random_connection(rng, r, order, resonant=resonant))
+            assert fundamental_check(nf, 1e-13)

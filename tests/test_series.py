@@ -163,3 +163,42 @@ def test_weight_diagonal_blocks():
     assert phi.trace() == 7
     with pytest.raises(ValueError):
         WeightDiagonal((0, 1))
+
+
+def _mul_reference(a, b):
+    """The Cauchy product as the double loop over degrees."""
+    n = min(a.order, b.order)
+    out = np.zeros((n + 1, a.dim_out, b.dim_in), dtype=np.complex128)
+    for j in range(n + 1):
+        for k in range(j + 1):
+            out[j] += a.coeffs[k] @ b.coeffs[j - k]
+    return out
+
+
+def _twist_reference(coeffs, shifts, out_order):
+    """The twisted copy entry by entry: coefficient j of entry (i, m) moves to j + shift."""
+    out = np.zeros((out_order + 1,) + coeffs.shape[1:], dtype=np.complex128)
+    for i in range(coeffs.shape[1]):
+        for m in range(coeffs.shape[2]):
+            for j in range(coeffs.shape[0]):
+                if 0 <= j + shifts[i, m] <= out_order:
+                    out[j + shifts[i, m], i, m] = coeffs[j, i, m]
+    return out
+
+
+def test_mul_and_twist_match_loop_references(rng):
+    for _ in range(10):
+        n = int(rng.integers(0, 7))
+        dout, dmid, din = (int(x) for x in rng.integers(1, 5, size=3))
+        a = rand_series(rng, n, dout, dmid)
+        b = rand_series(rng, int(rng.integers(0, 7)), dmid, din)
+        # the einsum sums in another order: agree to a few ulps of the term sizes
+        assert np.max(np.abs((a * b).coeffs - _mul_reference(a, b))) <= 1e-13 * (n + 1) * dmid
+        po = sorted(rng.integers(-2, 3, size=dout).tolist(), reverse=True)
+        pi = sorted(rng.integers(-2, 3, size=dmid).tolist(), reverse=True)
+        shifts = np.subtract.outer(po, pi)
+        coeffs = a.coeffs.copy()
+        for i, m in zip(*np.nonzero(shifts < 0)):
+            coeffs[: -shifts[i, m], i, m] = 0.0  # no poles
+        twisted, _ = twist(MatrixSeries(coeffs), po, pi)
+        assert np.array_equal(twisted.coeffs, _twist_reference(coeffs, shifts, twisted.order))
