@@ -63,24 +63,35 @@ class NonIntegralDegreeError(ValueError):
     pass
 
 
-def _orthonormalize(cols, tol=RANK_TOL):
-    """Orthonormal basis of the column span, dropping dependent columns."""
+def _orthonormalize(cols, tol=RANK_TOL, basis=None):
+    """Extend an orthonormal basis by the independent columns of `cols`.
+
+    Columns are taken in order.  Each is projected off the basis built
+    so far in two passes (one matrix product each; the second pass
+    restores the orthogonality the first loses to cancellation) and is
+    kept when its residual exceeds tol * max(1, |column|).  The result's
+    leading columns are `basis` unchanged (none when omitted), so each
+    prefix of the new columns spans what the matching input prefix adds.
+    """
     cols = as_matrix(cols)
-    out = []
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        for u in out:
-            v -= u * (u.conj() @ v)
-        for u in out:
-            v -= u * (u.conj() @ v)
-        nv = np.linalg.norm(v)
-        if nv > tol * max(1.0, np.linalg.norm(cols[:, j])):
-            out.append(v / nv)
-    if not out:
-        return np.zeros((cols.shape[0], 0), dtype=np.complex128)
-    basis = np.column_stack(out)
-    basis.setflags(write=False)
-    return basis
+    n = cols.shape[0]
+    k = 0 if basis is None else basis.shape[1]
+    rows = np.empty((k + cols.shape[1], n), dtype=np.complex128)  # basis vectors as rows
+    if k:
+        rows[:k] = basis.T
+    for v in cols.T:
+        if k == n:
+            break
+        u = rows[:k]
+        w = v - (u @ v.conj()).conj() @ u  # (u @ v.conj()).conj() is u.conj() @ v, without copying u
+        w = w - (u @ w.conj()).conj() @ u
+        nw = np.linalg.norm(w)
+        if nw > tol * max(1.0, np.linalg.norm(v)):
+            rows[k] = w / nw
+            k += 1
+    out = rows[:k].T
+    out.setflags(write=False)
+    return out
 
 
 def _contains(basis, vecs, tol=RANK_TOL):
@@ -300,51 +311,35 @@ def slope(wfb):
 # invariant subspaces
 
 
-def _algebra_span(matrices, budget):
-    """Orthonormalized span of words in the matrices (Burnside search).
+_SPAN_TOL = 1e-10  # relative rank tolerance of the algebra span
+_PROBES = 8  # random algebra elements tried for a simple spectrum
 
-    Returns (basis_matrices, complete) where complete means the span
-    stabilized within the word-length budget.
+
+def _algebra_span(matrices):
+    """Words in the matrices spanning the algebra they generate (Burnside search).
+
+    Level k + 1 multiplies the words level k added by every generator;
+    longer words add nothing else, so each level grows the span or ends
+    the search, which therefore stops within r^2 levels.  A word is kept
+    when it is independent of the earlier ones at relative tolerance
+    _SPAN_TOL, and it is kept as a product scaled to unit norm, not as
+    its orthonormalized residual: the residual carries the cancellation
+    error of its projection, which products with an ill-conditioned
+    generator would lift above that tolerance.
     """
     r = matrices[0].shape[0]
-    basis = []
-    vecs = []
-
-    def push(m):
-        v = m.reshape(-1)
-        w = v.copy()
-        for u in vecs:
-            w = w - u * (u.conj() @ w)
-        for u in vecs:
-            w = w - u * (u.conj() @ w)
-        nw = np.linalg.norm(w)
-        if nw > 1e-10 * max(1.0, np.linalg.norm(v)):
-            vecs.append(w / nw)
-            basis.append(m)
-            return True
-        return False
-
-    push(np.eye(r, dtype=np.complex128))
-    frontier = []
-    for g in matrices:
-        if push(g):
-            frontier.append(g)
-    depth = 1
-    while frontier and depth < budget and len(basis) < r * r:
-        new_frontier = []
-        for w in frontier:
-            for g in matrices:
-                prod = w @ g
-                if push(prod):
-                    new_frontier.append(prod)
-                if len(basis) == r * r:
-                    break
-            if len(basis) == r * r:
-                break
-        frontier = new_frontier
-        depth += 1
-    complete = len(basis) == r * r or not frontier
-    return basis, complete
+    basis = _orthonormalize(np.eye(r).reshape(-1, 1))
+    words = frontier = [np.eye(r, dtype=np.complex128)]
+    while frontier and len(words) < r * r:
+        added = []
+        for word in (w @ g for w in frontier for g in matrices):
+            k = basis.shape[1]
+            basis = _orthonormalize(word.reshape(-1, 1), _SPAN_TOL, basis)
+            if basis.shape[1] > k:
+                added.append(word / np.linalg.norm(word))
+        words = words + added
+        frontier = added
+    return words
 
 
 def _eigvecs_distinct(m, tol=1e-8):
@@ -361,6 +356,25 @@ def _projector_key(basis):
     return (basis.shape[1],) + tuple(np.round(p, 6).reshape(-1).view(float))
 
 
+def _closed_sets(edges):
+    """The nonempty proper index sets closed under the edges, as index lists.
+
+    edges[i, j] is the edge i -> j.  The closed sets are the unions of
+    the closures R(i); they are grown from the empty set by adding one
+    closure at a time, so the work is the number of sets times r.
+    """
+    r = len(edges)
+    reach = edges | np.eye(r, dtype=bool)
+    for k in range(r):
+        reach |= np.outer(reach[:, k], reach[k])
+    closures = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in reach}
+    seen = frontier = {0}
+    while frontier:
+        frontier = {s | c for s in frontier for c in closures} - seen
+        seen = seen | frontier
+    return [[k for k in range(r) if s >> k & 1] for s in seen if 0 < s < (1 << r) - 1]
+
+
 @dataclass(frozen=True)
 class InvariantSubspaces:
     """Common invariant subspaces with a completeness certificate.
@@ -375,46 +389,68 @@ class InvariantSubspaces:
     certificate: str
 
 
-def invariant_subspaces(rep, budget=16, tol=1e-8, seed=0, tries=8):
+def invariant_subspaces(rep, tol=1e-8, seed=0):
     """Proper nonzero subspaces invariant under every loop matrix.
 
     The generated matrix algebra is spanned first: if it is the full
     algebra the module is irreducible (complete, empty list).  Otherwise
-    pseudo-random algebra elements are probed; one with simple spectrum
-    confines every invariant subspace to spans of its eigenvector
-    subsets, which are enumerated and filtered (complete).  Without such
-    an element a partial list is assembled from eigenspace intersections
-    and the result is marked incomplete.
+    pseudo-random algebra elements A are probed for a simple spectrum.
+    Every invariant subspace is then spanned by a subset S of A's
+    eigenvectors V, and span(V_S) is g-invariant exactly when
+    M = V^-1 g V has M_ji = 0 for i in S, j not in S.  With an edge
+    i -> j wherever some generator has M_ji != 0, the invariant
+    subspaces are the successor-closed index sets, enumerated in time
+    proportional to their number; each is checked before it is returned.
+
+    Deciding M_ji = 0.  Each entry is measured against its componentwise
+    scale C = |V^-1| |g| |V|, which bounds |M| and whose norm, a small
+    multiple of cond(V) |g|, is the roundoff scale of M.  Rounding in V
+    (eig is backward stable) and in the products moves M_ji by a modest
+    multiple of r eps C_ji (measured: below 1e-12 C_ji for bases of
+    condition number up to 1e4).  The algebra span keeps words
+    independent at relative tolerance _SPAN_TOL, so the family is
+    reducible only up to relative perturbations of that size, which move
+    M_ji by up to _SPAN_TOL C_ji, the larger term.  An entry at most
+    _SPAN_TOL C_ji is therefore roundoff: no edge.  An entry above
+    tol C_ji cannot come from a relative perturbation of g by `tol`, the
+    tolerance of the invariance check: an edge.  An entry in between is
+    undecided; it is read as an edge, so every set is still checked, and
+    the list is marked incomplete, as it is when a set fails its check.
+    Without a simple-spectrum probe a partial list is assembled from
+    eigenspace intersections and the result is marked incomplete.
     """
-    mats = list(rep.matrices)
+    mats = np.array(rep.matrices)
     r = rep.rank
-    basis, span_complete = _algebra_span(mats, budget)
-    if span_complete and len(basis) == r * r:
+    words = _algebra_span(mats)
+    if len(words) == r * r:
         return InvariantSubspaces((), True, "full-matrix-algebra")
-    if not span_complete:
-        raise RuntimeError("algebra span did not stabilize within the budget")
 
     def all_invariant(w):
         return all(_contains(w, g @ w / max(1.0, np.linalg.norm(g, 2)), tol) for g in mats)
 
+    def by_key(found):
+        return tuple(sorted(found, key=lambda w: (w.shape[1], _projector_key(w))))
+
     rng = np.random.default_rng(seed)
-    if r <= 12:
-        for _ in range(tries):
-            coeffs = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            element = sum(c * b for c, b in zip(coeffs, basis))
-            vecs = _eigvecs_distinct(element, tol)
-            if vecs is None:
-                continue
-            found = {}
-            for mask in range(1, 2 ** r - 1):
-                cols = [k for k in range(r) if mask >> k & 1]
-                w = _orthonormalize(vecs[:, cols])
-                if w.shape[1] != len(cols):
-                    continue
-                if all_invariant(w):
-                    found.setdefault(_projector_key(w), w)
-            subs = tuple(sorted(found.values(), key=lambda w: (w.shape[1], _projector_key(w))))
-            return InvariantSubspaces(subs, True, "simple-spectrum-splitting")
+    for _ in range(_PROBES):
+        coeffs = rng.normal(size=len(words)) + 1j * rng.normal(size=len(words))
+        vecs = _eigvecs_distinct(np.tensordot(coeffs, words, axes=1), tol)
+        if vecs is None:
+            continue
+        vinv = np.linalg.inv(vecs)
+        m = np.abs(vinv @ mats @ vecs)
+        scale = np.abs(vinv) @ np.abs(mats) @ np.abs(vecs)
+        nonzero = m > _SPAN_TOL * scale
+        undecided = bool(np.any(nonzero & (m <= tol * scale)))
+        found = []
+        for cols in _closed_sets(np.any(nonzero, axis=0).T):
+            w = _orthonormalize(vecs[:, cols])
+            if w.shape[1] == len(cols) and all_invariant(w):
+                found.append(w)
+            else:
+                undecided = True
+        certificate = "undecided-closure" if undecided else "simple-spectrum-closure"
+        return InvariantSubspaces(by_key(found), not undecided, certificate)
 
     # partial search: cluster subspaces of each matrix and intersections
     candidates = {}
@@ -437,8 +473,7 @@ def invariant_subspaces(rep, budget=16, tol=1e-8, seed=0, tries=8):
         w = np.eye(r, dtype=np.complex128)[:, :k]
         if all_invariant(w):
             candidates.setdefault(_projector_key(w), w)
-    subs = tuple(sorted(candidates.values(), key=lambda w: (w.shape[1], _projector_key(w))))
-    return InvariantSubspaces(subs, False, "partial-search")
+    return InvariantSubspaces(by_key(candidates.values()), False, "partial-search")
 
 
 class Semistability(Enum):
@@ -503,7 +538,7 @@ def _is_scalar_family(mats, tol=1e-10):
     return True
 
 
-def semistable(wfb, budget=16, seed=0):
+def semistable(wfb, seed=0):
     """Semistability verdict by slope comparison over invariant subspaces.
 
     A destabilizing subspace is definite evidence; Stable/Semistable
@@ -515,7 +550,7 @@ def semistable(wfb, budget=16, seed=0):
     if r == 1:
         return Semistability.STABLE
     total = slope(wfb)
-    enum = invariant_subspaces(wfb.rep, budget=budget, seed=seed)
+    enum = invariant_subspaces(wfb.rep, seed=seed)
     candidates = {key: w for key, w in ((_projector_key(w), w) for w in enum.subspaces)}
     # flag steps are natural destabilizer candidates
     for f in wfb.flags:
@@ -665,19 +700,9 @@ def local_extension(g, flag, tol=1e-8):
     g = as_matrix(g, square=True)
     if not flag.invariant_under(g, tol):
         raise FlagError("flag is not invariant under the matrix")
-    r = g.shape[0]
-    cols = []
-    for s in flag.subspaces:
-        for jcol in range(s.shape[1]):
-            v = s[:, jcol].copy()
-            for u in cols:
-                v -= u * (u.conj() @ v)
-            nv = np.linalg.norm(v)
-            if nv > RANK_TOL:
-                cols.append(v / nv)
-    if len(cols) != r:
+    s_mat = _orthonormalize(np.hstack(flag.subspaces))
+    if s_mat.shape[1] != g.shape[0]:
         raise FlagError("flag bases do not span the space")
-    s_mat = np.column_stack(cols)
     g_ad = s_mat.conj().T @ g @ s_mat
     phi = flag.weight_diagonal()
     scale = max(1.0, np.linalg.norm(g, 2))

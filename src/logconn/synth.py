@@ -24,6 +24,7 @@ from .bundles import (
     degree,
     invariant_subspaces,
     semistable,
+    _orthonormalize,
 )
 from .eigen import CLUSTER_TOL, norm_log, norm_log_scalar, schur, spectral_split
 from .series import MatrixSeries, WeightDiagonal, as_matrix
@@ -778,28 +779,13 @@ class NotCyclicError(ValueError):
 def _krylov_span(matrices, seed_vec, tol=1e-9):
     """Orthonormal basis of the module generated by a vector."""
     r = len(seed_vec)
-    basis = [np.asarray(seed_vec, dtype=np.complex128) / np.linalg.norm(seed_vec)]
-    frontier = [basis[0]]
-    while frontier and len(basis) < r:
-        new_frontier = []
-        for v in frontier:
-            for g in matrices:
-                w = g @ v
-                for u in basis:
-                    w = w - u * (u.conj() @ w)
-                for u in basis:
-                    w = w - u * (u.conj() @ w)
-                nw = np.linalg.norm(w)
-                if nw > tol:
-                    w = w / nw
-                    basis.append(w)
-                    new_frontier.append(w)
-                    if len(basis) == r:
-                        break
-            if len(basis) == r:
-                break
-        frontier = new_frontier
-    return np.column_stack(basis)
+    basis = _orthonormalize(np.reshape(seed_vec, (r, 1)), tol)
+    frontier = basis
+    while frontier.shape[1] and basis.shape[1] < r:
+        k = basis.shape[1]
+        basis = _orthonormalize(np.hstack([g @ frontier for g in matrices]), tol, basis)
+        frontier = basis[:, k:]
+    return basis
 
 
 @dataclass(frozen=True)
@@ -846,16 +832,7 @@ def cyclic_weight_plan(rep, k, h, bounds, tol=1e-8):
     top = bounds[k] + (r - 1) * (n - 2)
     if r > 1:
         # full G_k-invariant flag starting at <h>
-        u1 = h / np.linalg.norm(h)
-        comp = []
-        for e in np.eye(r, dtype=np.complex128).T:
-            v = e - u1 * (u1.conj() @ e)
-            for u in comp:
-                v = v - u * (u.conj() @ v)
-            nv = np.linalg.norm(v)
-            if nv > 1e-9:
-                comp.append(v / nv)
-        w = np.column_stack([u1] + comp)
+        w = _orthonormalize(np.column_stack([h / np.linalg.norm(h), np.eye(r)]))
         gw = w.conj().T @ gk @ w
         _, uq = schur(gw[1:, 1:])
         full = w @ np.block(
@@ -909,17 +886,8 @@ def _normalize_for_doubling(rep, tol=1e-9):
             continue
         # basis (f_1, ..., f_{r-2}, G_1 v, v): in the new coordinates the
         # last column of G_1 is exactly e_{r-1}
-        rest = []
-        for cand in e.T:
-            u = cand.astype(np.complex128)
-            for c in [v, w] + rest:
-                cn = c / np.linalg.norm(c)
-                u = u - cn * (cn.conj() @ u)
-            if np.linalg.norm(u) > 1e-9:
-                rest.append(u / np.linalg.norm(u))
-            if len(rest) == r - 2:
-                break
-        s = np.column_stack(rest + [w, v])
+        rest = _orthonormalize(np.column_stack([v, w, e]))[:, 2:]
+        s = np.column_stack([rest, w, v])
         return rep.conjugated(s)
     raise InconsistentRepresentationError(
         "G_1 acts as a scalar; the doubling normalization needs a non-eigenvector"
@@ -1030,7 +998,7 @@ class Rank3Decision:
     detail: str = ""
 
 
-def rank3_decide(rep, budget=16, seed=0):
+def rank3_decide(rep, seed=0):
     """Partial decision for rank-three realizability on the trivial bundle.
 
     Realizable on certified irreducibility or when some loop matrix has
@@ -1042,7 +1010,7 @@ def rank3_decide(rep, budget=16, seed=0):
     """
     if rep.rank != 3:
         raise ValueError("rank-three decision requires rank 3")
-    enum = invariant_subspaces(rep, budget=budget, seed=seed)
+    enum = invariant_subspaces(rep, seed=seed)
     if enum.complete and not enum.subspaces:
         return Rank3Decision(Rank3Verdict.REALIZABLE, "irreducible")
     counts = [jordan_block_count(g) for g in rep.matrices]

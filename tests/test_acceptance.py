@@ -328,7 +328,7 @@ def test_criterion_09_rank3_decisions():
         decision = rank3_decide(rep)
         if decision.verdict is Rank3Verdict.REALIZABLE:
             if decision.certificate == "irreducible":
-                enum = invariant_subspaces(rep, budget=24, seed=7)
+                enum = invariant_subspaces(rep, seed=7)
                 if not (enum.complete and not enum.subspaces):
                     false_definites += 1
             else:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logconn import (
     Representation,
@@ -22,7 +24,7 @@ from logconn import (
     slope,
     weight_of,
 )
-from logconn.bundles import FlagError, InvalidRepresentationError
+from logconn.bundles import FlagError, InvalidRepresentationError, _orthonormalize, _projector_key
 
 from conftest import random_invertible, random_representation, sorted_punctures
 
@@ -104,10 +106,143 @@ def test_invariant_subspaces_triangular(rng):
 
 
 def test_invariant_subspaces_identity_is_undetermined():
-    rep = Representation([0.0, 1.0], [np.eye(2), np.eye(2)])
+    # no algebra element has a simple spectrum: only the partial search runs
+    for r in (2, 5, 10):
+        rep = Representation([0.0, 1.0], [np.eye(r), np.eye(r)])
+        enum = invariant_subspaces(rep)
+        assert not enum.complete and enum.certificate == "partial-search"
+        assert len(enum.subspaces) >= r - 1  # partial list
+
+
+def block_triangular_representation(rng, blocks):
+    """S U_j S^-1 with U_j block diagonal, each block upper triangular.
+
+    Unit-modulus diagonals in general position make the invariant
+    subspaces the sums of one leading coordinate span per block, mapped
+    by S: a chain for one block, all 2^r coordinate spans for 1x1 blocks.
+    """
+    r = sum(blocks)
+    mask = np.zeros((r, r), dtype=bool)
+    start = 0
+    for b in blocks:
+        mask[start : start + b, start : start + b] = np.triu(np.ones((b, b), dtype=bool), 1)
+        start += b
+    us = []
+    for _ in range(2):
+        u = np.diag(np.exp(2j * np.pi * rng.uniform(size=r)))
+        us.append(u + 0.5 * mask * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / np.sqrt(r))
+    us.append(np.linalg.inv(us[0] @ us[1]))
+    s = np.eye(r) + 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / np.sqrt(r)
+    s_inv = np.linalg.inv(s)
+    return Representation(sorted_punctures(rng, 3), [s @ u @ s_inv for u in us], tol=1e-7), s
+
+
+def brute_force_subspaces(rep, rng):
+    """Reference: test every subset of a simple-spectrum element's eigenvectors."""
+    r = rep.rank
+    element = sum((rng.normal() + 1j * rng.normal()) * g for g in rep.matrices)
+    vals, vecs = np.linalg.eig(element)
+    assert np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(r)) > 1e-6
+    found = []
+    for mask in range(1, 2 ** r - 1):
+        q, _ = np.linalg.qr(vecs[:, [k for k in range(r) if mask >> k & 1]])
+        if all(
+            np.linalg.norm(g @ q - q @ (q.conj().T @ g @ q), 2) <= 1e-6 * np.linalg.norm(g, 2)
+            for g in rep.matrices
+        ):
+            found.append(q)
+    return found
+
+
+def assert_same_subspaces(found, expected):
+    """Equal lists of subspaces, compared by projector after sorting by _projector_key."""
+    assert len(found) == len(expected)
+    for a, b in zip(*(sorted(ws, key=_projector_key) for ws in (found, expected))):
+        assert a.shape == b.shape
+        assert np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [(3,), (6,), (10,), (1,) * 3, (1,) * 6, (1,) * 10, (2, 3), (1, 2, 3), (3, 3, 4)],
+    ids=lambda b: "x".join(map(str, b)),
+)
+def test_invariant_subspaces_match_brute_force(blocks):
+    rng = np.random.default_rng(sum(blocks) * 100 + len(blocks))
+    rep, _ = block_triangular_representation(rng, blocks)
     enum = invariant_subspaces(rep)
-    assert not enum.complete
-    assert len(enum.subspaces) >= 1  # partial list
+    assert enum.complete
+    expected = brute_force_subspaces(rep, rng)
+    assert_same_subspaces(enum.subspaces, expected)
+    if blocks == (1,) * len(blocks):
+        assert len(enum.subspaces) == 2 ** len(blocks) - 2
+
+
+@pytest.mark.parametrize("r", [3, 6])
+def test_invariant_subspaces_irreducible_match_brute_force(r):
+    rng = np.random.default_rng(r)
+    rep = random_representation(rng, 3, r)
+    enum = invariant_subspaces(rep)
+    assert enum.complete and enum.subspaces == ()
+    assert brute_force_subspaces(rep, rng) == []
+
+
+@pytest.mark.parametrize("r", [13, 16])
+def test_invariant_subspaces_complete_beyond_rank_12(r):
+    rng = np.random.default_rng(r)
+    rep, s = block_triangular_representation(rng, (r,))
+    enum = invariant_subspaces(rep)
+    assert enum.complete
+    assert_same_subspaces(enum.subspaces, [np.linalg.qr(s[:, :k])[0] for k in range(1, r)])
+
+
+def _columns_of_kinds(n, seed, kinds):
+    """Columns of the given kinds, with the rank of each prefix."""
+    rng = np.random.default_rng(seed)
+    cols, ranks = [], []
+    for kind in kinds:
+        rank = ranks[-1] if ranks else 0
+        if kind == "new" or not cols:
+            col = rng.normal(size=n) + 1j * rng.normal(size=n)
+            rank = min(n, rank + 1)
+        elif kind == "copy":
+            col = cols[int(rng.integers(len(cols)))]
+        elif kind == "zero":
+            col = np.zeros(n, dtype=complex)
+        else:  # a random combination of earlier columns
+            col = np.column_stack(cols) @ (rng.normal(size=len(cols)) + 1j * rng.normal(size=len(cols)))
+        cols.append(col)
+        ranks.append(rank)
+    return np.column_stack(cols), ranks
+
+
+def _rank(m):
+    svals = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(svals > 1e-8 * max(1.0, svals[0]))) if len(svals) else 0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["new", "copy", "zero", "combo"]), min_size=1, max_size=10),
+    prior=st.integers(0, 7),
+)
+def test_orthonormalize_properties(n, seed, kinds, prior):
+    cols, ranks = _columns_of_kinds(n, seed, kinds)
+    q = _orthonormalize(cols)
+    assert q.shape == (n, ranks[-1])
+    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
+    for j, k in enumerate(ranks, start=1):
+        # the first k outputs span exactly what the first j inputs span
+        assert _rank(np.hstack([cols[:, :j], q[:, :k]])) == k == _rank(cols[:, :j])
+
+    rng = np.random.default_rng(seed + 1)
+    basis = _orthonormalize(rng.normal(size=(n, min(prior, n))))
+    extended = _orthonormalize(cols, basis=basis)
+    assert np.array_equal(extended[:, : basis.shape[1]], basis)
+    assert np.allclose(extended.conj().T @ extended, np.eye(extended.shape[1]), atol=1e-12)
+    assert extended.shape[1] == _rank(np.hstack([basis, cols]))
 
 
 def test_semistable_unstable_line():

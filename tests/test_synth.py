@@ -377,6 +377,22 @@ def test_double_rank_embedding(rng):
         )
 
 
+def test_double_rank_embedding_g1_maps_e3_into_span_e1_e3():
+    # G_1 e_3 lies in span(e_1, e_3): the completion of (v, w) = (e_3, G_1 e_3)
+    # must still be a basis, though v and w are not orthogonal
+    g1 = np.array([[np.exp(0.3j), 0.2, 0.6], [0.1, np.exp(1.1j), 0.0], [0.3, 0.2, np.exp(2j)]])
+    rng = np.random.default_rng(1)
+    g2 = np.eye(3) + 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rep = Representation([0.0, 1.0, 2.0], [g1, g2, np.linalg.inv(g1 @ g2)])
+    doubled = double_rank_embedding(rep)
+    assert doubled.rank == 6
+    assert np.allclose(
+        np.sort_complex(np.linalg.eigvals(doubled.matrices[0][:3, :3])),
+        np.sort_complex(np.linalg.eigvals(g1)),
+        atol=1e-8,
+    )
+
+
 def test_double_rank_small_case_reported():
     rep = Representation([0.0, 1.0], [np.diag([2.0, 3.0]), np.diag([0.5, 1 / 3.0])])
     with pytest.raises(ValueError):
