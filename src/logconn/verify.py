@@ -359,8 +359,14 @@ def _local_expansion(a_series, center):
     At_i = sum_n binom(n, i) s0^{n-i} A_n; convolving it with the
     geometric series of 1/(s0 + w) and negating gives C_k, and
     beta = sum_i norm(At_i) |s0|^i bounds norm(D_k) (rho = |s0|).
+    Trailing coefficients that are exactly zero (such as the padding of
+    a normal form's B, whose true degree is the weight gap) are dropped
+    first: At_i is exactly zero past the last nonzero A_n, so beta and
+    every C_k are unchanged while the O(order^2) shift shrinks.
     """
     a = a_series.coeffs
+    nonzero = np.flatnonzero(np.any(a != 0, axis=(1, 2)))
+    a = a[: nonzero[-1] + 1 if nonzero.size else 1]
     n = np.arange(a.shape[0])
     gap = n[None, :] - n[:, None]  # n - i
     binom = np.array([[math.comb(j, i) if j >= i else 0 for j in n] for i in n], dtype=float)

@@ -1,9 +1,16 @@
+import itertools
+import re
+
+import mpmath
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logconn import (
     LocalLogConnection,
     MatrixSeries,
     WeightDiagonal,
+    conjugacy_compare,
     convergence_diagnostic,
     fundamental_check,
     gauge_residual,
@@ -11,12 +18,14 @@ from logconn import (
     morphism_weight_check,
     normal_form,
 )
+from logconn.eigen import CLUSTER_TOL
 from logconn.localforms import arranged_series
 from logconn.verify import circle_loop, integrate_local
 
-from conftest import random_connection
+from conftest import random_connection, random_invertible
 
 TWO_PI_I = 2j * np.pi
+EPS = np.finfo(float).eps
 
 
 def test_integer_weights_examples():
@@ -190,7 +199,7 @@ def test_gauge_relation_definition(rng):
     # z M' = M B - A_arr M coefficientwise, written out directly once
     conn = random_connection(rng, 3, 5)
     nf = normal_form(conn)
-    a_arr = arranged_series(conn, nf)
+    a_arr = arranged_series(conn, nf.t)
     lhs = nf.m.z_derivative()
     rhs = nf.m * nf.b.truncate(conn.order).pad(conn.order) - a_arr * nf.m
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs[: lhs.order + 1])) < 1e-10
@@ -203,3 +212,201 @@ def test_fundamental_check_to_roundoff(rng):
         for resonant in (False, True):
             nf = normal_form(random_connection(rng, r, order, resonant=resonant))
             assert fundamental_check(nf, 1e-13)
+
+
+def _mp_normal_form(conn, nf, resonance_sval=1e-8):
+    """The normal_form recursion in mpmath at the working precision.
+
+    Starts from nf's arranging gauge T (taken exactly) and solves every
+    degree blockwise: SVD of the Kronecker block operator, cokernel
+    correction on resonant blocks, minimum-norm solution.  Returns
+    (K, M coefficients, smallest singular value kept over all blocks).
+    """
+    r, n = conn.rank, conn.order
+    slices, values = nf.phi.block_slices, nf.phi.values
+    t = mpmath.matrix(nf.t.tolist())
+    t_inv = t**-1
+    a = [t_inv * mpmath.matrix(c.tolist()) * t for c in conn.a.coeffs]
+    k = mpmath.zeros(r, r)
+    for sl, v in zip(slices, values):
+        for p, q in itertools.product(range(sl.start, sl.stop), repeat=2):
+            k[p, q] = -a[0][p, q] - (v if p == q else 0)
+    m = [mpmath.eye(r)] + [mpmath.zeros(r, r) for _ in range(n)]
+    b = [mpmath.zeros(r, r) for _ in range(n + 1)]
+    smin = mpmath.inf
+    for j in range(1, n + 1):
+        rhs = -a[j]
+        for kk in range(1, j):
+            rhs += m[kk] * b[j - kk] - a[j - kk] * m[kk]
+        for (i, si), (mm, sm) in itertools.product(enumerate(slices), repeat=2):
+            ri, rm = range(si.start, si.stop), range(sm.start, sm.stop)
+            di, dm = len(ri), len(rm)
+            cells = [(p, q) for q in range(dm) for p in range(di)]  # column-major vec
+            op = mpmath.matrix(di * dm, di * dm)
+            for (row, (p, q)), (col, (p2, q2)) in itertools.product(enumerate(cells), repeat=2):
+                left = (p == p2) * j + a[0][ri[p], ri[p2]]
+                op[row, col] = (q == q2) * left - (p == p2) * a[0][rm[q2], rm[q]]
+            rvec = mpmath.matrix([rhs[ri[p], rm[q]] for p, q in cells])
+            u, svals, vh = mpmath.svd_c(op)
+            cutoff = resonance_sval * max(1, svals[0])
+            small = [idx for idx in range(len(svals)) if svals[idx] <= cutoff]
+            kept = [idx for idx in range(len(svals)) if svals[idx] > cutoff]
+            smin = min([smin] + [svals[idx] for idx in kept])
+            assert values[i] - j == values[mm] or not small, "oracle input must not be near-resonant"
+            for idx in small:
+                bvec = -u[:, idx] * (u[:, idx].H * rvec)[0]
+                rvec += bvec
+                for cell, (p, q) in enumerate(cells):
+                    b[j][ri[p], rm[q]] += bvec[cell]
+                    k[ri[p], rm[q]] -= bvec[cell]
+            x = mpmath.matrix(di * dm, 1)
+            for idx in kept:
+                x += vh.H[:, idx] * ((u[:, idx].H * rvec)[0] / svals[idx])
+            for cell, (p, q) in enumerate(cells):
+                m[j][ri[p], rm[q]] = x[cell]
+    as_np = lambda x: np.array(x.tolist(), dtype=complex)
+    return as_np(k), np.array([as_np(x) for x in m]), float(smin)
+
+
+def test_normal_form_against_mpmath_recursion():
+    # Independent oracle: the same recursion at 30 digits.  Each float
+    # block solve is backward stable, so data perturbed by eps times the
+    # coefficient norms c = sum norm(A_arr^j) + norm(B^j) moves M^j by at
+    # most eps c max norm(M) / sigma_min (sigma_min: smallest singular
+    # value kept over all block operators); forming T^-1 A T in float
+    # adds a factor cond(T), and one degree's convolution sums up to
+    # r n such products.  The bound below is that product; K (diagonal
+    # blocks from the arranged residue, resonant blocks from cokernel
+    # projections of the right side) is held to the same bound.
+    rng = np.random.default_rng(7)
+    tail = 0.5 * rng.normal(size=(6, 2, 2))
+    cases = [LocalLogConnection(MatrixSeries(np.concatenate([[[[-1.0, 1.0], [0.0, 0.0]]], tail])))]
+    for r in (2, 3):
+        for resonant in (False, True):
+            cases.append(random_connection(rng, r, 8, resonant=resonant))
+    corrected = 0
+    for conn in cases:
+        nf = normal_form(conn)
+        with mpmath.workdps(30):
+            k_ref, m_ref, smin = _mp_normal_form(conn, nf)
+        a_arr = arranged_series(conn, nf.t).coeffs
+        c = np.linalg.norm(a_arr, 2, axis=(1, 2)).sum() + np.linalg.norm(nf.b.coeffs, 2, axis=(1, 2)).sum()
+        mu = np.linalg.norm(m_ref, 2, axis=(1, 2)).max()
+        bound = conn.rank * conn.order * EPS * np.linalg.cond(nf.t) * c * mu / smin
+        assert np.linalg.norm(nf.k - k_ref, 2) <= bound
+        assert np.linalg.norm(nf.m.coeffs - m_ref, 2, axis=(1, 2)).max() <= bound
+        corrected += np.max(np.abs(np.triu(k_ref, 1))) > 0.01
+    # the corpus reaches the resonant correction, not only plain solves
+    assert corrected >= 2
+
+
+def _draw_connection(seed, r, order, resonant, rho=0.5):
+    return random_connection(np.random.default_rng(seed), r, order, rho=rho, resonant=resonant)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 4),
+    order=st.integers(0, 12),
+    resonant=st.booleans(),
+)
+def test_normal_form_properties(seed, r, order, resonant):
+    conn = _draw_connection(seed, r, order, resonant)
+    nf = normal_form(conn)
+    # gauge relation at roundoff: coefficient j of z M' - M B + A_arr M
+    # sums 2j + 1 products of r x r matrices, each off by at most
+    # r^1.5 eps times its factors' norms (the recursion forms it once,
+    # gauge_residual again), scaled by the largest such convolution
+    na = np.linalg.norm(arranged_series(conn, nf.t).coeffs, 2, axis=(1, 2))
+    nb = np.linalg.norm(nf.b.truncate(order).pad(order).coeffs, 2, axis=(1, 2))
+    nm = np.linalg.norm(nf.m.coeffs, 2, axis=(1, 2))
+    scale = max(nm[: j + 1] @ (na + nb)[j::-1] + j * nm[j] for j in range(order + 1))
+    assert gauge_residual(conn, nf) <= 2 * (2 * order + 3) * r**1.5 * EPS * scale
+    # K is block-upper-triangular: its spectrum is that of its diagonal
+    # blocks, -lambda - floor(-Re lambda) up to the integer snap at tol
+    spec = np.concatenate([np.linalg.eigvals(nf.k[sl, sl]) for sl in nf.phi.block_slices])
+    assert np.all(spec.real >= -CLUSTER_TOL) and np.all(spec.real < 1.0)
+    # a constant gauge G of the input keeps Phi and K's conjugacy class
+    g = random_invertible(np.random.default_rng(seed + 1), r)
+    moved = normal_form(LocalLogConnection(MatrixSeries(np.linalg.inv(g) @ conn.a.coeffs @ g)))
+    assert moved.phi.entries == nf.phi.entries
+    assert conjugacy_compare([nf.k], [moved.k])[0]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 4),
+    order=st.integers(16, 24),
+    resonant=st.booleans(),
+)
+def test_fundamental_check_against_connection_property(seed, r, order, resonant):
+    # M is evaluated as its truncating polynomial at z0 = 0.5; with tail
+    # coefficients of size 0.25^j its remainder there is far below the
+    # default 1e-7 threshold from order 16 on
+    conn = _draw_connection(seed, r, order, resonant, rho=0.25)
+    assert fundamental_check(normal_form(conn), conn=conn)
+
+
+def _weyl_window(conn, nf, resonance_sval=1e-8):
+    """Largest degree j with j - s <= resonance_sval max(1, j + s)."""
+    s = 2.0 * np.linalg.norm(arranged_series(conn, nf.t).coeffs[0], 2)
+    return max(j for j in range(conn.order + 1) if j - s <= resonance_sval * max(1.0, j + s))
+
+
+def test_near_resonant_warning_wording():
+    # classes at -Re lambda = j + 1 and 1 - 1e-9 (tol 1e-12 keeps them
+    # apart): the block (0, 1) operator at degree j is j + lambda_0 -
+    # lambda_1 = -1e-9, not resonant (weights j + 1 and 0), so it is
+    # solved by truncated SVD with this warning
+    dropped = {1: "2.429e-01", 2: "1.457e-01", 3: "2.429e-03"}
+    g = np.array([[1.0, 0.5], [0.25, 1.0]])
+    tail = np.array([[[0.3, -0.2], [0.1, 0.4]], [[0.05, 0.1], [-0.2, 0.15]]])
+    for j, residual in dropped.items():
+        a0 = np.diag([-(j + 1.0), -(1.0 - 1e-9)])
+        coeffs = np.linalg.inv(g) @ np.concatenate([[a0], tail, np.zeros((10, 2, 2))]) @ g
+        conn = LocalLogConnection(MatrixSeries(coeffs))
+        nf = normal_form(conn, tol=1e-12)
+        assert nf.phi.entries == (j + 1, 0)
+        assert nf.warnings == (
+            f"near-resonant block (i=0, m=1, j={j}): "
+            f"smallest singular value 1.000e-09, dropped residual {residual}",
+        )
+        assert j <= _weyl_window(conn, nf) < conn.order
+
+
+def test_no_warning_past_weyl_window(rng):
+    # past the window every block operator's singular values exceed the
+    # cutoff (Weyl), which is what lets those degrees skip the SVD; near-
+    # resonant pairs at degree j (eigenvalues -(j + 1) and -(1 - 1e-9))
+    # inside random conjugated connections warn only inside it
+    seen = 0
+    for trial in range(12):
+        j = int(rng.integers(1, 5))
+        extra = rng.uniform(-2.0, 0.0, size=trial % 3) + 1j * rng.uniform(-0.5, 0.5, size=trial % 3)
+        lam = np.concatenate([[-(j + 1.0), -(1.0 - 1e-9)], extra])
+        r = len(lam)
+        g = random_invertible(rng, r)
+        coeffs = random_connection(rng, r, 12).a.coeffs.copy()
+        coeffs[0] = g @ np.diag(lam) @ np.linalg.inv(g)
+        conn = LocalLogConnection(MatrixSeries(coeffs))
+        nf = normal_form(conn, tol=1e-12)
+        window = _weyl_window(conn, nf)
+        assert window < conn.order
+        for text in nf.warnings:
+            seen += 1
+            assert int(re.search(r"j=(\d+)\)", text).group(1)) <= window
+    assert seen >= 12
+
+
+def test_integrate_local_ignores_zero_padding(rng):
+    conn = random_connection(rng, 3, 4)
+    padded = conn.a.pad(30)
+    loop = circle_loop(0.0, 0.5)
+    y0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert np.all(integrate_local(padded, loop, y0=y0) == integrate_local(conn.a, loop, y0=y0))
+    nf = normal_form(conn)
+    gap = max(nf.phi.entries) - min(nf.phi.entries)
+    assert nf.b.order > gap
+    assert np.all(integrate_local(nf.b, loop) == integrate_local(nf.b.truncate(gap), loop))
