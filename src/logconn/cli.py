@@ -10,6 +10,7 @@ with a machine-readable "reason" field on stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -309,7 +310,9 @@ def _cmd_growth(args):
 # parser
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="logconn",
         description="Local normal forms of logarithmic connections, weighted flat "

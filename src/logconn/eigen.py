@@ -141,9 +141,6 @@ class SpectralSplit:
     def dim(self):
         return sum(mult for _, mult, _ in self.clusters)
 
-    def joint_basis(self):
-        return np.hstack([basis for _, _, basis in self.clusters])
-
 
 def spectral_split(g, tol=CLUSTER_TOL):
     """Cluster the spectrum of `g` and produce invariant orthonormal bases.

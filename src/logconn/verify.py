@@ -5,11 +5,15 @@ Flat sections of d + A(z) dz/z (local) or d + sum B_j/(z - a_j) dz
 continuation (van der Hoeven, "Fast evaluation of holonomic functions",
 TCS 1999; Mezzarobba, "Truncation bounds for differentially finite
 series", 2019).  Each step moves at most 0.4 rho along the path, rho
-being the distance to the nearest singular point, and sums the Taylor
-series of the frame from a one-term-per-matmul recurrence.  The number
-of terms comes from a Cauchy majorant (1 - w/rho)^-beta of the solution,
-so every step is summed to roundoff: there is no step-size controller
-and no tolerance (see :func:`_transport`).
+being the distance to the nearest singular point.  The steps of a path
+are fixed from its geometry first; the Taylor coefficients of all their
+propagators then come from one fixed-length recurrence over geometric
+accumulators, one batched matmul per term whatever its index, and the
+steps are applied in order as y + E_s y.  One term count serves the
+whole path: it comes from the Cauchy majorant (1 - w/rho)^-beta at the
+path's largest beta and step ratio, and the majorant's relative tail
+grows with both, so every step is summed to roundoff: there is no
+step-size controller and no tolerance (see :func:`_transport`).
 
 Conventions (one source of sign bugs, fixed here once):
 
@@ -154,17 +158,10 @@ def _choose_basepoint(punctures):
     spread = max(1.0, float(np.max(np.abs(punctures - centroid))))
     if len(punctures) == 1:
         return complex(centroid + 4.0 * spread)
-    best_u, best_sep = 1.0 + 0.0j, -math.inf
-    for ang in np.linspace(0.0, np.pi, 181, endpoint=False):
-        u = np.exp(1j * ang)
-        sep = math.inf
-        for j in range(len(punctures)):
-            for m in range(len(punctures)):
-                if m != j:
-                    sep = min(sep, abs(((punctures[m] - punctures[j]) / u).imag))
-        if sep > best_sep:
-            best_u, best_sep = u, sep
-    return complex(centroid - 6.0 * spread * best_u)
+    us = np.exp(1j * np.linspace(0.0, np.pi, 181, endpoint=False))
+    j, m = np.nonzero(~np.eye(len(punctures), dtype=bool))  # ordered pairs m != j
+    sep = np.abs(((punctures[m] - punctures[j])[None, :] / us[:, None]).imag).min(axis=1)
+    return complex(centroid - 6.0 * spread * us[np.argmax(sep)])
 
 
 def relation_order(punctures, basepoint):
@@ -285,28 +282,9 @@ def _term_count(beta, t):
             return k
 
 
-def _transport(expansion, pieces, y):
-    """Continue the flat frame y analytically along the path pieces.
-
-    `expansion` is ``(singular, expand)``.  A step from z0 goes at most
-    0.4 rho along the piece, rho = distance from z0 to the nearest
-    singular point, so the chord h has |h| <= 0.4 rho.  ``expand(z0,
-    rho)`` returns ``(beta, coeffs)``: ``coeffs(n)`` gives the first n
-    coefficients D_k = rho^{k+1} C_k of Y' = C(w) Y at z0, and
-    norm(D_k) <= beta, i.e. norm(C_k) <= (beta/rho) rho^-k.  In
-    x = w/rho the Taylor coefficients of Y follow from
-    (k+1) Y_{k+1} = sum_{i<=k} D_i Y_{k-i}, one matmul of the flattened
-    [D_0 ... D_k] against Y_k ... Y_0 (kept reversed in one buffer).
-    Since (beta/rho) / (1 - w/rho) majorizes C, Y is majorized by
-    norm(Y(z0)) (1 - w/rho)^-beta, the solution of y' = beta/(rho - w) y;
-    each step sums the terms before the first index at which the
-    binomial tail of that majorant at t = |h|/rho falls below unit
-    roundoff times its value (:func:`_term_count`).  Truncation is then
-    at roundoff in every step, with no step controller and no tolerance.
-    """
-    singular, expand = expansion
-    y = np.array(y, dtype=np.complex128)
-    r, m = y.shape
+def _schedule(singular, pieces):
+    """Steps (z_s, z_{s+1}, rho_s) of the whole path; see :func:`_transport`."""
+    steps = []
     for piece in pieces:
         point, length = _piece_point(piece)
         t, z = 0.0, point(0.0)
@@ -317,37 +295,99 @@ def _transport(expansion, pieces, y):
             elif (t_next := t + _STEP * rho / length) <= t:
                 raise IntegrationError("path runs into a singular point")
             z_next = point(t_next)
-            beta, coeffs = expand(z, rho)
-            x = (z_next - z) / rho
-            count = _term_count(beta, abs(x))
-            flat = coeffs(count - 1).transpose(1, 0, 2).reshape(r, -1)
-            ys = np.empty((count * r, m), dtype=np.complex128)  # Y_{count-1} ... Y_0
-            ys[-r:] = y
-            for k in range(count - 1):
-                lo = (count - 1 - k) * r
-                ys[lo - r : lo] = flat[:, : (k + 1) * r] @ ys[lo:] / (k + 1)
-            y = np.einsum("k,kab->ab", x ** np.arange(count - 1, -1, -1), ys.reshape(count, r, m))
+            steps.append((z, z_next, rho))
             t, z = t_next, z_next
+    z0, z1, rho = np.array(steps).T
+    return z0, z1, rho.real
+
+
+def _transport(expansion, pieces, y):
+    """Continue the flat frame y analytically along the path pieces.
+
+    Schedule.  A step from z0 goes at most 0.4 rho along its piece, rho
+    being the distance from z0 to the nearest singular point, so the
+    chord h has |h| <= 0.4 rho.  The steps of the whole path depend only
+    on its geometry and are fixed first (:func:`_schedule`).
+
+    Recurrence.  ``expand(z0, rho)`` takes the S step starts and radii
+    and returns ``(beta, sigma, poly)`` with sigma of shape (S, n) and
+    poly broadcasting to (S, n, d+1, r, r).  In x = w/rho the
+    coefficients D_k = rho^{k+1} C_k of Y' = C(w) Y at z0 are
+    D_k = sum_j sum_{i<=min(k,d)} poly_{j,i} sigma_j (-sigma_j)^{k-i},
+    and norm(D_k) <= beta.  The frame coefficients of the step
+    propagator, (k+1) Phi_{k+1} = sum_{i<=k} D_i Phi_{k-i} with
+    Phi_0 = I, then follow from the accumulators
+    S_{j,q} = sum_{m<=q} (-sigma_j)^m Phi_{q-m} = Phi_q - sigma_j S_{j,q-1}:
+
+        (k+1) Phi_{k+1} = sum_j sigma_j sum_{i<=min(k,d)} poly_{j,i} S_{j,k-i},
+
+    one batched (S, r, (d+1) n r) @ (S, (d+1) n r, r) product per term,
+    of the same cost for every k, over all steps at once (van der
+    Hoeven's fixed-length recurrence for holonomic functions).
+
+    Term count.  Since (beta/rho) / (1 - w/rho) majorizes C, Y is
+    majorized by norm(Y(z0)) (1 - w/rho)^-beta, and the relative tail
+    of that majorant at t = |h|/rho past K terms is
+    P(N >= K) = sum_{k>=K} binom(beta+k-1, k) t^k (1 - t)^beta for a
+    negative binomial N.  N is Poisson with a Gamma(beta, t/(1-t))
+    distributed mean, which is stochastically increasing in beta and
+    in t, so the tail increases in both.  One :func:`_term_count` at
+    the largest beta and t of the path therefore sums every step to
+    roundoff: it puts the tail at that pair below roundoff, and the tail
+    of every step is no larger.  There is no step controller and no
+    tolerance.
+
+    Application.  Each step adds E_s y to y, E_s = sum_{k>=1} x_s^k
+    Phi_{s,k} with x_s = h_s / rho_s, summed by Horner from the smallest
+    term.  y + (E_s y) rounds once at the size of y per entry, where
+    (I + E_s) y would round at that size in every term of each inner
+    product.
+    """
+    singular, expand = expansion
+    y = np.array(y, dtype=np.complex128)
+    z0, z1, rho = _schedule(singular, pieces)
+    x = (z1 - z0) / rho
+    beta, sigma, poly = expand(z0, rho)
+    count = _term_count(float(np.max(beta)), float(np.max(np.abs(x))))
+    if count == 1:  # C vanishes on the path, or the path has no length
+        return y
+    # D_k for k < count - 1 uses only the first count - 1 blocks
+    blocks = sigma[:, :, None, None, None] * poly[:, :, : count - 1]
+    steps, n, d1, r, _ = blocks.shape
+    lhs = blocks.transpose(0, 3, 2, 1, 4).reshape(steps, r, d1 * n * r)
+    phi = np.empty((count, steps, r, r), dtype=np.complex128)
+    phi[0] = np.eye(r)
+    # S_{j,q} sits at slots (-q) % d1 and (-q) % d1 + d1 of the ring, so
+    # the d1 slots from (-k) % d1 hold S_{j,k}, ..., S_{j,k-d} in order
+    ring = np.zeros((steps, 2 * d1, n, r, r), dtype=np.complex128)
+    ring[:, 0] = ring[:, d1] = np.eye(r)
+    for k in range(count - 1):
+        p, q = -k % d1, -(k + 1) % d1
+        phi[k + 1] = lhs @ ring[:, p : p + d1].reshape(steps, d1 * n * r, r) / (k + 1)
+        ring[:, q] = ring[:, q + d1] = phi[k + 1][:, None] - sigma[:, :, None, None] * ring[:, p]
+    xs = x[:, None, None]
+    corrections = phi[-1] * xs
+    for k in range(count - 2, 0, -1):
+        corrections = (corrections + phi[k]) * xs
+    for e in corrections:
+        y = y + e @ y
     return y
 
 
 def _fuchsian_expansion(system):
     """Expansion of C(z) = -sum_j B_j / (z - a_j) for :func:`_transport`.
 
-    With u_j = 1/(z0 - a_j), C_k = -sum_j B_j u_j^{k+1} (-1)^k; as
-    rho |u_j| <= 1, beta = rho sum_j norm(B_j) |u_j| bounds norm(D_k).
+    With v_j = rho/(z0 - a_j), D_k = -sum_j B_j v_j (-v_j)^k: sigma = v,
+    d = 0 and poly_{j,0} = -B_j.  As |v_j| <= 1,
+    beta = sum_j norm(B_j) |v_j| bounds norm(D_k).
     """
     punctures = np.asarray(system.punctures, dtype=np.complex128)
     residues = np.array([as_matrix(b, square=True) for b in system.residues])
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
 
     def expand(z0, rho):
-        v = rho / (z0 - punctures)
-
-        def coeffs(n):
-            return np.einsum("jk,jab->kab", -v[:, None] * (-v[:, None]) ** np.arange(n), residues)
-
-        return float(norms @ np.abs(v)), coeffs
+        v = rho[:, None] / (z0[:, None] - punctures)
+        return np.abs(v) @ norms, v, -residues[None, :, None]
 
     return punctures, expand
 
@@ -355,33 +395,28 @@ def _fuchsian_expansion(system):
 def _local_expansion(a_series, center):
     """Expansion of C(z) = -A(s)/s, s = z - center, for :func:`_transport`.
 
-    At s0 = z0 - center the Taylor shift A(s0 + w) = sum_i At_i w^i has
-    At_i = sum_n binom(n, i) s0^{n-i} A_n; convolving it with the
-    geometric series of 1/(s0 + w) and negating gives C_k, and
-    beta = sum_i norm(At_i) |s0|^i bounds norm(D_k) (rho = |s0|).
-    Trailing coefficients that are exactly zero (such as the padding of
-    a normal form's B, whose true degree is the weight gap) are dropped
-    first: At_i is exactly zero past the last nonzero A_n, so beta and
-    every C_k are unchanged while the O(order^2) shift shrinks.
+    At s0 = z0 - center the Taylor shift A(s0 + rho x) = sum_i At_i x^i
+    has At_i = rho^i sum_n binom(n, i) s0^{n-i} A_n; times the geometric
+    series of rho/(s0 + rho x) this gives sigma = rho/s0, d = the degree
+    of A and poly_{0,i} = -At_i, and beta = sum_i norm(At_i) bounds
+    norm(D_k) (rho = |s0|).  Trailing coefficients that are exactly zero
+    (such as the padding of a normal form's B, whose true degree is the
+    weight gap) are dropped first: At_i is exactly zero past the last
+    nonzero A_n, so beta and every D_k are unchanged while d shrinks.
     """
     a = a_series.coeffs
     nonzero = np.flatnonzero(np.any(a != 0, axis=(1, 2)))
     a = a[: nonzero[-1] + 1 if nonzero.size else 1]
     n = np.arange(a.shape[0])
-    gap = n[None, :] - n[:, None]  # n - i
+    gap = np.maximum(n[None, :] - n[:, None], 0)  # n - i
     binom = np.array([[math.comb(j, i) if j >= i else 0 for j in n] for i in n], dtype=float)
 
     def expand(z0, rho):
         s0 = z0 - center
-        at = np.einsum("in,nab->iab", binom * s0 ** np.maximum(gap, 0) * rho ** n[:, None], a)
-        sigma = rho / s0
-
-        def coeffs(count):
-            lag = np.arange(count)[:, None] - n[None, :]  # k - i
-            geo = np.where(lag >= 0, sigma * (-sigma) ** np.maximum(lag, 0), 0.0)
-            return -np.einsum("ki,iab->kab", geo, at)
-
-        return float(np.linalg.norm(at, 2, axis=(1, 2)).sum()), coeffs
+        shift = binom * s0[:, None, None] ** gap * rho[:, None, None] ** n[:, None]
+        at = (shift.reshape(-1, n.size) @ a.reshape(n.size, -1)).reshape(len(s0), n.size, *a.shape[1:])
+        beta = np.linalg.norm(at, 2, axis=(2, 3)).sum(axis=1)
+        return beta, (rho / s0)[:, None], -at[:, None]
 
     return np.array([center], dtype=np.complex128), expand
 

@@ -215,3 +215,44 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})
     code, out, err = run(["bq-frame", path, "--splitting", "1,0"], capsys)
     assert code == 3
+
+
+def test_cached_parser_matches_fresh_parser(tmp_path, capsys):
+    from logconn.cli import build_parser
+
+    series = MatrixSeries(np.array([np.diag([0.3, -1.5]), 0.2 * np.ones((2, 2))], dtype=complex))
+    conn = write(tmp_path, "conn.json", "local-connection", {"series": doc.encode_series(series)})
+    rep = Representation([0.0, 1.0], [np.eye(2), np.eye(2)])
+    flags = (WeightedFlag((np.eye(2)[:, :1], np.eye(2)), (1, -1)), WeightedFlag.trivial(2))
+    wfb = write(tmp_path, "wfb.json", "weighted-bundle", doc.encode_bundle(WeightedFlatBundle(rep, flags)))
+    calls = [
+        ["normal-form", conn, "--delta", "0.05"],
+        ["growth", conn],  # usage error: --vector is required
+        ["normal-form", conn],
+        ["normal-form", conn, "--no-such-flag"],  # usage error
+        ["normlog", conn, "--tol", "1e-6"],
+        ["semistable", wfb, "--strict"],
+        ["degree", wfb],
+        ["growth", conn, "--vector", "[[1.0, 0.0], [0.0, 0.0]]", "--num-radii", "8"],
+        ["normal-form", conn, "--order", "0"],
+    ]
+
+    def outputs(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("usage", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    build_parser.cache_clear()
+    cached = outputs(fresh=False)
+    assert build_parser() is build_parser()
+    assert cached == outputs(fresh=True)
+    assert [code for code, _, _ in cached] == [0, ("usage", 2), 0, ("usage", 2), 0, 0, 0, 0, 0]
+    assert "fundamental_check" in cached[0][1] and cached[0][1] != cached[2][1]

@@ -110,7 +110,7 @@ def test_spectral_split_invariance_random(rng):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         sp = spectral_split(g)
         assert sum(m for _, m, _ in sp.clusters) == n
-        joint = sp.joint_basis()
+        joint = np.hstack([basis for _, _, basis in sp.clusters])
         assert np.linalg.matrix_rank(joint) == n
         for _, _, basis in sp.clusters:
             restr = basis.conj().T @ g @ basis

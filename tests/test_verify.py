@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,12 +17,105 @@ from logconn import (
     integrate_fuchsian,
     integrate_local,
     monodromy_report,
+    normal_form,
     relation_order,
     standard_loops,
 )
+import logconn.verify as verify
 from logconn.verify import IntegrationError, LoopPath
 
 from conftest import random_invertible, sorted_punctures
+
+
+# --------------------------------------------------------------------------
+# step-by-step reference transport: each step sums its own Taylor series
+# of Y from its own coefficients D_k, with its own term count
+
+
+def reference_transport(expansion, pieces, y):
+    singular, expand = expansion
+    y = np.array(y, dtype=np.complex128)
+    r, m = y.shape
+    for piece in pieces:
+        point, length = verify._piece_point(piece)
+        t, z = 0.0, point(0.0)
+        while t < 1.0:
+            rho = float(np.min(np.abs(singular - z)))
+            if (1.0 - t) * length <= verify._STEP * rho:
+                t_next = 1.0
+            elif (t_next := t + verify._STEP * rho / length) <= t:
+                raise IntegrationError("path runs into a singular point")
+            z_next = point(t_next)
+            beta, coeffs = expand(z, rho)
+            x = (z_next - z) / rho
+            count = verify._term_count(beta, abs(x))
+            flat = coeffs(count - 1).transpose(1, 0, 2).reshape(r, -1)
+            ys = np.empty((count * r, m), dtype=np.complex128)  # Y_{count-1} ... Y_0
+            ys[-r:] = y
+            for k in range(count - 1):
+                lo = (count - 1 - k) * r
+                ys[lo - r : lo] = flat[:, : (k + 1) * r] @ ys[lo:] / (k + 1)
+            y = np.einsum("k,kab->ab", x ** np.arange(count - 1, -1, -1), ys.reshape(count, r, m))
+            t, z = t_next, z_next
+    return y
+
+
+def reference_fuchsian_expansion(punctures, residues):
+    punctures = np.asarray(punctures, dtype=np.complex128)
+    residues = np.asarray(residues, dtype=np.complex128)
+    norms = np.linalg.norm(residues, 2, axis=(1, 2))
+
+    def expand(z0, rho):
+        v = rho / (z0 - punctures)
+
+        def coeffs(n):
+            return np.einsum("jk,jab->kab", -v[:, None] * (-v[:, None]) ** np.arange(n), residues)
+
+        return float(norms @ np.abs(v)), coeffs
+
+    return punctures, expand
+
+
+def reference_local_expansion(a_series, center):
+    a = a_series.coeffs
+    nonzero = np.flatnonzero(np.any(a != 0, axis=(1, 2)))
+    a = a[: nonzero[-1] + 1 if nonzero.size else 1]
+    n = np.arange(a.shape[0])
+    gap = n[None, :] - n[:, None]
+    binom = np.array([[math.comb(j, i) if j >= i else 0 for j in n] for i in n], dtype=float)
+
+    def expand(z0, rho):
+        s0 = z0 - center
+        at = np.einsum("in,nab->iab", binom * s0 ** np.maximum(gap, 0) * rho ** n[:, None], a)
+        sigma = rho / s0
+
+        def coeffs(count):
+            lag = np.arange(count)[:, None] - n[None, :]
+            geo = np.where(lag >= 0, sigma * (-sigma) ** np.maximum(lag, 0), 0.0)
+            return -np.einsum("ki,iab->kab", geo, at)
+
+        return float(np.linalg.norm(at, 2, axis=(1, 2)).sum()), coeffs
+
+    return np.array([center], dtype=np.complex128), expand
+
+
+def reference_basepoint(punctures):
+    punctures = np.asarray(punctures, dtype=np.complex128)
+    centroid = punctures.mean()
+    spread = max(1.0, float(np.max(np.abs(punctures - centroid))))
+    if len(punctures) == 1:
+        return complex(centroid + 4.0 * spread)
+    best_u, best_sep = 1.0 + 0.0j, -math.inf
+    for ang in np.linspace(0.0, np.pi, 181, endpoint=False):
+        u = np.exp(1j * ang)
+        sep = math.inf
+        for j in range(len(punctures)):
+            for m in range(len(punctures)):
+                if m != j:
+                    sep = min(sep, abs(((punctures[m] - punctures[j]) / u).imag))
+        if sep > best_sep:
+            best_u, best_sep = u, sep
+    return complex(centroid - 6.0 * spread * best_u)
 
 
 def test_zero_residues_give_identity():
@@ -244,3 +339,107 @@ def test_loop_matrix_properties(shape, seed, data):
         prod = prod @ mats[j]
     scale = np.prod([np.linalg.norm(g, 2) for g in mats])
     assert np.linalg.norm(prod - eye, 2) <= 1e-13 * scale
+
+
+def _draw_pieces(data, center, clearance):
+    """A partial arc, a radial segment toward `center`, or a very short tangent segment.
+
+    Every point stays within 0.6 clearance of `center`, so 0.4 clearance
+    away from the other singular points; short segments take a handful
+    of Taylor terms, where each term counts.
+    """
+    kind = data.draw(st.sampled_from(["arc", "radial", "short"]))
+    u = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
+    radius = clearance * data.draw(st.floats(0.2, 0.6))
+    start = center + radius * u
+    if kind == "arc":
+        theta = float(np.angle(u))
+        return [("arc", center, radius, theta, theta + data.draw(st.floats(0.3, 2.0 * np.pi)))]
+    if kind == "radial":
+        return [("line", start, center + radius * data.draw(st.floats(1e-3, 0.9)) * u)]
+    return [("line", start, start + 1j * u * radius * 10.0 ** data.draw(st.floats(-7.0, -2.0)))]
+
+
+def _initial(rng, r, one_column):
+    if one_column:  # the growth_exponent shape
+        return rng.normal(size=(r, 1)) + 1j * rng.normal(size=(r, 1))
+    return np.eye(r)
+
+
+def _assert_transports_agree(expansion, reference, pieces, y0):
+    got = verify._transport(expansion, pieces, y0)
+    want = reference_transport(reference, pieces, y0)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+    one_column=st.booleans(),
+    data=st.data(),
+)
+def test_batched_fuchsian_transport_matches_reference(shape, seed, one_column, data):
+    n, r = shape
+    rng = np.random.default_rng(seed)
+    punctures = sorted_punctures(rng, n)
+    parts = data.draw(arrays(np.float64, (2, n, r, r), elements=st.floats(-1.0, 1.0)))
+    xs = (0.35 / np.sqrt(r)) * (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    residues = xs - xs.mean(axis=0)
+    system = FuchsianSystem(punctures, list(residues))
+    if data.draw(st.booleans()):  # segment out, full circle, segment back
+        pieces = standard_loops(punctures)[0][0].pieces
+    else:
+        pieces = _draw_pieces(data, punctures[0], float(np.min(np.abs(punctures[1:] - punctures[0]))))
+    _assert_transports_agree(
+        verify._fuchsian_expansion(system),
+        reference_fuchsian_expansion(punctures, residues),
+        pieces,
+        _initial(rng, r, one_column),
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    order=st.integers(0, 30),
+    source=st.sampled_from(["connection", "padded", "normal-form"]),
+    seed=st.integers(0, 2**16),
+    one_column=st.booleans(),
+    data=st.data(),
+)
+def test_batched_local_transport_matches_reference(r, order, source, seed, one_column, data):
+    from conftest import random_connection
+
+    rng = np.random.default_rng(seed)
+    conn = random_connection(rng, r, order, resonant=source == "normal-form")
+    series = conn.a
+    if source == "padded":
+        series = series.pad(order + 8)
+    elif source == "normal-form":  # B is zero past the weight gap
+        series = normal_form(conn).b
+    _assert_transports_agree(
+        verify._local_expansion(series, 0.0),
+        reference_local_expansion(series, 0.0),
+        _draw_pieces(data, 0.0, 1.0),
+        _initial(rng, r, one_column),
+    )
+
+
+def test_path_into_a_singular_point_raises():
+    system = FuchsianSystem([0.0, 1.0], [np.array([[0.25]]), np.array([[-0.25]])])
+    with pytest.raises(IntegrationError):
+        verify._transport(verify._fuchsian_expansion(system), [("line", 0.5 + 0.5j, 1.0 + 0.0j)], np.eye(1))
+    series = MatrixSeries.constant(np.array([[-0.25]]), 0)
+    with pytest.raises(IntegrationError):
+        verify._transport(verify._local_expansion(series, 0.0), [("line", 0.5, 0.0)], np.eye(1))
+
+
+def test_choose_basepoint_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    inputs = [np.exp(2j * np.pi * np.arange(n) / n) for n in range(1, 9)]
+    inputs += [rng.uniform(-2, 2, k) + 1j * rng.uniform(-2, 2, k) for k in rng.integers(2, 9, 300)]
+    inputs += [np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1j])]  # collinear, repeated
+    for punctures in inputs:
+        assert verify._choose_basepoint(punctures) == reference_basepoint(punctures)
