@@ -22,7 +22,7 @@ import numpy as np
 
 # schur is unused here but stays bound as bundles.schur, a binding the
 # benchmark's tracer wraps and its tests check
-from .eigen import _cluster_indices, norm_log, schur, spectral_split  # noqa: F401
+from .eigen import _chain, _closure, norm_log, schur, spectral_split  # noqa: F401
 from .localforms import LocalLogConnection, normal_form_b_series
 from .series import WeightDiagonal, as_matrix
 
@@ -346,7 +346,7 @@ def _eigvecs_distinct(m, tol=1e-8):
     """Unit eigenvectors when all eigenvalues are simple; None otherwise."""
     vals, vecs = np.linalg.eig(m)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if len(_cluster_indices(vals, tol * scale)) < len(vals):
+    if len(_chain(vals, tol * scale)) < len(vals):
         return None
     return vecs
 
@@ -364,10 +364,7 @@ def _closed_sets(edges):
     closure at a time, so the work is the number of sets times r.
     """
     r = len(edges)
-    reach = edges | np.eye(r, dtype=bool)
-    for k in range(r):
-        reach |= np.outer(reach[:, k], reach[k])
-    closures = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in reach}
+    closures = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in _closure(edges)}
     seen = frontier = {0}
     while frontier:
         frontier = {s | c for s in frontier for c in closures} - seen
@@ -456,7 +453,7 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
     candidates = {}
     pools = []
     for g in mats:
-        split = spectral_split(g, tol)
+        split = spectral_split(g)
         for _, mult, b in split.clusters:
             if 0 < b.shape[1] < r:
                 pools.append(b)

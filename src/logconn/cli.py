@@ -320,31 +320,37 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inputs=("input",)):
+    flags = {
+        "--tol": dict(type=float, default=1e-8, help="numeric tolerance"),
+        "--order": dict(type=int, default=None, help="truncate input series to this order"),
+        "--seed": dict(type=int, default=0, help="seed for randomized searches"),
+        "--strict": dict(action="store_true", help="exit 4 on Undetermined verdicts"),
+    }
+
+    def common(p, *names, inputs=("input",)):
+        """Register the input arguments, the named shared flags and --out."""
         for name in inputs:
             p.add_argument(name, help="input document path, or - for stdin")
-        p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
-        p.add_argument("--order", type=int, default=None, help="truncate input series to this order")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-        p.add_argument("--strict", action="store_true", help="exit 4 on Undetermined verdicts")
+        for name in names:
+            p.add_argument(name, **flags[name])
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
-    common(sub.add_parser("normlog", help="normalized logarithm of a matrix or representation"))
-    p = common(sub.add_parser("normal-form", help="gauge-fix a local logarithmic connection"))
+    common(sub.add_parser("normlog", help="normalized logarithm of a matrix or representation"), "--tol")
+    p = common(sub.add_parser("normal-form", help="gauge-fix a local logarithmic connection"), "--tol", "--order")
     p.add_argument("--delta", type=float, default=None, help="also run the convergence diagnostic at this radius")
     common(sub.add_parser("degree", help="degree and slope of a weighted bundle"))
-    common(sub.add_parser("semistable", help="semistability verdict of a weighted bundle"))
-    common(sub.add_parser("synth-commutative", help="Fuchsian system for commuting monodromy"))
-    p = common(sub.add_parser("bq-frame", help="frame permutation and triangular gauge"))
+    common(sub.add_parser("semistable", help="semistability verdict of a weighted bundle"), "--seed", "--strict")
+    common(sub.add_parser("synth-commutative", help="Fuchsian system for commuting monodromy"), "--tol")
+    p = common(sub.add_parser("bq-frame", help="frame permutation and triangular gauge"), "--tol")
     p.add_argument("--splitting", required=True, help="comma-separated non-increasing integers")
     p = common(sub.add_parser("solve-weights", help="integer weights for upper-triangular monodromy"))
     p.add_argument("--mode", choices=["strict-a", "relaxed-a'"], default="strict-a")
     p = common(sub.add_parser("shift-weights", help="shift all weights at each puncture"))
     p.add_argument("--lambdas", required=True, help="comma-separated shifts, one per puncture")
     common(sub.add_parser("embed-double", help="double-rank embedding with a cyclic eigenvector"))
-    common(sub.add_parser("decide-rank3", help="partial rank-three realizability decision"))
-    p = common(sub.add_parser("verify", help="integrate loops and compare monodromy"), inputs=("system",))
+    common(sub.add_parser("decide-rank3", help="partial rank-three realizability decision"), "--seed", "--strict")
+    p = common(sub.add_parser("verify", help="integrate loops and compare monodromy"), "--tol", inputs=("system",))
     p.add_argument("--target", default=None, help="representation document to compare against")
     p = common(sub.add_parser("growth", help="asymptotic growth exponent of a flat section"))
     p.add_argument("--vector", required=True, help="JSON list of [re, im] pairs")

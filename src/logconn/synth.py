@@ -26,7 +26,7 @@ from .bundles import (
     semistable,
     _orthonormalize,
 )
-from .eigen import CLUSTER_TOL, norm_log, norm_log_scalar, schur, spectral_split
+from .eigen import CLUSTER_TOL, _chain, norm_log, norm_log_scalar, schur, spectral_split
 from .series import MatrixSeries, WeightDiagonal, as_matrix
 
 __all__ = [
@@ -145,7 +145,7 @@ class WeightMatrixFamily:
 # commutative synthesis
 
 
-def _joint_single_eigenvalue_blocks(matrices, tol):
+def _joint_single_eigenvalue_blocks(matrices):
     """Orthonormal bases of the joint generalized eigenspace decomposition."""
     r = matrices[0].shape[0]
     blocks = [np.eye(r, dtype=np.complex128)]
@@ -153,14 +153,14 @@ def _joint_single_eigenvalue_blocks(matrices, tol):
         refined = []
         for basis in blocks:
             restricted = basis.conj().T @ g @ basis
-            split = spectral_split(restricted, tol)
+            split = spectral_split(restricted)
             for _, _, sub in split.clusters:
                 refined.append(basis @ sub)
         blocks = refined
     return blocks
 
 
-def commutative_fuchsian(rep, tol=1e-8, cluster_tol=CLUSTER_TOL):
+def commutative_fuchsian(rep, tol=1e-8):
     """Fuchsian system with prescribed commuting monodromy.
 
     Decomposes into joint single-eigenvalue blocks; on each block the
@@ -177,7 +177,7 @@ def commutative_fuchsian(rep, tol=1e-8, cluster_tol=CLUSTER_TOL):
                 raise NonCommutingError(
                     f"matrices {a} and {b} do not commute (defect {np.linalg.norm(comm, 2):.3e})"
                 )
-    blocks = _joint_single_eigenvalue_blocks(mats, cluster_tol)
+    blocks = _joint_single_eigenvalue_blocks(mats)
     r = rep.rank
     s = np.hstack(blocks)
     s_inv = np.linalg.inv(s)
@@ -189,13 +189,13 @@ def commutative_fuchsian(rep, tol=1e-8, cluster_tol=CLUSTER_TOL):
         mus = []
         for g in mats:
             gb = basis.conj().T @ g @ basis
-            split = spectral_split(gb, cluster_tol)
+            split = spectral_split(gb)
             if len(split.clusters) != 1:
                 raise InconsistentRepresentationError(
                     "joint block decomposition left a multi-eigenvalue block"
                 )
-            ks.append(norm_log(gb, cluster_tol).k)
-            mus.append(norm_log_scalar(split.clusters[0][0], cluster_tol))
+            ks.append(norm_log(gb).k)
+            mus.append(norm_log_scalar(split.clusters[0][0]))
         xi = sum(mus)
         if abs(xi.imag) > 1e-6 or abs(xi.real - round(xi.real)) > 1e-6:
             raise InconsistentRepresentationError(
@@ -387,11 +387,9 @@ def regauge_given_splitting(phi_k, c, perm):
     r = len(entries)
     if c.rank != r or len(perm) != r:
         raise ValueError("rank mismatch between weights, splitting type and permutation")
-    pm = np.zeros((r, r), dtype=int)
-    for pos, src in enumerate(perm):
-        pm[pos, src] = 1
-    conj = pm.T @ np.diag(np.array(c.entries, dtype=int)) @ pm
-    new = tuple(int(entries[i] - conj[i, i]) for i in range(r))
+    # diag(P^T C P) for P = permutation_matrix(perm) is c[argsort(perm)]
+    conj = np.array(c.entries)[np.argsort(perm)]
+    new = tuple(int(e - x) for e, x in zip(entries, conj))
     if any(a < b for a, b in zip(new, new[1:])):
         raise DisorderedWeightsError(
             f"regauged weights {new} are not non-increasing; "
@@ -461,24 +459,11 @@ class SolverIncompleteError(RuntimeError):
 
 
 def _column_classes(rho, tol):
-    """Per puncture, group row indices by equal diagonal entries."""
-    n = len(rho)
-    r = len(rho[0])
-    classes = []
-    for j in range(n):
-        scale = max(1.0, max(abs(x) for x in rho[j]))
-        cls = {}
-        reps = []
-        for i in range(r):
-            for cid, v in enumerate(reps):
-                if abs(rho[j][i] - v) <= tol * scale:
-                    cls[i] = cid
-                    break
-            else:
-                cls[i] = len(reps)
-                reps.append(rho[j][i])
-        classes.append(cls)
-    return classes
+    """Per puncture, row index -> class id, rows with equal diagonal entries sharing one."""
+    return [
+        {int(i): cid for cid, idx in enumerate(_chain(col, tol * max(1.0, np.max(np.abs(col))))) for i in idx}
+        for col in np.asarray(rho)
+    ]
 
 
 def _smith_solve(a, b):
@@ -955,20 +940,26 @@ def double_rank_embedding(rep, tol=1e-10):
 # rank-three decision
 
 
-def jordan_block_count(g, tol=CLUSTER_TOL):
+def _jordan_blocks(g, split):
+    """Number of Jordan blocks of g: the nullities of g - mu I over the clusters of its split."""
+    svals = [np.linalg.svd(g - mu * np.eye(len(g)), compute_uv=False) for mu, _, _ in split.clusters]
+    return sum(int(np.sum(s <= 1e-7 * max(1.0, s[0]))) for s in svals)
+
+
+def jordan_block_count(g):
     """Total number of Jordan blocks: sum of geometric multiplicities."""
     g = as_matrix(g, square=True)
-    split = spectral_split(g, tol)
-    r = g.shape[0]
-    count = 0
-    for mu, _, _ in split.clusters:
-        svals = np.linalg.svd(g - mu * np.eye(r), compute_uv=False)
-        scale = max(1.0, svals[0])
-        count += int(np.sum(svals <= 1e-7 * scale))
-    return count
+    return _jordan_blocks(g, spectral_split(g))
 
 
-def bt_obstruction(rep, tol=CLUSTER_TOL):
+def _exponent_obstruction(counts, splits):
+    """bt_obstruction from the Jordan block count and the spectral split of each loop matrix."""
+    if any(count != 1 for count in counts):
+        return False, None
+    return True, complex(sum(norm_log_scalar(split.clusters[0][0]) for split in splits))
+
+
+def bt_obstruction(rep):
     """Exponent-sum obstruction for reducible single-block monodromy.
 
     Returns ``(applies, sum_mu)``: when every loop matrix is a single
@@ -976,13 +967,8 @@ def bt_obstruction(rep, tol=CLUSTER_TOL):
     a non-integer value obstructs any trivial-bundle realization of a
     reducible representation of this shape.
     """
-    mus = []
-    for g in rep.matrices:
-        if jordan_block_count(g, tol) != 1:
-            return False, None
-        split = spectral_split(g, tol)
-        mus.append(norm_log_scalar(split.clusters[0][0], tol))
-    return True, complex(sum(mus))
+    splits = [spectral_split(g) for g in rep.matrices]
+    return _exponent_obstruction([_jordan_blocks(g, s) for g, s in zip(rep.matrices, splits)], splits)
 
 
 class Rank3Verdict(Enum):
@@ -1007,13 +993,20 @@ def rank3_decide(rep, seed=0):
     sums fail to be an integer; otherwise Undetermined (the remaining
     criterion needs the canonical extension's splitting type, which is
     not computed here).
+
+    Each loop matrix is factored once: one spectral split gives both its
+    Jordan block count and its scalar exponent.  The split's clusters
+    have the radius that rounding of a defective eigenvalue needs
+    (eigen._clusters), so a conjugated Jordan block counts as one block
+    in any basis, and the verdict does not depend on the frame.
     """
     if rep.rank != 3:
         raise ValueError("rank-three decision requires rank 3")
     enum = invariant_subspaces(rep, seed=seed)
     if enum.complete and not enum.subspaces:
         return Rank3Decision(Rank3Verdict.REALIZABLE, "irreducible")
-    counts = [jordan_block_count(g) for g in rep.matrices]
+    splits = [spectral_split(g) for g in rep.matrices]
+    counts = [_jordan_blocks(g, s) for g, s in zip(rep.matrices, splits)]
     for j, cnt in enumerate(counts):
         if cnt >= 2:
             return Rank3Decision(
@@ -1023,7 +1016,7 @@ def rank3_decide(rep, seed=0):
             )
     reducible_witness = len(enum.subspaces) > 0
     if reducible_witness and all(c == 1 for c in counts):
-        applies, mu_sum = bt_obstruction(rep)
+        applies, mu_sum = _exponent_obstruction(counts, splits)
         if applies and (
             abs(mu_sum.imag) > 1e-6 or abs(mu_sum.real - round(mu_sum.real)) > 1e-6
         ):

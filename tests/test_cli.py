@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from logconn import MatrixSeries, WeightedFlag, WeightedFlatBundle, Representation
 from logconn import documents as doc
@@ -256,3 +257,66 @@ def test_cached_parser_matches_fresh_parser(tmp_path, capsys):
     assert cached == outputs(fresh=True)
     assert [code for code, _, _ in cached] == [0, ("usage", 2), 0, ("usage", 2), 0, 0, 0, 0, 0]
     assert "fundamental_check" in cached[0][1] and cached[0][1] != cached[2][1]
+
+
+# every subcommand registers only the shared flags it reads
+_READS = {
+    "normlog": ("--tol",),
+    "normal-form": ("--tol", "--order"),
+    "degree": (),
+    "semistable": ("--seed", "--strict"),
+    "synth-commutative": ("--tol",),
+    "bq-frame": ("--tol",),
+    "solve-weights": (),
+    "shift-weights": (),
+    "embed-double": (),
+    "decide-rank3": ("--seed", "--strict"),
+    "verify": ("--tol",),
+    "growth": (),
+}
+_REQUIRED = {
+    "bq-frame": ["--splitting", "1,0"],
+    "shift-weights": ["--lambdas", "0"],
+    "growth": ["--vector", "[[1.0, 0.0]]"],
+}
+_VALUES = {"--tol": ["1e-6"], "--order": ["3"], "--seed": ["2"], "--strict": []}
+
+
+def test_shared_flags_are_registered_only_where_read():
+    from logconn.cli import build_parser
+
+    parser = build_parser()
+    for command, reads in _READS.items():
+        base = [command, "in.json", *_REQUIRED.get(command, []), "--out", "out.json"]
+        for flag, value in _VALUES.items():
+            argv = base + [flag, *value]
+            if flag in reads:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, argv
+
+
+def test_invocations_used_by_the_tests_and_the_benchmark_parse():
+    from logconn.cli import build_parser
+
+    parser = build_parser()
+    for argv in (
+        ["normlog", "c.json", "--tol", "1e-6"],
+        ["normal-form", "c.json", "--order", "0"],
+        ["normal-form", "c.json", "--delta", "0.125", "--out", "r.json"],
+        ["degree", "b.json", "--out", "d.json"],
+        ["semistable", "b.json", "--strict"],
+        ["semistable", "b.json", "--out", "v.json"],
+        ["synth-commutative", "rep.json", "--tol", "1e-08", "--out", "sys.json"],
+        ["verify", "sys.json", "--target", "rep.json", "--tol", "1e-08", "--out", "r.json"],
+        ["verify", "sys.json", "--tol", "1e-9"],
+        ["bq-frame", "q.json", "--splitting", "1,0"],
+        ["solve-weights", "rep.json", "--mode", "relaxed-a'"],
+        ["shift-weights", "b.json", "--lambdas", "2,-1"],
+        ["embed-double", "rep.json"],
+        ["decide-rank3", "rep.json", "--out", "r.json"],
+        ["growth", "c.json", "--vector", "[[1.0, 0.0]]", "--num-radii", "8"],
+    ):
+        parser.parse_args(argv)

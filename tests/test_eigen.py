@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logconn import (
     SingularMatrixError,
@@ -14,7 +16,7 @@ from logconn import (
     schur,
     spectral_split,
 )
-from logconn.eigen import reorder_schur
+from logconn.eigen import _chain, reorder_schur
 
 from conftest import random_connection
 
@@ -116,6 +118,91 @@ def test_spectral_split_invariance_random(rng):
             restr = basis.conj().T @ g @ basis
             resid = g @ basis - basis @ restr
             assert np.linalg.norm(resid) < 1e-7 * np.linalg.norm(g)
+
+
+def _union_find(vals, tol):
+    """Union-find clustering at pairwise distance < tol: the reference for _chain."""
+    n = len(vals)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) < tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 3), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        min_size=1,
+        max_size=16,
+    ),
+    st.floats(0.0, 0.7),
+)
+def test_chain_matches_union_find(points, radius):
+    # grid points with jitter: ties, chains longer than the radius, and isolated points
+    vals = np.array([0.25 * complex(a, b) + complex(x, y) for a, b, x, y in points])
+    assert _chain(vals, radius) == _union_find(vals, radius)
+
+
+def _conjugated_jordan(rng, blocks, spread):
+    """S J S^-1 for J with Jordan blocks (eigenvalue, size) and S = I + spread G / sqrt(r)."""
+    r = sum(d for _, d in blocks)
+    j = scipy.linalg.block_diag(*[mu * np.eye(d) + np.eye(d, k=1) for mu, d in blocks])
+    s = np.eye(r) + spread * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / np.sqrt(2 * r)
+    return s @ j @ np.linalg.inv(s)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=16),
+    st.booleans(),
+    st.floats(0.25, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_spectral_split_multiplicities_of_conjugated_jordan_forms(sizes, partners, spread, seed):
+    # blocks of size 1-5 at r <= 16 sit at stratified angles on the unit
+    # circle, at least 2 sin(pi / 32) = 0.196 apart; with `partners` each
+    # simple eigenvalue gets a second one at relative distance 1e-3.
+    # Defective blocks much closer than that merge (see the limit in
+    # eigen._clusters).
+    sizes = [d for k, d in enumerate(sizes) if sum(sizes[: k + 1]) <= 16]
+    rng = np.random.default_rng(seed)
+    m = len(sizes)
+    blocks = list(zip(np.exp(2j * np.pi * (np.arange(m) + rng.uniform(0.25, 0.75, m)) / m), sizes))
+    if partners:
+        simple = [mu for mu, d in blocks if d == 1][: 16 - sum(sizes)]
+        blocks += [(mu * (1.0 + 1e-3 * np.exp(2j * np.pi * rng.uniform())), 1) for mu in simple]
+    a = _conjugated_jordan(rng, blocks, spread)
+    split = spectral_split(a)
+    assert sorted(mult for _, mult, _ in split.clusters) == sorted(d for _, d in blocks)
+    for mu, mult, _ in split.clusters:
+        assert min(abs(mu - lam) for lam, d in blocks if d == mult) < 1e-6
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5])
+def test_spectral_split_keeps_close_distinct_pairs_apart(gap):
+    rng = np.random.default_rng(11)
+    for r in (2, 4, 8, 16):
+        for _ in range(10):
+            c = r // 2
+            centers = np.exp(2j * np.pi * (np.arange(c) + rng.uniform(0.25, 0.75, c)) / c) * rng.uniform(0.6, 1.6, c)
+            partners = centers * (1.0 + gap * np.exp(2j * np.pi * rng.uniform(size=c)))
+            a = _conjugated_jordan(rng, [(mu, 1) for mu in np.concatenate([centers, partners])], 0.5)
+            assert [mult for _, mult, _ in spectral_split(a).clusters] == [1] * r
 
 
 def test_norm_log_identity_and_closed_forms():

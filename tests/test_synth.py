@@ -161,6 +161,17 @@ def test_permutation_matrix_inverse():
     assert np.allclose(p @ p.T, np.eye(3))
 
 
+def test_regauge_matches_the_permutation_matrix_form(rng):
+    for _ in range(40):
+        r = int(rng.integers(1, 8))
+        perm = tuple(int(x) for x in rng.permutation(r))
+        c = SplittingType(tuple(sorted(rng.integers(-3, 4, size=r).tolist(), reverse=True)))
+        phi = WeightDiagonal(tuple(10 * (r - i) for i in range(r)))
+        p = permutation_matrix(perm).real
+        expected = np.array(phi.entries) - np.diag(p.T @ np.diag(c.entries) @ p)
+        assert regauge_given_splitting(phi, c, perm).entries == tuple(int(x) for x in expected)
+
+
 # ----------------------------------------------------------------------
 # weight shifts and bounds
 
@@ -432,6 +443,42 @@ def test_rank3_reducible_single_block_undetermined():
     decision = rank3_decide(rep)
     assert decision.verdict is Rank3Verdict.UNDETERMINED
     assert decision.certificate == "splitting-type-needed"
+
+
+def _jordan_rank3(rng):
+    """Two single 3x3 Jordan blocks (unipotent part 1 + N) and the matrix closing their product."""
+    mats = []
+    for _ in range(2):
+        upper = 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) / np.sqrt(2)
+        n = np.triu(upper, 2) + np.diag(np.exp(2j * np.pi * rng.uniform(size=2)), 1)
+        mats.append(np.exp(2j * np.pi * rng.uniform()) * (np.eye(3) + n))
+    mats.append(np.linalg.inv(mats[0] @ mats[1]))
+    return mats
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rank3_jordan_decision_is_the_same_in_a_conjugated_frame(seed):
+    # a rounding split of a defective eigenvalue must not read as several blocks
+    rng = np.random.default_rng(seed)
+    mats = _jordan_rank3(rng)
+    s = np.eye(3) + 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) / np.sqrt(2 * 3)
+    conjugated = [s @ g @ np.linalg.inv(s) for g in mats]
+    punctures = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    triangular, conj = (rank3_decide(Representation(punctures, ms)) for ms in (mats, conjugated))
+    assert (conj.verdict, conj.certificate) == (triangular.verdict, triangular.certificate)
+    assert (conj.verdict, conj.certificate) == (Rank3Verdict.UNDETERMINED, "splitting-type-needed")
+    assert [jordan_block_count(g) for g in conjugated] == [1, 1, 1]
+
+
+def test_rank3_decide_splits_each_loop_matrix_once(monkeypatch):
+    import logconn.synth as synth
+
+    calls = []
+    original = synth.spectral_split
+    monkeypatch.setattr(synth, "spectral_split", lambda g: calls.append(g) or original(g))
+    decision = rank3_decide(Representation([0.0, 1.0, 2.0], _jordan_rank3(np.random.default_rng(3))))
+    assert decision.certificate == "splitting-type-needed"
+    assert len(calls) == 3
 
 
 def test_bt_obstruction_rank4():
