@@ -239,10 +239,6 @@ class SpectralSplit:
 
     clusters: tuple
 
-    @property
-    def dim(self):
-        return sum(mult for _, mult, _ in self.clusters)
-
 
 def spectral_split(g):
     """Cluster the spectrum of `g` and produce invariant orthonormal bases.

@@ -1,7 +1,8 @@
 """Constructive Fuchsian synthesis and integer-weight feasibility.
 
 Implements the constructive side of the Riemann-Hilbert machinery at
-desk scale: explicit residues for commuting monodromy, the
+desk scale: explicit residues for commuting monodromy (the negated
+normalized logarithms, with the first closing the sum), the
 frame/permutation solver producing the triangular polynomial gauge b
 with its divisibility certificate, weight-shift and regauge steps for
 given splitting types, the upper-triangular integer-weight solvers for
@@ -26,7 +27,7 @@ from .bundles import (
     semistable,
     _orthonormalize,
 )
-from .eigen import CLUSTER_TOL, _chain, norm_log, norm_log_scalar, schur, spectral_split
+from .eigen import CLUSTER_TOL, _chain, eigenvalues, norm_log, norm_log_scalar, schur, spectral_split
 from .series import MatrixSeries, WeightDiagonal, as_matrix
 
 __all__ = [
@@ -145,27 +146,25 @@ class WeightMatrixFamily:
 # commutative synthesis
 
 
-def _joint_single_eigenvalue_blocks(matrices):
-    """Orthonormal bases of the joint generalized eigenspace decomposition."""
-    r = matrices[0].shape[0]
-    blocks = [np.eye(r, dtype=np.complex128)]
-    for g in matrices:
-        refined = []
-        for basis in blocks:
-            restricted = basis.conj().T @ g @ basis
-            split = spectral_split(restricted)
-            for _, _, sub in split.clusters:
-                refined.append(basis @ sub)
-        blocks = refined
-    return blocks
-
-
 def commutative_fuchsian(rep, tol=1e-8):
     """Fuchsian system with prescribed commuting monodromy.
 
-    Decomposes into joint single-eigenvalue blocks; on each block the
-    residues are xi I - K_1 at the first puncture and -K_j elsewhere,
-    K_j the normalized logs and xi the integer sum of their eigenvalues.
+    The residues are B_j = -K_j for j >= 2 and B_1 = -(B_2 + ... + B_n),
+    K_j = norm_log(G_j).  Each K_j is a primary matrix function of G_j,
+    a polynomial in G_j (Higham, Functions of Matrices, 2008, Thm 1.13),
+    so the K_j commute and keep every joint generalized eigenspace of
+    the G_j.  On such a block K_j = mu_j I + N_j with N_j nilpotent, and
+    G_1 ... G_n = I gives exp(2 pi i sum_j K_j) = I there: sum_j mu_j is
+    an integer xi_b and exp(2 pi i sum_j N_j) = I, so the nilpotent
+    sum_j N_j is zero.  Hence sum_j K_j is diagonalizable with integer
+    eigenvalues, exp(-2 pi i B_1) = G_2^-1 ... G_n^-1 = G_1, and B_1
+    equals xi_b I - K_1 on each block, the residue of Anosov and
+    Bolibruch (The Riemann-Hilbert Problem, 1994), without forming the
+    blocks or their basis.  The residues sum to zero by construction.
+
+    Raises NonCommutingError when a commutator exceeds tol scale^2, and
+    InconsistentRepresentationError when an eigenvalue of
+    K_1 + ... + K_n is not an integer (the loop product is broken).
     """
     mats = list(rep.matrices)
     n = len(mats)
@@ -177,40 +176,15 @@ def commutative_fuchsian(rep, tol=1e-8):
                 raise NonCommutingError(
                     f"matrices {a} and {b} do not commute (defect {np.linalg.norm(comm, 2):.3e})"
                 )
-    blocks = _joint_single_eigenvalue_blocks(mats)
-    r = rep.rank
-    s = np.hstack(blocks)
-    s_inv = np.linalg.inv(s)
-    residues = [np.zeros((r, r), dtype=np.complex128) for _ in range(n)]
-    start = 0
-    for basis in blocks:
-        d = basis.shape[1]
-        ks = []
-        mus = []
-        for g in mats:
-            gb = basis.conj().T @ g @ basis
-            split = spectral_split(gb)
-            if len(split.clusters) != 1:
-                raise InconsistentRepresentationError(
-                    "joint block decomposition left a multi-eigenvalue block"
-                )
-            ks.append(norm_log(gb).k)
-            mus.append(norm_log_scalar(split.clusters[0][0]))
-        xi = sum(mus)
-        if abs(xi.imag) > 1e-6 or abs(xi.real - round(xi.real)) > 1e-6:
-            raise InconsistentRepresentationError(
-                f"block exponent sum {xi} is not an integer; loop product broken"
-            )
-        xi = int(round(xi.real))
-        block_residues = [xi * np.eye(d) - ks[0]] + [-k for k in ks[1:]]
-        for j in range(n):
-            residues[j][start : start + d, start : start + d] = block_residues[j]
-        start += d
-    residues = [s @ b @ s_inv for b in residues]
-    # remove the numerical drift so the smooth-at-infinity invariant is exact
-    drift = sum(residues) / n
-    residues = [b - drift for b in residues]
-    return FuchsianSystem(rep.punctures, tuple(residues))
+    ks = [norm_log(g).k for g in mats]
+    xi = eigenvalues(sum(ks))
+    defect = np.maximum(np.abs(xi.imag), np.abs(xi.real - np.round(xi.real)))
+    if np.any(defect > 1e-6):
+        raise InconsistentRepresentationError(
+            f"exponent sum {xi[np.argmax(defect)]} is not an integer; loop product broken"
+        )
+    b1 = sum(ks[1:], np.zeros_like(ks[0]))
+    return FuchsianSystem(rep.punctures, (b1, *(-k for k in ks[1:])))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logconn import (
     MatrixSeries,
@@ -23,8 +28,10 @@ from logconn import (
     validate_weight_family,
 )
 from logconn.bundles import WeightedFlag, WeightedFlatBundle, degree
+from logconn.eigen import norm_log, norm_log_scalar, spectral_split
 from logconn.synth import (
     DisorderedWeightsError,
+    InconsistentRepresentationError,
     NonCommutingError,
     NotCyclicError,
     NotEigenvectorError,
@@ -89,6 +96,159 @@ def test_commutative_random_verified(rng):
         report = monodromy_report(system, target=rep, tol=1e-9)
         assert report.conjugacy_ok
         assert report.product_defect < 1e-7
+
+
+def _blockwise_residues(rep):
+    """Residues by the joint generalized eigenspace decomposition (the reference).
+
+    Splits the commuting G_j into joint single-eigenvalue blocks with
+    orthonormal bases, takes xi I - K_1 and -K_j on each block, xi the
+    integer exponent sum, and maps back through the inverted joint basis.
+    """
+    mats = list(rep.matrices)
+    r = rep.rank
+    blocks = [np.eye(r, dtype=complex)]
+    for g in mats:
+        blocks = [basis @ sub for basis in blocks for _, _, sub in spectral_split(basis.conj().T @ g @ basis).clusters]
+    s = np.hstack(blocks)
+    residues = [np.zeros((r, r), dtype=complex) for _ in mats]
+    start = 0
+    for basis in blocks:
+        d = basis.shape[1]
+        restricted = [basis.conj().T @ g @ basis for g in mats]
+        ks = [norm_log(gb).k for gb in restricted]
+        xi = round(sum(norm_log_scalar(spectral_split(gb).clusters[0][0]) for gb in restricted).real)
+        for j, b in enumerate([xi * np.eye(d) - ks[0]] + [-k for k in ks[1:]]):
+            residues[j][start : start + d, start : start + d] = b
+        start += d
+    residues = [s @ b @ np.linalg.inv(s) for b in residues]
+    drift = sum(residues) / len(residues)
+    return [b - drift for b in residues]
+
+
+def _cgauss(rng, *shape):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+
+
+def _closed(mats):
+    """Append the matrix closing the loop product of `mats`."""
+    prod = np.eye(mats[0].shape[0], dtype=complex)
+    for g in mats:
+        prod = prod @ g
+    return Representation(list(range(len(mats) + 1)), mats + [np.linalg.inv(prod)])
+
+
+def _defective_commuting(rng, n, r):
+    """G_1 = A = S J S^-1 and polynomials e^{i theta} (1 + c_1 A + c_2 A^2) in it.
+
+    J has Jordan blocks of random sizes at unit-modulus eigenvalues kept
+    apart on the circle, so the joint blocks are well separated in G_1.
+    """
+    sizes = []
+    while sum(sizes) < r:
+        sizes.append(int(rng.integers(1, r - sum(sizes) + 1)))
+    angles = (np.arange(len(sizes)) + 0.5 * rng.uniform(size=len(sizes))) / len(sizes)
+    j = scipy.linalg.block_diag(*[np.exp(2j * np.pi * t) * np.eye(m) + np.eye(m, k=1) for t, m in zip(angles, sizes)])
+    s = np.eye(r) + 0.5 * _cgauss(rng, r, r) / np.sqrt(r)
+    a = s @ j @ np.linalg.inv(s)
+    mats = [a]
+    for _ in range(n - 2):
+        c1, c2 = 0.3 * rng.uniform(size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        mats.append(np.exp(2j * np.pi * rng.uniform()) * (np.eye(r) + c1 * a + c2 * a @ a))
+    return _closed(mats)
+
+
+def _branch_cut_commuting(rng, delta, n=3):
+    """G_1 with eigenvalues e^{2 pi i (1 - delta)} and e^{2 pi i delta}, all G_j diagonal in one basis."""
+    s = np.eye(2) + _cgauss(rng, 2, 2) / np.sqrt(2)
+    s_inv = np.linalg.inv(s)
+    diags = [np.exp(2j * np.pi * np.array([1 - delta, delta]))]
+    diags += [np.exp(2j * np.pi * rng.uniform(size=2)) for _ in range(n - 2)]
+    return _closed([s @ np.diag(d) @ s_inv for d in diags])
+
+
+def _expm_error(system, rep):
+    """max_j ||expm(-2 pi i B_j) - G_j|| / ||G_j||."""
+    return max(
+        np.linalg.norm(scipy.linalg.expm(-2j * np.pi * b) - g, 2) / np.linalg.norm(g, 2)
+        for b, g in zip(system.residues, rep.matrices)
+    )
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["diagonalizable", "defective", "branch-cut"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.integers(1, 6),
+)
+def test_commutative_residues_match_the_blockwise_construction(kind, seed, n, r):
+    # the branch-cut draws keep delta >= 1e-2: the reference's eigenvector
+    # basis of G_1 loses about eps / delta, which the regression below covers
+    rng = np.random.default_rng(seed)
+    if kind == "diagonalizable":
+        rep = random_commuting_representation(rng, n, r)
+    elif kind == "defective":
+        rep = _defective_commuting(rng, n, r)
+    else:
+        rep = _branch_cut_commuting(rng, 10.0 ** rng.uniform(-2, -1), n=n)
+    system = commutative_fuchsian(rep)
+    residues = system.residues
+    norms = [np.linalg.norm(b, 2) for b in residues]
+    scale = max(1.0, max(norms))
+    assert max(np.linalg.norm(b - c, 2) for b, c in zip(residues, _blockwise_residues(rep))) <= 1e-12 * scale
+    assert np.linalg.norm(sum(residues), 2) <= n * np.finfo(float).eps * sum(norms)
+    for a in range(n):
+        for b in range(a):
+            assert np.linalg.norm(residues[a] @ residues[b] - residues[b] @ residues[a], 2) <= 1e-12 * scale**2
+    # random_commuting_representation conjugates by bases of condition up to 1e4
+    assert _expm_error(system, rep) <= 1e-9
+
+
+def test_commutative_branch_cut_accuracy():
+    # eigenvalues e^{+-2 pi i 1e-6} are 1.3e-5 apart: an eigenvector basis of
+    # G_1 carries errors of eps / 1.3e-5, which the normalized logs never form
+    reps = [_branch_cut_commuting(np.random.default_rng(seed), 1e-6) for seed in range(10)]
+    assert max(_expm_error(commutative_fuchsian(rep), rep) for rep in reps) <= 1e-12
+
+
+def test_commutative_makes_one_norm_log_call_per_puncture_and_no_spectral_split(monkeypatch):
+    import logconn.synth as synth
+
+    calls = {"spectral_split": [], "norm_log": []}
+    for name, record in calls.items():
+        monkeypatch.setattr(synth, name, lambda g, f=getattr(synth, name), rec=record: rec.append(g) or f(g))
+    commutative_fuchsian(_defective_commuting(np.random.default_rng(1), 4, 6))
+    assert (len(calls["spectral_split"]), len(calls["norm_log"])) == (0, 4)
+
+
+def _inconsistent_commuting():
+    """Commuting diagonal matrices whose loop product is off by about 6e-4."""
+    d1 = np.exp(2j * np.pi * np.array([0.2, 0.7]))
+    d2 = np.exp(2j * np.pi * np.array([0.5, 0.1]))
+    d3 = np.exp(-2j * np.pi * 1e-4) / (d1 * d2)
+    mats = [np.diag(d) for d in (d1, d2, d3)]
+    return Representation([0.0, 1.0, 2.0], mats, tol=1e-3)
+
+
+def test_commutative_rejects_a_nonintegral_exponent_sum():
+    rep = _inconsistent_commuting()
+    defect = np.linalg.norm(rep.matrices[0] @ rep.matrices[1] @ rep.matrices[2] - np.eye(2), 2)
+    assert 5e-4 < defect < 7e-4
+    with pytest.raises(InconsistentRepresentationError):
+        commutative_fuchsian(rep)
+
+
+def test_synth_commutative_cli_rejects_a_broken_loop_product(tmp_path, capsys):
+    from logconn import documents as doc
+    from logconn.cli import main
+
+    path = tmp_path / "rep.json"
+    path.write_text(doc.canonical_dumps(doc.wrap("representation", doc.encode_representation(_inconsistent_commuting()))))
+    assert main(["synth-commutative", str(path)]) == 2
+    # the CLI reads representations at the default tolerance, so the loop
+    # product check refuses the input before the synthesis runs
+    assert json.loads(capsys.readouterr().err)["reason"] == "InvalidRepresentationError"
 
 
 # ----------------------------------------------------------------------
