@@ -8,13 +8,16 @@ and (semi)stability are computed from this data; the local extension
 operation realizes the weighted data as a logarithmic connection matrix
 at one puncture.
 
-Subspace arithmetic is numerical: containment and intersections use
-singular values with absolute tolerance 1e-9 times the matrix scale,
-and flags are stored with orthonormalized bases.
+Subspace arithmetic is numerical and flags are stored with
+orthonormalized bases.  Containment compares projection residuals with
+an absolute tolerance times the matrix scale; a subspace meets a flag
+step in the directions whose principal angle to it has sine at most
+2 RANK_TOL = 2e-9, read from one batched SVD (see
+:func:`_intersection_coords`).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ import numpy as np
 
 # schur is unused here but stays bound as bundles.schur, a binding the
 # benchmark's tracer wraps and its tests check
-from .eigen import _chain, _closure, norm_log, schur, spectral_split  # noqa: F401
+from .eigen import _chain, _closure, _log_branches, eigenvalues, norm_log, schur, spectral_split  # noqa: F401
 from .localforms import LocalLogConnection, normal_form_b_series
 from .series import WeightDiagonal, as_matrix
 
@@ -103,22 +106,51 @@ def _contains(basis, vecs, tol=RANK_TOL):
     return bool(np.max(np.abs(resid)) <= tol * scale)
 
 
+def _intersection_coords(w, bases, tol=RANK_TOL):
+    """Orthonormal W-coordinates of span(W) intersect span(Q), for each Q in `bases`.
+
+    W (r x k, k >= 1) and every Q (r x d) have orthonormal columns.  The
+    Q are zero-padded to r columns and stacked, so one batched product
+    forms every R = W - Q (Q^* W) = (I - Q Q^*) W and one batched SVD
+    factors them all.  R^* R = I - (Q^* W)^* (Q^* W) has eigenvalues
+    1 - cos^2 theta_i for the principal angles theta_i between span(W)
+    and span(Q) (Bjorck & Golub, Math. Comp. 27, 1973): the singular
+    values of R are sin theta_i, and the right singular vectors of the
+    sines counted as zero are the coordinates c with W c in span(Q),
+    already orthonormal.
+
+    Threshold.  The null space of [W, -Q] was the earlier rule, at
+    singular values up to tol * max(1, sigma_1).  The Gram matrix of
+    [W, -Q] has eigenvalues 1 +- cos theta_i (and 1), so its small
+    singular values are sqrt(2) sin(theta_i / 2) and
+    sigma_1 = sqrt(1 + cos theta_1), sqrt(2) up to O(theta_1^2) once an
+    angle is near zero: it accepted theta <= 2 arcsin(tol), 2 tol up to
+    O(tol^3).  The same rule in sines is sin theta <= 2 tol.  Rounding
+    perturbs R by a few eps, so sines below about 1e-15 read as zero,
+    far inside the threshold.
+    """
+    r, k = w.shape
+    q = np.zeros((len(bases), r, r), dtype=np.complex128)
+    for m, b in enumerate(bases):
+        q[m, :, : b.shape[1]] = b
+    _, sines, vh = np.linalg.svd(w - q @ (q.conj().swapaxes(1, 2) @ w), full_matrices=False)
+    dims = np.count_nonzero(sines <= 2 * tol, axis=1).tolist()
+    return [vh[m, k - d :].conj().T for m, d in enumerate(dims)]
+
+
 def intersect_spans(a, b, tol=RANK_TOL):
-    """Orthonormal basis of span(a) intersect span(b)."""
+    """Orthonormal basis of span(a) intersect span(b).
+
+    Both spans are orthonormalized at `tol`; the intersection is
+    a @ c for the coordinates c of :func:`_intersection_coords`, the
+    directions of span(a) at principal angle theta with
+    sin theta <= 2 tol from span(b).
+    """
     a = _orthonormalize(a, tol)
     b = _orthonormalize(b, tol)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    m = np.hstack([a, -b])
-    _, svals, vh = np.linalg.svd(m)
-    ncols = m.shape[1]
-    null_dim = int(np.sum(svals <= tol * max(1.0, svals[0] if len(svals) else 1.0)))
-    null_dim += max(0, ncols - len(svals))
-    if null_dim == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    null = vh.conj().T[:, ncols - null_dim :]
-    vectors = a @ null[: a.shape[1], :]
-    return _orthonormalize(vectors, tol)
+    return a @ _intersection_coords(a, [b], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -134,6 +166,8 @@ class Representation:
     matrices: tuple
     basepoint: complex = 0.0j
     tol: float = 1e-8
+    # max(1, ||G_j||_2) per matrix, the scale of every invariance test
+    scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         punctures = tuple(complex(a) for a in self.punctures)
@@ -150,8 +184,8 @@ class Representation:
         prod = np.eye(r, dtype=np.complex128)
         for g in matrices:
             prod = prod @ g
-        scale = max(1.0, max(np.linalg.norm(g, 2) for g in matrices))
-        if np.linalg.norm(prod - np.eye(r), 2) > self.tol * scale ** len(matrices):
+        scales = tuple(max(1.0, np.linalg.norm(g, 2)) for g in matrices)
+        if np.linalg.norm(prod - np.eye(r), 2) > self.tol * max(scales) ** len(matrices):
             raise InvalidRepresentationError(
                 f"loop product differs from identity by {np.linalg.norm(prod - np.eye(r), 2):.3e}"
             )
@@ -161,6 +195,7 @@ class Representation:
         object.__setattr__(self, "punctures", punctures)
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "basepoint", complex(self.basepoint))
+        object.__setattr__(self, "scales", scales)
 
     @property
     def rank(self):
@@ -291,11 +326,22 @@ class WeightedFlatBundle:
 
 
 def degree(wfb, tol=1e-6):
-    """deg = sum_j ( Tr Phi_j + Tr norm log G_j ), verified to be an integer."""
+    """deg = sum_j ( Tr Phi_j + Tr norm log G_j ), verified to be an integer.
+
+    Tr norm log G_j is the sum of norm_log_scalar over the Schur
+    eigenvalues t_ii of G_j, with no K formed.  :func:`norm_log` computes
+    2 pi i K = Q F Q^* by Schur-Parlett; the diagonal of F is its keys
+    2 pi i norm_log_scalar(t_ii) (a block mu I + log(T_ii e^-mu) has
+    diagonal mu + log(t_ii e^-mu)), and Tr Q F Q^* = Tr F.  So the sum
+    differs from Tr K only by the rounding of K, which is large when the
+    Parlett recurrence divides by the keys of one rounded multiple
+    eigenvalue whose copies fall on both sides of the branch cut.  A
+    zero eigenvalue raises SingularMatrixError.
+    """
     total = 0.0 + 0.0j
     for g, f in zip(wfb.rep.matrices, wfb.flags):
         total += f.weight_diagonal().trace()
-        total += np.trace(norm_log(g).k)
+        total += sum(_log_branches(eigenvalues(g)))
     if abs(total.imag) > tol or abs(total.real - round(total.real)) > tol:
         raise NonIntegralDegreeError(
             f"degree {total} is not an integer to tolerance {tol}; inconsistent representation"
@@ -423,7 +469,7 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
         return InvariantSubspaces((), True, "full-matrix-algebra")
 
     def all_invariant(w):
-        return all(_contains(w, g @ w / max(1.0, np.linalg.norm(g, 2)), tol) for g in mats)
+        return all(_contains(w, g @ w / c, tol) for g, c in zip(mats, rep.scales))
 
     def by_key(found):
         return tuple(sorted(found, key=lambda w: (w.shape[1], _projector_key(w))))
@@ -481,31 +527,33 @@ class Semistability(Enum):
 
 
 def induced_subbundle(wfb, w_basis, tol=RANK_TOL):
-    """Restrict a weighted flat bundle to an invariant subspace.
+    """Restrict a weighted flat bundle to an invariant subspace W.
 
-    Flags restrict by intersection; induced weights are read off where
-    the intersection dimensions jump.
+    The loop matrices restrict to W^* G_j W in an orthonormal basis W.
+    Each flag restricts by intersection, in W-coordinates; induced
+    weights are read off where the intersection dimensions jump.  The
+    intersections with every step of every flag come from one batched
+    SVD (:func:`_intersection_coords`): a step contains the directions
+    of W whose principal angle theta to it has sin theta <= 2 tol.
     """
     w = _orthonormalize(w_basis, tol)
-    k = w.shape[1]
     mats = []
-    for g in wfb.rep.matrices:
-        if not _contains(w, (g @ w) / max(1.0, np.linalg.norm(g, 2)), 1e-7):
+    for g, c in zip(wfb.rep.matrices, wfb.rep.scales):
+        if not _contains(w, (g @ w) / c, 1e-7):
             raise FlagError("subspace is not invariant under the representation")
         mats.append(w.conj().T @ g @ w)
     rep = Representation(wfb.rep.punctures, tuple(mats), wfb.rep.basepoint, tol=1e-6)
+    coords = _intersection_coords(w, [s for f in wfb.flags for s in f.subspaces], tol)
     flags = []
+    start = 0
     for f in wfb.flags:
         steps = []
         weights = []
-        prev_dim = 0
-        for s, wt in zip(f.subspaces, f.weights):
-            inter = intersect_spans(w, s, tol)
-            if inter.shape[1] > prev_dim:
-                coords = w.conj().T @ inter
-                steps.append(_orthonormalize(coords))
+        for c, wt in zip(coords[start:], f.weights):
+            if c.shape[1] > (steps[-1].shape[1] if steps else 0):
+                steps.append(c)
                 weights.append(wt)
-                prev_dim = inter.shape[1]
+        start += len(f.weights)
         flags.append(WeightedFlag(tuple(steps), tuple(weights)))
     return WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6)
 
@@ -552,10 +600,7 @@ def semistable(wfb, seed=0):
     # flag steps are natural destabilizer candidates
     for f in wfb.flags:
         for s in f.subspaces[:-1]:
-            if all(
-                _contains(s, g @ s / max(1.0, np.linalg.norm(g, 2)), 1e-8)
-                for g in wfb.rep.matrices
-            ):
+            if all(_contains(s, g @ s / c, 1e-8) for g, c in zip(wfb.rep.matrices, wfb.rep.scales)):
                 candidates.setdefault(_projector_key(s), s)
     saw_equal = False
     for w in candidates.values():

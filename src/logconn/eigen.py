@@ -337,6 +337,17 @@ def norm_log_scalar(rho, snap_tol=CLUSTER_TOL):
     return mu
 
 
+def _log_branches(vals, tol=CLUSTER_TOL):
+    """norm_log_scalar of each eigenvalue: the diagonal of K = norm_log(G) in G's Schur basis, up to rounding.
+
+    An eigenvalue below 1e-14 in modulus is read as zero and raises
+    :class:`SingularMatrixError`.
+    """
+    if np.any(np.abs(vals) < 1e-14):
+        raise SingularMatrixError("matrix is singular: zero eigenvalue")
+    return [norm_log_scalar(v, snap_tol=tol) for v in vals]
+
+
 def norm_log(g, tol=CLUSTER_TOL):
     """Normalized logarithm: exp(2*pi*i*K) = G, eigenvalue real parts in [0, 1).
 
@@ -348,9 +359,7 @@ def norm_log(g, tol=CLUSTER_TOL):
     g = as_matrix(g, square=True)
 
     def keys(vals):
-        if np.any(np.abs(vals) < 1e-14):
-            raise SingularMatrixError("matrix is singular: zero eigenvalue")
-        return np.array([2j * np.pi * norm_log_scalar(v, snap_tol=tol) for v in vals])
+        return np.array([2j * np.pi * mu for mu in _log_branches(vals, tol)])
 
     def block(t, mu):
         eye = np.eye(t.shape[0])

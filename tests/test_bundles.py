@@ -19,12 +19,22 @@ from logconn import (
     induced_subbundle,
     invariant_subspaces,
     local_extension,
+    norm_log,
     normal_form,
     semistable,
     slope,
     weight_of,
 )
-from logconn.bundles import FlagError, InvalidRepresentationError, _orthonormalize, _projector_key
+from logconn.bundles import (
+    RANK_TOL,
+    FlagError,
+    InvalidRepresentationError,
+    NonIntegralDegreeError,
+    _orthonormalize,
+    _projector_key,
+    intersect_spans,
+)
+from logconn.eigen import spectral_split
 
 from conftest import random_invertible, random_representation, sorted_punctures
 
@@ -72,6 +82,31 @@ def test_degree_integrality_random(rng):
         rep = random_representation(rng, n, r)
         wfb = WeightedFlatBundle(rep, tuple(WeightedFlag.trivial(r, int(rng.integers(-3, 4))) for _ in range(n)))
         degree(wfb)  # raises NonIntegralDegreeError on failure
+
+
+def reference_degree(wfb, tol=1e-6):
+    """The earlier degree: the trace of the whole norm_log(G_j)."""
+    total = sum(f.weight_diagonal().trace() + np.trace(norm_log(g).k) for g, f in zip(wfb.rep.matrices, wfb.flags))
+    if abs(total.imag) > tol or abs(total.real - round(total.real)) > tol:
+        raise NonIntegralDegreeError(f"degree {total} is not an integer")
+    return int(round(total.real))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_degree_of_a_jordan_block_at_the_branch_cut(seed):
+    # S (lambda I + N) S^-1 with one 4x4 Jordan block whose eigenvalue lies on
+    # the cut of the normalized logarithm up to |theta| <= 1e-6: rounding puts
+    # copies of lambda on both sides of the cut.  Tr K of the whole norm_log
+    # is far from an integer there (||K|| is about 1e11), the eigenvalue
+    # branches are not: each G_j has two copies on each side, so the degree
+    # is 4 for either sign of theta.
+    rng = np.random.default_rng(seed)
+    lam = 0.96 * np.exp(1j * rng.uniform(-1e-6, 1e-6))
+    s = np.eye(4) + 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(8)
+    g1 = s @ (lam * np.eye(4) + np.eye(4, k=1)) @ np.linalg.inv(s)
+    rep = Representation([0.0, 1.0], [g1, np.linalg.inv(g1)])
+    wfb = WeightedFlatBundle(rep, (WeightedFlag.trivial(4), WeightedFlag.trivial(4)))
+    assert degree(wfb) == 4
 
 
 def test_slope_examples():
@@ -274,6 +309,148 @@ def test_induced_subbundle_weights():
     wrapped = SubBundle.of(wfb, np.eye(2)[:, :1])
     assert wrapped.rank == 1
     assert degree(wrapped.bundle) == 1
+
+
+def reference_intersect_spans(a, b, tol=RANK_TOL):
+    """The earlier intersection: null space of [a, -b] at singular values <= tol max(1, sigma_1)."""
+    a = _orthonormalize(a, tol)
+    b = _orthonormalize(b, tol)
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    m = np.hstack([a, -b])
+    _, svals, vh = np.linalg.svd(m)
+    ncols = m.shape[1]
+    null_dim = int(np.sum(svals <= tol * max(1.0, svals[0]))) + max(0, ncols - len(svals))
+    vectors = a @ vh.conj().T[: a.shape[1], ncols - null_dim :]
+    return _orthonormalize(vectors, tol)
+
+
+def reference_induced_subbundle(wfb, w_basis, tol=RANK_TOL):
+    """The earlier restriction: one intersection per flag step, then its W-coordinates."""
+    w = _orthonormalize(w_basis, tol)
+    mats = tuple(w.conj().T @ g @ w for g in wfb.rep.matrices)
+    rep = Representation(wfb.rep.punctures, mats, wfb.rep.basepoint, tol=1e-6)
+    flags = []
+    for f in wfb.flags:
+        steps, weights = [], []
+        for s, wt in zip(f.subspaces, f.weights):
+            inter = reference_intersect_spans(w, s, tol)
+            if inter.shape[1] > (steps[-1].shape[1] if steps else 0):
+                steps.append(_orthonormalize(w.conj().T @ inter))
+                weights.append(wt)
+        flags.append(WeightedFlag(tuple(steps), tuple(weights)))
+    return WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6)
+
+
+def projector(basis):
+    return basis @ basis.conj().T
+
+
+def conjugated_family(rng, us):
+    """S U_j S^-1 over three punctures for U_1, U_2 and the U_3 closing their product."""
+    r = us[0].shape[0]
+    us = [*us, np.linalg.inv(us[0] @ us[1])]
+    s = np.eye(r) + 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / np.sqrt(2 * r)
+    s_inv = np.linalg.inv(s)
+    return Representation(sorted_punctures(rng, 3), [s @ u @ s_inv for u in us], tol=1e-7)
+
+
+def triangular_family(rng, r):
+    """Upper-triangular U_j with unit-modulus diagonals spread over the circle, as in the stability benchmark."""
+    diags = [np.exp(2j * np.pi * (rng.permutation(r) + rng.uniform(0.15, 0.85, size=r)) / r) for _ in range(2)]
+    coupling = [np.triu(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)), 1) for _ in range(2)]
+    return conjugated_family(rng, [np.diag(d) + 0.5 * c / np.sqrt(2 * r) for d, c in zip(diags, coupling)])
+
+
+def diagonal_family(rng, r):
+    """Diagonal U_j: every span of columns of S is invariant."""
+    return conjugated_family(rng, [np.diag(np.exp(2j * np.pi * rng.uniform(size=r))) for _ in range(2)])
+
+
+def eigenvector_flags(rng, rep):
+    """At each puncture, a flag of eigenvector spans in a random order, coarsened at random steps."""
+    r = rep.rank
+    flags = []
+    for g in rep.matrices:
+        vecs = np.linalg.eig(g)[1][:, rng.permutation(r)]
+        dims = sorted(set(rng.integers(1, r + 1, size=int(rng.integers(1, r + 1))).tolist()) | {r})
+        weights = sorted(rng.choice(np.arange(-2 * r, 2 * r), size=len(dims), replace=False).tolist(), reverse=True)
+        flags.append(WeightedFlag(tuple(vecs[:, :d] for d in dims), tuple(weights)))
+    return WeightedFlatBundle(rep, tuple(flags))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    family=st.sampled_from(["triangular", "diagonal", "blocks"]),
+    r=st.integers(3, 10),
+    blocks=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_induced_subbundle_matches_stepwise_reference(family, r, blocks, seed):
+    rng = np.random.default_rng(seed)
+    if family == "triangular":
+        rep = triangular_family(rng, r)
+    elif family == "diagonal":
+        rep = diagonal_family(rng, 3 + r % 3)
+    else:
+        rep = block_triangular_representation(rng, blocks)[0]
+    wfb = eigenvector_flags(rng, rep)
+    assert degree(wfb) == reference_degree(wfb)
+    enum = invariant_subspaces(rep)
+    assert enum.complete and enum.subspaces
+    for w in enum.subspaces:
+        sub = induced_subbundle(wfb, w)
+        ref = reference_induced_subbundle(wfb, w)
+        assert degree(sub) == reference_degree(ref) == reference_degree(sub)
+        for f, f_ref in zip(sub.flags, ref.flags):
+            assert f.dims == f_ref.dims
+            assert f.weights == f_ref.weights
+            for step, step_ref in zip(f.subspaces, f_ref.subspaces):
+                assert np.linalg.norm(projector(step) - projector(step_ref), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("angle, inside", [(1e-12, True), (1e-6, False)])
+def test_intersection_threshold_is_a_principal_angle(angle, inside):
+    # W at principal angle `angle` from the flag step span(e_1): a sine at
+    # most 2 RANK_TOL counts as contained, a larger one does not
+    rep = Representation([0.0, 1.0], [np.eye(3), np.eye(3)])
+    flag = WeightedFlag((np.eye(3)[:, :1], np.eye(3)), (1, 0))
+    wfb = WeightedFlatBundle(rep, (flag, WeightedFlag.trivial(3)))
+    tilted = np.array([np.cos(angle), np.sin(angle), 0.0])
+    for w in (tilted[:, None], np.column_stack([tilted, np.eye(3)[:, 2]])):
+        sub = induced_subbundle(wfb, w)
+        expected = ((1,) if w.shape[1] == 1 else (1, 0)) if inside else (0,)
+        assert sub.flags[0].weights == expected
+        assert degree(sub) == int(inside)
+        assert intersect_spans(w, np.eye(3)[:, :1]).shape[1] == int(inside)
+
+
+def repeated_pattern_family(rng, patterns):
+    """Diagonal U_j whose joint eigenspaces all repeat: no algebra element has a simple spectrum."""
+    return conjugated_family(rng, [np.diag(np.exp(2j * np.pi * rng.uniform(size=max(p) + 1))[list(p)]) for p in patterns])
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [((0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 2, 2)), ((0, 0, 1, 1), (0, 0, 0, 0)), ((0, 0, 0, 0, 1, 1, 2, 2), (0, 0, 1, 1, 1, 1, 2, 2))],
+    ids=["r6", "r4", "r8"],
+)
+def test_intersect_spans_matches_reference_on_the_partial_search(patterns):
+    rng = np.random.default_rng(len(patterns[0]))
+    rep = repeated_pattern_family(rng, patterns)
+    enum = invariant_subspaces(rep)
+    assert enum.certificate == "partial-search" and enum.subspaces
+    r = rep.rank
+    pools = [b for g in rep.matrices for _, _, b in spectral_split(g).clusters if 0 < b.shape[1] < r]
+    dims = []
+    for i, a in enumerate(pools):
+        for b in pools[i + 1 :]:
+            got, expected = intersect_spans(a, b), reference_intersect_spans(a, b)
+            assert got.shape == expected.shape
+            assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-12)
+            assert np.linalg.norm(projector(got) - projector(expected), 2) <= 1e-12
+            dims.append(got.shape[1])
+    assert 0 < max(dims) and min(dims) == 0
 
 
 def test_split_extension_trivial_lines():
