@@ -8,20 +8,24 @@ and (semi)stability are computed from this data; the local extension
 operation realizes the weighted data as a logarithmic connection matrix
 at one puncture.
 
-Subspace arithmetic is numerical and flags are stored with
-orthonormalized bases.  Containment compares projection residuals with
-an absolute tolerance times the matrix scale; a subspace meets a flag
-step in the directions whose principal angle to it has sine at most
-2 RANK_TOL = 2e-9, read from one batched SVD (see
-:func:`_intersection_coords`).
+Subspace arithmetic is numerical.  A flag is stored as one unitary
+basis Q whose leading k_m columns span its m-th step, so its steps are
+nested by construction and a matrix keeps the flag exactly when Q^* g Q
+is block upper triangular; the constructor reads the step ranks and Q
+from a fixed number of batched LAPACK calls (see :class:`WeightedFlag`).
+Containment compares projection residuals with an absolute tolerance
+times the matrix scale; a subspace meets a flag step in the directions
+whose principal angle to it has sine at most 2 RANK_TOL = 2e-9, read
+from one batched SVD (see :func:`_intersection_coords`).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 # schur is unused here but stays bound as bundles.schur, a binding the
 # benchmark's tracer wraps and its tests check
@@ -97,60 +101,69 @@ def _orthonormalize(cols, tol=RANK_TOL, basis=None):
     return out
 
 
-def _contains(basis, vecs, tol=RANK_TOL):
-    """Whether every column of vecs lies in the span of the orthonormal basis."""
-    if basis.shape[1] == 0:
-        return bool(np.all(np.abs(vecs) <= tol))
-    resid = vecs - basis @ (basis.conj().T @ vecs)
-    scale = max(1.0, float(np.max(np.abs(vecs))))
-    return bool(np.max(np.abs(resid)) <= tol * scale)
+def _maps_into(w, mats, scales, tol):
+    """Whether every matrix of the stack maps span(W), W orthonormal, into itself.
+
+    One batched product forms every residual G W - W (W^* G W), which is
+    tested entrywise against tol times the matrix's scale.
+    """
+    gw = mats @ w
+    resid = np.max(np.abs(gw - w @ (w.conj().T @ gw)), axis=(1, 2))
+    return bool(np.all(resid <= tol * np.asarray(scales)))
 
 
-def _intersection_coords(w, bases, tol=RANK_TOL):
-    """Orthonormal W-coordinates of span(W) intersect span(Q), for each Q in `bases`.
+def _intersection_coords(w, flags, tol=RANK_TOL):
+    """Orthonormal W-coordinates of span(W) intersect F_m, for every step F_m of every flag.
 
-    W (r x k, k >= 1) and every Q (r x d) have orthonormal columns.  The
-    Q are zero-padded to r columns and stacked, so one batched product
-    forms every R = W - Q (Q^* W) = (I - Q Q^*) W and one batched SVD
-    factors them all.  R^* R = I - (Q^* W)^* (Q^* W) has eigenvalues
-    1 - cos^2 theta_i for the principal angles theta_i between span(W)
-    and span(Q) (Bjorck & Golub, Math. Comp. 27, 1973): the singular
-    values of R are sin theta_i, and the right singular vectors of the
-    sines counted as zero are the coordinates c with W c in span(Q),
-    already orthonormal.
+    W (r x k, k >= 1) has orthonormal columns; each flag is a pair
+    (Q, dims) of an r x r unitary Q and step dimensions, step F_m being
+    span Q[:, :k_m].  One batched product forms every C = Q^* W, and
+    the rows of C from k_m on are the coordinates of (I - P_m) W in the
+    orthonormal complement Q[:, k_m:] of F_m.  So the stack of those
+    tails, zero elsewhere, has for step m the singular values of
+    R = (I - P_m) W, and one batched SVD factors them all.
+    R^* R = I - (P_m W)^* (P_m W) has eigenvalues 1 - cos^2 theta_i for
+    the principal angles theta_i between span(W) and F_m (Bjorck &
+    Golub, Math. Comp. 27, 1973): the singular values are sin theta_i,
+    and the right singular vectors of the sines counted as zero are the
+    coordinates c with W c in F_m, already orthonormal.  The result
+    lists the steps of all flags in order.
 
-    Threshold.  The null space of [W, -Q] was the earlier rule, at
-    singular values up to tol * max(1, sigma_1).  The Gram matrix of
-    [W, -Q] has eigenvalues 1 +- cos theta_i (and 1), so its small
-    singular values are sqrt(2) sin(theta_i / 2) and
-    sigma_1 = sqrt(1 + cos theta_1), sqrt(2) up to O(theta_1^2) once an
-    angle is near zero: it accepted theta <= 2 arcsin(tol), 2 tol up to
-    O(tol^3).  The same rule in sines is sin theta <= 2 tol.  Rounding
-    perturbs R by a few eps, so sines below about 1e-15 read as zero,
-    far inside the threshold.
+    Threshold.  The null space of [W, -B] for an orthonormal basis B of
+    the step was the earlier rule, at singular values up to
+    tol * max(1, sigma_1).  The Gram matrix of [W, -B] has eigenvalues
+    1 +- cos theta_i (and 1), so its small singular values are
+    sqrt(2) sin(theta_i / 2) and sigma_1 = sqrt(1 + cos theta_1),
+    sqrt(2) up to O(theta_1^2) once an angle is near zero: it accepted
+    theta <= 2 arcsin(tol), 2 tol up to O(tol^3).  The same rule in sines
+    is sin theta <= 2 tol.  Rounding perturbs the tails by a few eps, so
+    sines below about 1e-15 read as zero, far inside the threshold.
     """
     r, k = w.shape
-    q = np.zeros((len(bases), r, r), dtype=np.complex128)
-    for m, b in enumerate(bases):
-        q[m, :, : b.shape[1]] = b
-    _, sines, vh = np.linalg.svd(w - q @ (q.conj().swapaxes(1, 2) @ w), full_matrices=False)
-    dims = np.count_nonzero(sines <= 2 * tol, axis=1).tolist()
-    return [vh[m, k - d :].conj().T for m, d in enumerate(dims)]
+    c = np.array([q for q, _ in flags]).conj().swapaxes(1, 2) @ w
+    which = [j for j, (_, dims) in enumerate(flags) for _ in dims]
+    ks = np.array([d for _, dims in flags for d in dims])
+    tails = c[which] * (np.arange(r)[:, None] >= ks[:, None, None])
+    _, sines, vh = np.linalg.svd(tails, full_matrices=False)
+    counts = np.count_nonzero(sines <= 2 * tol, axis=1).tolist()
+    return [vh[m, k - d :].conj().T for m, d in enumerate(counts)]
 
 
 def intersect_spans(a, b, tol=RANK_TOL):
     """Orthonormal basis of span(a) intersect span(b).
 
-    Both spans are orthonormalized at `tol`; the intersection is
-    a @ c for the coordinates c of :func:`_intersection_coords`, the
-    directions of span(a) at principal angle theta with
-    sin theta <= 2 tol from span(b).
+    Both spans are orthonormalized at `tol`; a complete QR of b's basis
+    gives the unitary whose leading columns span it, and the
+    intersection is a @ c for the coordinates c of
+    :func:`_intersection_coords`, the directions of span(a) at principal
+    angle theta with sin theta <= 2 tol from span(b).
     """
     a = _orthonormalize(a, tol)
     b = _orthonormalize(b, tol)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    return a @ _intersection_coords(a, [b], tol)[0]
+    q = np.linalg.qr(b, mode="complete")[0]
+    return a @ _intersection_coords(a, [(q, (b.shape[1],))], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -184,13 +197,19 @@ class Representation:
         prod = np.eye(r, dtype=np.complex128)
         for g in matrices:
             prod = prod @ g
-        scales = tuple(max(1.0, np.linalg.norm(g, 2)) for g in matrices)
+        # one batched SVD gives every sigma_1 (the scale) and sigma_1 /
+        # sigma_r (the singularity test): the values norm(g, 2) and cond(g)
+        # read from their own SVDs of g
+        svals = np.linalg.svd(np.array(matrices), compute_uv=False)
+        scales = tuple(max(1.0, s) for s in svals[:, 0].tolist())
         if np.linalg.norm(prod - np.eye(r), 2) > self.tol * max(scales) ** len(matrices):
             raise InvalidRepresentationError(
                 f"loop product differs from identity by {np.linalg.norm(prod - np.eye(r), 2):.3e}"
             )
-        for j, g in enumerate(matrices):
-            if np.linalg.cond(g) > 1e12:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conds = svals[:, 0] / svals[:, -1]
+        for j, cond in enumerate(conds.tolist()):
+            if not cond <= 1e12:  # a zero matrix gives 0 / 0
                 raise InvalidRepresentationError(f"matrix {j} is numerically singular")
         object.__setattr__(self, "punctures", punctures)
         object.__setattr__(self, "matrices", matrices)
@@ -218,45 +237,74 @@ class Representation:
 
 @dataclass(frozen=True)
 class WeightedFlag:
-    """Strictly increasing subspaces with strictly decreasing integer weights."""
+    """Strictly increasing subspaces with strictly decreasing integer weights.
 
-    subspaces: tuple  # orthonormal r x k_m bases, k_1 < ... < k_l = r
-    weights: tuple    # psi^1 > ... > psi^l
+    The flag is one r x r unitary `basis` Q with the step dimensions
+    k_1 < ... < k_l = r: step m is spanned by Q[:, :k_m], and
+    `subspaces` is that read-only view.  The steps are nested by
+    construction, and g maps every step into itself exactly when
+    Q^* g Q is block upper triangular.
 
-    def __post_init__(self):
-        subs = tuple(_orthonormalize(s) for s in self.subspaces)
+    The constructor takes spanning sets of the steps, with any number
+    of columns each, and makes three batched LAPACK calls.  One SVD of
+    the steps, zero-padded to one width, gives each rank k_m (the
+    singular values above RANK_TOL max(1, sigma_1)) and an orthonormal
+    basis U_m of the step.  One batched residual U_m - U_{m+1} U_{m+1}^* U_m,
+    at most RANK_TOL entrywise, checks the nesting.  Q is then the
+    eigenbasis of S = -(U_1 U_1^* + ... + U_{l-1} U_{l-1}^*): a vector
+    of step m orthogonal to step m - 1 lies in steps m .. l - 1, so it
+    is an eigenvector of S for the eigenvalue m - l, and eigh, which
+    sorts eigenvalues upward, returns the orthogonal increments of the
+    steps in order.  The eigenvalues are integers one apart, so rounding
+    moves each step by O(l eps) only.
+    """
+
+    steps: InitVar[tuple]  # spanning sets of the steps, r x (any) each
+    weights: tuple  # psi^1 > ... > psi^l
+    basis: np.ndarray = field(init=False, repr=False)  # unitary Q, step m = Q[:, :k_m]
+    dims: tuple = field(init=False)  # k_1 < ... < k_l = r
+
+    def __post_init__(self, steps):
+        steps = [as_matrix(s) for s in steps]
         weights = tuple(int(w) for w in self.weights)
-        if len(subs) != len(weights) or not subs:
+        if len(steps) != len(weights) or not steps:
             raise FlagError("need one weight per subspace")
-        r = subs[0].shape[0]
-        dims = [s.shape[1] for s in subs]
-        if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
+        r = steps[0].shape[0]
+        if any(s.shape[0] != r for s in steps):
+            raise FlagError("flag steps must share one ambient rank")
+        padded = np.zeros((len(steps), r, max(1, max(s.shape[1] for s in steps))), dtype=np.complex128)
+        for m, s in enumerate(steps):
+            padded[m, :, : s.shape[1]] = s
+        u, sv, _ = np.linalg.svd(padded, full_matrices=False)
+        ranks = np.count_nonzero(sv > RANK_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        dims = tuple(ranks.tolist())
+        if any(d2 <= d1 for d1, d2 in zip((0,) + dims, dims)):
             raise FlagError(f"flag dimensions must strictly increase, got {dims}")
         if dims[-1] != r:
             raise FlagError("last flag step must be the full space")
         if any(w2 >= w1 for w1, w2 in zip(weights, weights[1:])):
             raise FlagError(f"weights must strictly decrease, got {weights}")
-        for small, large in zip(subs, subs[1:]):
-            if not _contains(large, small):
-                raise FlagError("flag subspaces are not nested")
-        object.__setattr__(self, "subspaces", subs)
+        u *= (np.arange(u.shape[2]) < ranks[:, None])[:, None, :]
+        uh = u.conj().swapaxes(1, 2)
+        if np.max(np.abs(u[:-1] - u[1:] @ (uh[1:] @ u[:-1])), initial=0.0) > RANK_TOL:
+            raise FlagError("flag subspaces are not nested")
+        _, q = np.linalg.eigh(-np.sum(u[:-1] @ uh[:-1], axis=0))
+        q.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "basis", q)
+        object.__setattr__(self, "dims", dims)
+
+    @property
+    def subspaces(self):
+        return tuple(self.basis[:, :k] for k in self.dims)
 
     @property
     def rank(self):
-        return self.subspaces[0].shape[0]
-
-    @property
-    def dims(self):
-        return tuple(s.shape[1] for s in self.subspaces)
+        return self.basis.shape[0]
 
     def weight_diagonal(self):
-        entries = []
-        prev = 0
-        for s, w in zip(self.subspaces, self.weights):
-            entries.extend([w] * (s.shape[1] - prev))
-            prev = s.shape[1]
-        return WeightDiagonal(tuple(entries))
+        steps = zip(self.weights, (0,) + self.dims, self.dims)
+        return WeightDiagonal(tuple(w for w, lo, hi in steps for _ in range(lo, hi)))
 
     @classmethod
     def trivial(cls, rank, weight=0):
@@ -272,14 +320,27 @@ class WeightedFlag:
         subs = tuple(basis[:, : k + 1] for k in range(r))
         return cls(subs, tuple(weights))
 
-    def invariant_under(self, g, tol=1e-8):
+    def invariant_under(self, g, tol=1e-8, scale=None):
+        """Whether g maps every step into itself, to tol times scale = max(1, ||g||_2).
+
+        Callers that hold the scale, as a Representation does in `scales`, pass it.
+        """
         g = as_matrix(g, square=True)
-        scale = max(1.0, np.linalg.norm(g, 2))
-        for s in self.subspaces[:-1]:
-            image = g @ s
-            if not _contains(s, image / scale, tol):
-                return False
-        return True
+        if scale is None:
+            scale = max(1.0, np.linalg.norm(g, 2))
+        return all(_invariant_steps(self, g[None], (scale,), tol))
+
+
+def _invariant_steps(flag, mats, scales, tol):
+    """For each proper step of the flag, whether every matrix of the stack maps it into itself.
+
+    g maps Q[:, :k] into itself exactly when the block (Q^* g Q)[k:, :k]
+    vanishes.  One batched product forms Q^* g Q for every matrix; each
+    block is tested entrywise against tol times the matrix's scale.
+    """
+    q = flag.basis
+    worst = np.max(np.abs(q.conj().T @ mats @ q) / np.asarray(scales)[:, None, None], axis=0)
+    return [bool(np.max(worst[k:, :k]) <= tol) for k in flag.dims[:-1]]
 
 
 def weight_of(flag, v, tol=RANK_TOL):
@@ -310,10 +371,10 @@ class WeightedFlatBundle:
         flags = tuple(self.flags)
         if len(flags) != self.rep.n:
             raise FlagError("one flag per puncture required")
-        for j, (g, f) in enumerate(zip(self.rep.matrices, flags)):
+        for j, (g, c, f) in enumerate(zip(self.rep.matrices, self.rep.scales, flags)):
             if f.rank != self.rep.rank:
                 raise FlagError(f"flag {j} has wrong ambient rank")
-            if not f.invariant_under(g, self.check_tol):
+            if not f.invariant_under(g, self.check_tol, c):
                 raise FlagError(f"flag {j} is not invariant under its loop matrix")
         object.__setattr__(self, "flags", flags)
 
@@ -366,25 +427,43 @@ def _algebra_span(matrices):
 
     Level k + 1 multiplies the words level k added by every generator;
     longer words add nothing else, so each level grows the span or ends
-    the search, which therefore stops within r^2 levels.  A word is kept
-    when it is independent of the earlier ones at relative tolerance
-    _SPAN_TOL, and it is kept as a product scaled to unit norm, not as
-    its orthonormalized residual: the residual carries the cancellation
+    the search, which therefore stops within r^2 levels.  A level is
+    decided as one batch.  One batched product forms its words, each
+    scaled by 1 / max(1, |word|), and two block passes project them off
+    the orthonormal basis of the span so far (the second restores the
+    orthogonality the first loses to cancellation).  One pivoted QR of
+    the residuals then takes the largest remaining residual first and
+    stops once every residual left is at most _SPAN_TOL: the words it
+    took are kept, and every word it left lies within _SPAN_TOL of the
+    span.  The kept residuals' orthonormal basis is projected off the
+    old basis once more and re-orthonormalized before it joins it (block
+    Gram-Schmidt with reorthogonalization), so the basis stays
+    orthonormal to rounding however small the kept residuals are.
+
+    A kept word is stored as its product scaled to unit norm, not as its
+    orthonormalized residual: the residual carries the cancellation
     error of its projection, which products with an ill-conditioned
-    generator would lift above that tolerance.
+    generator would lift above _SPAN_TOL.  Kept words stay in the
+    level's order.
     """
-    r = matrices[0].shape[0]
-    basis = _orthonormalize(np.eye(r).reshape(-1, 1))
-    words = frontier = [np.eye(r, dtype=np.complex128)]
-    while frontier and len(words) < r * r:
-        added = []
-        for word in (w @ g for w in frontier for g in matrices):
-            k = basis.shape[1]
-            basis = _orthonormalize(word.reshape(-1, 1), _SPAN_TOL, basis)
-            if basis.shape[1] > k:
-                added.append(word / np.linalg.norm(word))
-        words = words + added
-        frontier = added
+    r = matrices.shape[-1]
+    words = frontier = np.eye(r, dtype=np.complex128)[None]
+    basis = frontier.reshape(-1, 1) / np.sqrt(r)
+    while len(frontier) and len(words) < r * r:
+        level = (frontier[:, None] @ matrices[None]).reshape(-1, r, r)
+        norms = np.linalg.norm(level, axis=(1, 2))
+        x = level.reshape(len(level), -1).T / np.maximum(1.0, norms)
+        x = x - basis @ (basis.conj().T @ x)
+        x = x - basis @ (basis.conj().T @ x)
+        if np.max(np.linalg.norm(x, axis=0)) <= _SPAN_TOL:
+            break  # no residual to keep: the span is closed
+        q, rr, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+        rank = int(np.sum(np.cumprod(np.abs(np.diag(rr)) > _SPAN_TOL)))
+        new = q[:, :rank] - basis @ (basis.conj().T @ q[:, :rank])
+        basis = np.hstack([basis, np.linalg.qr(new)[0]])
+        kept = np.sort(piv[:rank])
+        frontier = level[kept] / norms[kept, None, None]
+        words = np.concatenate([words, frontier])
     return words
 
 
@@ -469,7 +548,7 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
         return InvariantSubspaces((), True, "full-matrix-algebra")
 
     def all_invariant(w):
-        return all(_contains(w, g @ w / c, tol) for g, c in zip(mats, rep.scales))
+        return _maps_into(w, mats, rep.scales, tol)
 
     def by_key(found):
         return tuple(sorted(found, key=lambda w: (w.shape[1], _projector_key(w))))
@@ -535,15 +614,14 @@ def induced_subbundle(wfb, w_basis, tol=RANK_TOL):
     intersections with every step of every flag come from one batched
     SVD (:func:`_intersection_coords`): a step contains the directions
     of W whose principal angle theta to it has sin theta <= 2 tol.
+    Those coordinates are the induced flag's steps.
     """
     w = _orthonormalize(w_basis, tol)
-    mats = []
-    for g, c in zip(wfb.rep.matrices, wfb.rep.scales):
-        if not _contains(w, (g @ w) / c, 1e-7):
-            raise FlagError("subspace is not invariant under the representation")
-        mats.append(w.conj().T @ g @ w)
-    rep = Representation(wfb.rep.punctures, tuple(mats), wfb.rep.basepoint, tol=1e-6)
-    coords = _intersection_coords(w, [s for f in wfb.flags for s in f.subspaces], tol)
+    mats = np.array(wfb.rep.matrices)
+    if not _maps_into(w, mats, wfb.rep.scales, 1e-7):
+        raise FlagError("subspace is not invariant under the representation")
+    rep = Representation(wfb.rep.punctures, tuple(w.conj().T @ mats @ w), wfb.rep.basepoint, tol=1e-6)
+    coords = _intersection_coords(w, [(f.basis, f.dims) for f in wfb.flags], tol)
     flags = []
     start = 0
     for f in wfb.flags:
@@ -598,9 +676,10 @@ def semistable(wfb, seed=0):
     enum = invariant_subspaces(wfb.rep, seed=seed)
     candidates = {key: w for key, w in ((_projector_key(w), w) for w in enum.subspaces)}
     # flag steps are natural destabilizer candidates
+    mats = np.array(wfb.rep.matrices)
     for f in wfb.flags:
-        for s in f.subspaces[:-1]:
-            if all(_contains(s, g @ s / c, 1e-8) for g, c in zip(wfb.rep.matrices, wfb.rep.scales)):
+        for s, invariant in zip(f.subspaces, _invariant_steps(f, mats, wfb.rep.scales, 1e-8)):
+            if invariant:
                 candidates.setdefault(_projector_key(s), s)
     saw_equal = False
     for w in candidates.values():
@@ -710,7 +789,7 @@ def induce_weights_split_extension(sub, quot, split, tol=1e-8):
                         top_q = s
                 if top_q is not None:
                     cols.append(alpha @ top_q)
-                steps.append(_orthonormalize(np.hstack(cols)))
+                steps.append(np.hstack(cols))
                 weights.append(t)
         flags.append(WeightedFlag(tuple(steps), tuple(weights)))
     total = WeightedFlatBundle(rep, tuple(flags))
@@ -742,22 +821,15 @@ def local_extension(g, flag, tol=1e-8):
     g = as_matrix(g, square=True)
     if not flag.invariant_under(g, tol):
         raise FlagError("flag is not invariant under the matrix")
-    s_mat = _orthonormalize(np.hstack(flag.subspaces))
-    if s_mat.shape[1] != g.shape[0]:
-        raise FlagError("flag bases do not span the space")
-    g_ad = s_mat.conj().T @ g @ s_mat
+    # in the flag's basis g is block upper triangular up to tol; its
+    # block-lower part is rounding and is dropped, from K too
+    g_ad = flag.basis.conj().T @ g @ flag.basis
+    for k in flag.dims[:-1]:
+        g_ad[k:, :k] = 0.0
+    k_mat = norm_log(g_ad).k
+    for k in flag.dims[:-1]:
+        k_mat[k:, :k] = 0.0
     phi = flag.weight_diagonal()
-    scale = max(1.0, np.linalg.norm(g, 2))
-    slices = phi.block_slices
-    for i in range(len(slices)):
-        for m in range(i):
-            if np.max(np.abs(g_ad[slices[i], slices[m]])) > tol * scale:
-                raise FlagError("adapted matrix is not block-upper-triangular")
-            g_ad[slices[i], slices[m]] = 0.0
-    k = norm_log(g_ad).k
-    for i in range(len(slices)):
-        for m in range(i):
-            k[slices[i], slices[m]] = 0.0
     gaps = max(phi.entries) - min(phi.entries)
-    series = normal_form_b_series(k, phi, gaps)
+    series = normal_form_b_series(k_mat, phi, gaps)
     return LocalLogConnection(series)

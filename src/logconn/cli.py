@@ -180,7 +180,7 @@ def _cmd_semistable(args):
 
 
 def _cmd_synth_commutative(args):
-    rep = doc.decode_representation(doc.parse_document(_read(args.input), "representation")["payload"])
+    rep = doc.decode_representation(doc.parse_document(_read(args.input), "representation")["payload"], tol=args.tol)
     system = commutative_fuchsian(rep, tol=args.tol)
     _emit(args, "fuchsian-system", doc.encode_system(system))
     return EXIT_OK
@@ -274,8 +274,10 @@ def _cmd_verify(args):
         payload["conjugator"] = doc.encode_matrix(report.conjugator)
         payload["per_loop_residuals"] = [float(x) for x in report.per_loop_residuals]
     _emit(args, "report", payload)
-    if report.product_defect > 10 * max(args.tol, 1e-12):
-        return _fail("tolerance-not-met", f"loop product defect {report.product_defect:.3e}", EXIT_NUMERIC)
+    threshold = 10 * max(args.tol, 1e-12)
+    if report.product_defect > threshold:
+        message = f"loop product defect {report.product_defect:.3e} exceeds {threshold:.3e} = 10 max(tol, 1e-12)"
+        return _fail("tolerance-not-met", message, EXIT_NUMERIC)
     return EXIT_OK
 
 

@@ -57,7 +57,7 @@ def as_matrix(a, square=False):
         raise ShapeMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if square and m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 

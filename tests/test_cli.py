@@ -118,6 +118,24 @@ def test_synth_verify_pipeline(tmp_path, capsys, rng):
     assert payload["product_defect"] < 1e-8
 
 
+def test_verify_exit_3_names_the_defect_and_the_threshold(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import logconn.cli as cli
+
+    rep = Representation([0.0, 1.0], [np.diag([2.0, 1.0]), np.diag([0.5, 1.0])])
+    rep_path = write(tmp_path, "rep.json", "representation", doc.encode_representation(rep))
+    assert run(["synth-commutative", rep_path, "--out", str(tmp_path / "sys.json")], capsys)[0] == 0
+    report = cli.monodromy_report
+    monkeypatch.setattr(cli, "monodromy_report", lambda *a, **k: dataclasses.replace(report(*a, **k), product_defect=4.1e-7))
+    code, out, err = run(["verify", str(tmp_path / "sys.json"), "--tol", "1e-8"], capsys)
+    assert code == 3
+    failure = json.loads(err)
+    assert failure["reason"] == "tolerance-not-met"
+    assert failure["message"] == "loop product defect 4.100e-07 exceeds 1.000e-07 = 10 max(tol, 1e-12)"
+    assert parse_out(out)["payload"]["product_defect"] == 4.1e-7
+
+
 def test_bq_frame_cli(tmp_path, capsys, rng):
     q = MatrixSeries(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
     path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})
@@ -150,6 +168,30 @@ def test_shift_weights_cli(tmp_path, capsys):
     payload = parse_out(out)["payload"]
     assert payload["flags"][0]["weights"] == [2]
     assert payload["flags"][1]["weights"] == [-1]
+
+
+def test_weighted_bundle_documents_round_trip(tmp_path, capsys, rng):
+    # full flags of eigenvectors of S U_j S^-1, U_j upper triangular: steps
+    # that are not orthonormal in the input, stored as one nested basis
+    r = 4
+    s = np.eye(r) + 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / np.sqrt(r)
+    us = [np.diag(np.exp(2j * np.pi * rng.uniform(size=r))) + np.triu(0.3 * rng.normal(size=(r, r)), 1) for _ in range(2)]
+    us.append(np.linalg.inv(us[0] @ us[1]))
+    mats = [s @ u @ np.linalg.inv(s) for u in us]
+    flags = []
+    for g in mats:
+        vecs = np.linalg.eig(g)[1]
+        flags.append(WeightedFlag(tuple(vecs[:, : k + 1] for k in range(r)), tuple(range(r, 0, -1))))
+    wfb = WeightedFlatBundle(Representation([0.0, 1.0, 2.0], mats, tol=1e-7), tuple(flags))
+    path = write(tmp_path, "wfb.json", "weighted-bundle", doc.encode_bundle(wfb))
+    outs = [run(["shift-weights", path, "--lambdas", "1,0,-1"], capsys) for _ in range(2)]
+    assert outs[0][0] == 0 and outs[0][1] == outs[1][1]  # deterministic, byte for byte
+    first = doc.decode_bundle(parse_out(outs[0][1])["payload"], tol=1e-7)
+    again = doc.decode_bundle(doc.encode_bundle(first), tol=1e-7)
+    for f, g in zip(first.flags, again.flags):
+        assert f.dims == g.dims and f.weights == g.weights
+        for a, b in zip(f.subspaces, g.subspaces):
+            assert np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2) <= 1e-13
 
 
 def test_embed_double_cli(tmp_path, capsys, rng):

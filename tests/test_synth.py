@@ -251,6 +251,18 @@ def test_synth_commutative_cli_rejects_a_broken_loop_product(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["reason"] == "InvalidRepresentationError"
 
 
+def test_synth_commutative_cli_reads_the_representation_at_tol(tmp_path, capsys):
+    from logconn import documents as doc
+    from logconn.cli import main
+
+    path = tmp_path / "rep.json"
+    path.write_text(doc.canonical_dumps(doc.wrap("representation", doc.encode_representation(_inconsistent_commuting()))))
+    # at --tol 1e-3 the loop product check accepts the input, and the
+    # synthesis's exponent-sum check refuses it
+    assert main(["synth-commutative", str(path), "--tol", "1e-3"]) == 2
+    assert json.loads(capsys.readouterr().err)["reason"] == "InconsistentRepresentationError"
+
+
 # ----------------------------------------------------------------------
 # frame solver
 
