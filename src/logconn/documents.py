@@ -6,9 +6,11 @@ representation, local-connection, weighted-bundle, fuchsian-system or
 report.  Complex numbers are two-element arrays [re, im]; matrices are
 row-major nested arrays; series are {"order": N, "coeffs": [...]}.
 
-Serialization is canonical: keys sorted, floats printed with 17
-significant digits, no whitespace variation, so canonical documents
-round-trip byte-identically.
+Serialization is canonical: the stdlib's C encoder with keys sorted and
+no whitespace, floats printed as Python's repr (the shortest string that
+reads back to the same double), so canonical documents round-trip
+byte-identically.  Matrices are encoded and decoded as whole arrays; the
+reader refuses null, NaN and Infinity entries as the writer does.
 """
 
 import json
@@ -48,50 +50,25 @@ class DocumentError(ValueError):
     """Input document fails to parse or validate against its schema."""
 
 
-def _fmt_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
-        raise DocumentError("non-finite number in document")
-    s = "%.17g" % x
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"  # keep the value lexically a float through reparsing
-    return s
-
-
-def _canonical(obj, out):
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _canonical(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _canonical(item, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise DocumentError(f"unserializable value of type {type(obj).__name__}")
+def _plain_scalar(obj):
+    """The `default` hook of `canonical_dumps`: numpy scalars as Python values."""
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise DocumentError(f"unserializable value of type {type(obj).__name__}")
 
 
 def canonical_dumps(obj):
-    out = []
-    _canonical(obj, out)
-    return "".join(out) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain_scalar)
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        raise DocumentError("non-finite number in document") from exc
+    return text + "\n"
 
 
 def wrap(kind, payload):
@@ -100,9 +77,13 @@ def wrap(kind, payload):
     return {"kind": kind, "payload": payload, "version": "1"}
 
 
+def _refuse_constant(name):
+    raise DocumentError(f"non-finite number {name} in document")
+
+
 def parse_document(text, expected_kind=None):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
@@ -116,43 +97,56 @@ def parse_document(text, expected_kind=None):
     return doc
 
 
+def _complex_array(obj, ndim, what):
+    """`obj`, nested arrays of [re, im] pairs, as a complex array with `ndim` axes."""
+    try:
+        a = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = None  # an object or null in place of a number, or ragged nesting
+    if a is None or a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
+        layout = "a pair [re, im]" if ndim == 0 else "a nonempty rectangular array of [re, im] pairs"
+        raise DocumentError(f"{what} must be {layout}")
+    if not np.isfinite(a).all():
+        raise DocumentError(f"{what} has a null or non-finite entry")
+    return a.view(np.complex128)[..., 0]
+
+
 def encode_complex(z):
     z = complex(z)
     return [float(z.real), float(z.imag)]
 
 
-def decode_complex(obj):
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise DocumentError(f"complex number must be [re, im], got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+def decode_complex(obj, what="complex number"):
+    return complex(_complex_array(obj, 0, what))
 
 
 def encode_matrix(m):
+    """A complex array (a matrix, or a stack of them) as nested [re, im] pairs."""
     m = np.asarray(m, dtype=np.complex128)
-    return [[encode_complex(x) for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def decode_matrix(obj):
-    if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
-        raise DocumentError("matrix must be a nested array")
-    rows = [[decode_complex(x) for x in row] for row in obj]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DocumentError("ragged matrix")
-    return np.array(rows, dtype=np.complex128)
+def decode_matrix(obj, what="matrix"):
+    return _complex_array(obj, 2, what)
 
 
 def encode_series(s):
-    return {"coeffs": [encode_matrix(c) for c in s.coeffs], "order": int(s.order)}
+    return {"coeffs": encode_matrix(s.coeffs), "order": int(s.order)}
 
 
 def decode_series(obj):
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise DocumentError("series must have coeffs")
-    coeffs = [decode_matrix(c) for c in obj["coeffs"]]
-    if "order" in obj and int(obj["order"]) != len(coeffs) - 1:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list) or not obj["coeffs"]:
+        raise DocumentError("series must have a nonempty list of coeffs")
+    coeffs = obj["coeffs"]
+    try:
+        c = _complex_array(coeffs, 3, "series coeffs")
+    except DocumentError:
+        # name the first coefficient at fault; if none is, their shapes differ
+        shapes = [decode_matrix(m, f"series coefficient {j}").shape for j, m in enumerate(coeffs)]
+        raise DocumentError(f"series coefficients have unequal shapes {shapes}") from None
+    if obj.get("order", len(coeffs) - 1) != len(coeffs) - 1:
         raise DocumentError("series order disagrees with the coefficient count")
-    return MatrixSeries(np.array(coeffs))
+    return MatrixSeries(c)
 
 
 def encode_representation(rep):
@@ -166,9 +160,9 @@ def encode_representation(rep):
 def decode_representation(obj, tol=1e-8):
     try:
         return Representation(
-            [decode_complex(a) for a in obj["punctures"]],
-            [decode_matrix(g) for g in obj["matrices"]],
-            decode_complex(obj.get("basepoint", [0.0, 0.0])),
+            [decode_complex(a, f"puncture {j}") for j, a in enumerate(obj["punctures"])],
+            [decode_matrix(g, f"monodromy matrix {j}") for j, g in enumerate(obj["matrices"])],
+            decode_complex(obj.get("basepoint", [0.0, 0.0]), "basepoint"),
             tol=tol,
         )
     except KeyError as exc:
@@ -204,10 +198,10 @@ def decode_bundle(obj, tol=1e-8):
         rep = decode_representation(obj["representation"], tol=tol)
         flags = tuple(
             WeightedFlag(
-                tuple(decode_matrix(s) for s in f["subspaces"]),
+                tuple(decode_matrix(s, f"flag {i} step {m}") for m, s in enumerate(f["subspaces"])),
                 tuple(int(w) for w in f["weights"]),
             )
-            for f in obj["flags"]
+            for i, f in enumerate(obj["flags"])
         )
     except KeyError as exc:
         raise DocumentError(f"weighted-bundle payload missing {exc}") from exc
@@ -224,8 +218,8 @@ def encode_system(system):
 def decode_system(obj, tol=1e-8):
     try:
         return FuchsianSystem(
-            [decode_complex(a) for a in obj["punctures"]],
-            [decode_matrix(b) for b in obj["residues"]],
+            [decode_complex(a, f"puncture {j}") for j, a in enumerate(obj["punctures"])],
+            [decode_matrix(b, f"residue {j}") for j, b in enumerate(obj["residues"])],
             tol=tol,
         )
     except KeyError as exc:

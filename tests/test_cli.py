@@ -362,3 +362,33 @@ def test_invocations_used_by_the_tests_and_the_benchmark_parse():
         ["growth", "c.json", "--vector", "[[1.0, 0.0]]", "--num-radii", "8"],
     ):
         parser.parse_args(argv)
+
+
+_MALFORMED_SERIES = {
+    "null entry": ([[[[None, 0.0]]]], "series coefficient 0 has a null"),
+    "object for a pair": ([[[{"re": 1.0, "im": 0.0}]]], "series coefficient 0 must be"),
+    "pair of length three": ([[[[1.0, 0.0, 0.0]]]], "series coefficient 0 must be"),
+    "ragged rows": ([[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]], "series coefficient 0 must be"),
+    "unequal coefficient shapes": ([[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "unequal shapes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SERIES))
+def test_malformed_matrix_entries_exit_2(tmp_path, capsys, case):
+    coeffs, message = _MALFORMED_SERIES[case]
+    path = tmp_path / "conn.json"
+    path.write_text(json.dumps({"kind": "local-connection", "payload": {"series": {"coeffs": coeffs}}, "version": "1"}))
+    code, out, err = run(["normal-form", str(path)], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["reason"] == "DocumentError"
+    assert message in error["message"]
+
+
+def test_non_finite_constant_in_a_representation_exits_2(tmp_path, capsys):
+    path = tmp_path / "rep.json"
+    payload = '{"matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]], "punctures": [[NaN, 0.0], [1.0, 0.0]]}'
+    path.write_text(f'{{"kind": "representation", "payload": {payload}, "version": "1"}}')
+    code, _, err = run(["normlog", str(path)], capsys)
+    assert code == 2
+    assert json.loads(err) == {"message": "non-finite number NaN in document", "reason": "DocumentError"}
