@@ -29,7 +29,7 @@ import scipy.linalg
 
 # schur is unused here but stays bound as bundles.schur, a binding the
 # benchmark's tracer wraps and its tests check
-from .eigen import _chain, _closure, _log_branches, eigenvalues, norm_log, schur, spectral_split  # noqa: F401
+from .eigen import _chain, _closure, clustered_schur, log_branches, norm_log, schur, spectral_split  # noqa: F401
 from .localforms import LocalLogConnection, normal_form_b_series
 from .series import WeightDiagonal, as_matrix
 
@@ -389,20 +389,19 @@ class WeightedFlatBundle:
 def degree(wfb, tol=1e-6):
     """deg = sum_j ( Tr Phi_j + Tr norm log G_j ), verified to be an integer.
 
-    Tr norm log G_j is the sum of norm_log_scalar over the Schur
-    eigenvalues t_ii of G_j, with no K formed.  :func:`norm_log` computes
-    2 pi i K = Q F Q^* by Schur-Parlett; the diagonal of F is its keys
-    2 pi i norm_log_scalar(t_ii) (a block mu I + log(T_ii e^-mu) has
-    diagonal mu + log(t_ii e^-mu)), and Tr Q F Q^* = Tr F.  So the sum
-    differs from Tr K only by the rounding of K, which is large when the
-    Parlett recurrence divides by the keys of one rounded multiple
-    eigenvalue whose copies fall on both sides of the branch cut.  A
-    zero eigenvalue raises SingularMatrixError.
+    Tr norm log G_j = Tr F / (2 pi i) for the Schur-Parlett F that
+    :func:`norm_log` forms, read from its diagonal with no K formed:
+    each Schur position of G_j takes the branch mu = log_branches of its
+    cluster mean m, and F / (2 pi i) has diagonal
+    mu + log(t_ii e^{-2 pi i mu}) / (2 pi i), where e^{2 pi i mu} = m.
+    A zero eigenvalue raises SingularMatrixError.
     """
     total = 0.0 + 0.0j
     for g, f in zip(wfb.rep.matrices, wfb.flags):
+        t, _, means = clustered_schur(g)
+        mu = log_branches(means)
         total += f.weight_diagonal().trace()
-        total += sum(_log_branches(eigenvalues(g)))
+        total += np.sum(mu + np.log(t.diagonal() / means) / (2j * np.pi))
     if abs(total.imag) > tol or abs(total.real - round(total.real)) > tol:
         raise NonIntegralDegreeError(
             f"degree {total} is not an integer to tolerance {tol}; inconsistent representation"

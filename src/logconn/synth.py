@@ -971,7 +971,7 @@ def rank3_decide(rep, seed=0):
     Each loop matrix is factored once: one spectral split gives both its
     Jordan block count and its scalar exponent.  The split's clusters
     have the radius that rounding of a defective eigenvalue needs
-    (eigen._clusters), so a conjugated Jordan block counts as one block
+    (eigen._cluster_means), so a conjugated Jordan block counts as one block
     in any basis, and the verdict does not depend on the frame.
     """
     if rep.rank != 3:

@@ -188,17 +188,21 @@ def reference_degree(wfb, tol=1e-6):
 def test_degree_of_a_jordan_block_at_the_branch_cut(seed):
     # S (lambda I + N) S^-1 with one 4x4 Jordan block whose eigenvalue lies on
     # the cut of the normalized logarithm up to |theta| <= 1e-6: rounding puts
-    # copies of lambda on both sides of the cut.  Tr K of the whole norm_log
-    # is far from an integer there (||K|| is about 1e11), the eigenvalue
-    # branches are not: each G_j has two copies on each side, so the degree
-    # is 4 for either sign of theta.
+    # copies of lambda on both sides of the cut.  The degree is that of the
+    # same bundle in the triangular frame: each eigenvalue's branch is taken
+    # once, at its cluster mean.  That is 4 (the branches of lambda and
+    # 1 / lambda add up to 1), or 0 when |theta| / 2 pi lies within the 1e-8
+    # snap window of the branch rule, which moves both to the branch at 0.
     rng = np.random.default_rng(seed)
-    lam = 0.96 * np.exp(1j * rng.uniform(-1e-6, 1e-6))
+    theta = rng.uniform(-1e-6, 1e-6)
+    lam = 0.96 * np.exp(1j * theta)
     s = np.eye(4) + 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(8)
-    g1 = s @ (lam * np.eye(4) + np.eye(4, k=1)) @ np.linalg.inv(s)
+    j = lam * np.eye(4) + np.eye(4, k=1)
+    flags = (WeightedFlag.trivial(4), WeightedFlag.trivial(4))
+    triangular = degree(WeightedFlatBundle(Representation([0.0, 1.0], [j, np.linalg.inv(j)]), flags))
+    g1 = s @ j @ np.linalg.inv(s)
     rep = Representation([0.0, 1.0], [g1, np.linalg.inv(g1)])
-    wfb = WeightedFlatBundle(rep, (WeightedFlag.trivial(4), WeightedFlag.trivial(4)))
-    assert degree(wfb) == 4
+    assert degree(WeightedFlatBundle(rep, flags)) == triangular == (0 if abs(theta) < 2 * np.pi * 1e-8 else 4)
 
 
 def test_slope_examples():

@@ -369,6 +369,7 @@ _MALFORMED_SERIES = {
     "object for a pair": ([[[{"re": 1.0, "im": 0.0}]]], "series coefficient 0 must be"),
     "pair of length three": ([[[[1.0, 0.0, 0.0]]]], "series coefficient 0 must be"),
     "ragged rows": ([[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]], "series coefficient 0 must be"),
+    "quoted numbers": ([[[["1.5", " 2"]]]], "series coefficient 0 must be"),
     "unequal coefficient shapes": ([[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "unequal shapes"),
 }
 
@@ -383,6 +384,32 @@ def test_malformed_matrix_entries_exit_2(tmp_path, capsys, case):
     error = json.loads(err)
     assert error["reason"] == "DocumentError"
     assert message in error["message"]
+
+
+_REP = {"matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]], "punctures": [[0.0, 0.0], [1.0, 0.0]]}
+_MALFORMED_PAYLOADS = {
+    "null weight": (
+        "degree",
+        "weighted-bundle",
+        {"flags": [{"subspaces": [[[[1.0, 0.0]]]], "weights": [None]}] * 2, "representation": _REP},
+        "flag 0 weights must be integers",
+    ),
+    "numbers for flags": (
+        "degree",
+        "weighted-bundle",
+        {"flags": [5, 6], "representation": _REP},
+        "flag 0 must be an object",
+    ),
+    "list for a payload": ("normlog", "representation", [1], "representation payload must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PAYLOADS))
+def test_malformed_payloads_exit_2(tmp_path, capsys, case):
+    command, kind, payload, message = _MALFORMED_PAYLOADS[case]
+    code, out, err = run([command, write(tmp_path, "doc.json", kind, payload)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"message": message, "reason": "DocumentError"}
 
 
 def test_non_finite_constant_in_a_representation_exits_2(tmp_path, capsys):

@@ -87,5 +87,7 @@ def test_decoders_name_the_offending_matrix():
     rep = {"matrices": [[[[1.0, 0.0]]]], "punctures": [[0.0, 0.0]]}
     with pytest.raises(doc.DocumentError, match="flag 0 step 0 must be"):
         doc.decode_bundle({"flags": [{"subspaces": [[[1.0, 0.0, 0.0]]], "weights": [0]}], "representation": rep})
+    with pytest.raises(doc.DocumentError, match="matrix must be"):
+        doc.decode_matrix([[["1.5", " 2"]]])
     with pytest.raises(doc.DocumentError, match="series coefficients have unequal shapes"):
         doc.decode_series({"coeffs": [[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]]})

@@ -178,7 +178,7 @@ def test_spectral_split_multiplicities_of_conjugated_jordan_forms(sizes, partner
     # circle, at least 2 sin(pi / 32) = 0.196 apart; with `partners` each
     # simple eigenvalue gets a second one at relative distance 1e-3.
     # Defective blocks much closer than that merge (see the limit in
-    # eigen._clusters).
+    # eigen._cluster_means).
     sizes = [d for k, d in enumerate(sizes) if sum(sizes[: k + 1]) <= 16]
     rng = np.random.default_rng(seed)
     m = len(sizes)

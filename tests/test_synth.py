@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logconn import (
@@ -182,9 +182,13 @@ def _expm_error(system, rep):
     st.integers(2, 5),
     st.integers(1, 6),
 )
+@example("defective", 1200, 5, 6)
 def test_commutative_residues_match_the_blockwise_construction(kind, seed, n, r):
     # the branch-cut draws keep delta >= 1e-2: the reference's eigenvector
-    # basis of G_1 loses about eps / delta, which the regression below covers
+    # basis of G_1 loses about eps / delta, which the regression below covers.
+    # In the example G_5 has a 5-fold eigenvalue whose rounded copies
+    # straddle the cut; branches taken per copy made the exponent sum
+    # -746+1488i there.
     rng = np.random.default_rng(seed)
     if kind == "diagonalizable":
         rep = random_commuting_representation(rng, n, r)
