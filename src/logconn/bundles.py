@@ -16,7 +16,10 @@ from a fixed number of batched LAPACK calls (see :class:`WeightedFlag`).
 Containment compares projection residuals with an absolute tolerance
 times the matrix scale; a subspace meets a flag step in the directions
 whose principal angle to it has sine at most 2 RANK_TOL = 2e-9, read
-from one batched SVD (see :func:`_intersection_coords`).
+from one batched SVD (see :func:`_intersection_coords`).  Semistability
+needs only the slope of each invariant subspace: :func:`semistable`
+reads it from those sine counts and the Schur forms of the restricted
+loop matrices, and builds no sub-bundle (see :func:`_subbundle_slope`).
 """
 
 import math
@@ -112,22 +115,28 @@ def _maps_into(w, mats, scales, tol):
     return bool(np.all(resid <= tol * np.asarray(scales)))
 
 
-def _intersection_coords(w, flags, tol=RANK_TOL):
-    """Orthonormal W-coordinates of span(W) intersect F_m, for every step F_m of every flag.
+def _step_tails(w, flags):
+    """For every step F_m of every flag, the rows of Q^* W past it, zero elsewhere.
 
     W (r x k, k >= 1) has orthonormal columns; each flag is a pair
     (Q, dims) of an r x r unitary Q and step dimensions, step F_m being
     span Q[:, :k_m].  One batched product forms every C = Q^* W, and
-    the rows of C from k_m on are the coordinates of (I - P_m) W in the
-    orthonormal complement Q[:, k_m:] of F_m.  So the stack of those
-    tails, zero elsewhere, has for step m the singular values of
-    R = (I - P_m) W, and one batched SVD factors them all.
-    R^* R = I - (P_m W)^* (P_m W) has eigenvalues 1 - cos^2 theta_i for
-    the principal angles theta_i between span(W) and F_m (Bjorck &
-    Golub, Math. Comp. 27, 1973): the singular values are sin theta_i,
-    and the right singular vectors of the sines counted as zero are the
-    coordinates c with W c in F_m, already orthonormal.  The result
-    lists the steps of all flags in order.
+    the rows of C from k_m on are the coordinates of R = (I - P_m) W in
+    the orthonormal complement Q[:, k_m:] of F_m, so the tails have the
+    singular values of R.  R^* R = I - (P_m W)^* (P_m W) has eigenvalues
+    1 - cos^2 theta_i for the principal angles theta_i between span(W)
+    and F_m (Bjorck & Golub, Math. Comp. 27, 1973): the singular values
+    are sin theta_i.  The stack lists the steps of all flags in order.
+    """
+    r = w.shape[0]
+    c = np.array([q for q, _ in flags]).conj().swapaxes(1, 2) @ w
+    which = [j for j, (_, dims) in enumerate(flags) for _ in dims]
+    ks = np.array([d for _, dims in flags for d in dims])
+    return c[which] * (np.arange(r)[:, None] >= ks[:, None, None])
+
+
+def _meet_counts(sines, tol=RANK_TOL):
+    """dim(W meet F_m) per step: the principal-angle sines at most 2 tol.
 
     Threshold.  The null space of [W, -B] for an orthonormal basis B of
     the step was the earlier rule, at singular values up to
@@ -139,14 +148,21 @@ def _intersection_coords(w, flags, tol=RANK_TOL):
     is sin theta <= 2 tol.  Rounding perturbs the tails by a few eps, so
     sines below about 1e-15 read as zero, far inside the threshold.
     """
-    r, k = w.shape
-    c = np.array([q for q, _ in flags]).conj().swapaxes(1, 2) @ w
-    which = [j for j, (_, dims) in enumerate(flags) for _ in dims]
-    ks = np.array([d for _, dims in flags for d in dims])
-    tails = c[which] * (np.arange(r)[:, None] >= ks[:, None, None])
-    _, sines, vh = np.linalg.svd(tails, full_matrices=False)
-    counts = np.count_nonzero(sines <= 2 * tol, axis=1).tolist()
-    return [vh[m, k - d :].conj().T for m, d in enumerate(counts)]
+    return np.count_nonzero(sines <= 2 * tol, axis=1).tolist()
+
+
+def _intersection_coords(w, flags, tol=RANK_TOL):
+    """Orthonormal W-coordinates of span(W) intersect F_m, for every step F_m of every flag.
+
+    One batched SVD factors the stack of :func:`_step_tails`; the right
+    singular vectors of the sines counted as zero
+    (:func:`_meet_counts`) are the coordinates c with W c in F_m,
+    already orthonormal.  The result lists the steps of all flags in
+    order.
+    """
+    k = w.shape[1]
+    _, sines, vh = np.linalg.svd(_step_tails(w, flags), full_matrices=False)
+    return [vh[m, k - d :].conj().T for m, d in enumerate(_meet_counts(sines, tol))]
 
 
 def intersect_spans(a, b, tol=RANK_TOL):
@@ -396,12 +412,18 @@ def degree(wfb, tol=1e-6):
     mu + log(t_ii e^{-2 pi i mu}) / (2 pi i), where e^{2 pi i mu} = m.
     A zero eigenvalue raises SingularMatrixError.
     """
-    total = 0.0 + 0.0j
-    for g, f in zip(wfb.rep.matrices, wfb.flags):
+    return _degree(wfb.rep.matrices, sum(f.weight_diagonal().trace() for f in wfb.flags), tol)
+
+
+def _degree(mats, weight_trace, tol=1e-6):
+    """weight_trace + sum_j Tr norm log G_j over the matrices, as :func:`degree` reads it.
+
+    A sum farther than tol from an integer raises NonIntegralDegreeError.
+    """
+    total = weight_trace + 0.0j
+    for g in mats:
         t, _, means = clustered_schur(g)
-        mu = log_branches(means)
-        total += f.weight_diagonal().trace()
-        total += np.sum(mu + np.log(t.diagonal() / means) / (2j * np.pi))
+        total += np.sum(log_branches(means) + np.log(t.diagonal() / means) / (2j * np.pi))
     if abs(total.imag) > tol or abs(total.real - round(total.real)) > tol:
         raise NonIntegralDegreeError(
             f"degree {total} is not an integer to tolerance {tol}; inconsistent representation"
@@ -660,9 +682,54 @@ def _is_scalar_family(mats, tol=1e-10):
     return True
 
 
+def _induced_weight_trace(flags, counts, k):
+    """Trace of the weights the flags induce on a k-dimensional W, from d_m = dim(W meet F_m).
+
+    `counts` lists d_m for the steps of all flags in order.  The induced
+    flag keeps the steps where d_m grows, so its weight trace is
+    sum_m w_m (d_m - d_{m-1}), d_0 = 0.  The counts of one flag must not
+    decrease and must end at k (its last step is the whole space), or
+    the flag does not restrict to W: FlagError.
+    """
+    trace = 0
+    start = 0
+    for f in flags:
+        d = counts[start : start + len(f.weights)]
+        start += len(f.weights)
+        if d[-1] != k or any(b < a for a, b in zip(d, d[1:])):
+            raise FlagError(f"intersection dimensions {d} do not form a flag of a {k}-dimensional subspace")
+        trace += sum(w * (b - a) for w, a, b in zip(f.weights, [0] + d, d))
+    return trace
+
+
+def _subbundle_slope(wfb, w, mats):
+    """Slope of the sub-bundle :func:`induced_subbundle` builds on span(W), with no objects built.
+
+    W has orthonormal columns, as every candidate of :func:`semistable`
+    has.  The induced weight trace comes from the intersection
+    dimensions alone (:func:`_induced_weight_trace`), counted from the
+    singular values of :func:`_step_tails` with no coordinates formed;
+    Tr norm log of each restriction W^* G_j W comes from its Schur form
+    (:func:`_degree`).  W must be invariant (FlagError otherwise).  The
+    checks a Representation of the W^* G_j W would make hold without
+    it: their product is the restriction of G_1 ... G_n = I, and a
+    restriction of an invertible matrix to an invariant subspace is
+    invertible.  Likewise the induced flags are invariant because the
+    flags and W are.
+    """
+    if not _maps_into(w, mats, wfb.rep.scales, 1e-7):
+        raise FlagError("subspace is not invariant under the representation")
+    sines = np.linalg.svd(_step_tails(w, [(f.basis, f.dims) for f in wfb.flags]), compute_uv=False)
+    k = w.shape[1]
+    trace = _induced_weight_trace(wfb.flags, _meet_counts(sines), k)
+    return Fraction(_degree(w.conj().T @ mats @ w, trace), k)
+
+
 def semistable(wfb, seed=0):
     """Semistability verdict by slope comparison over invariant subspaces.
 
+    Each candidate subspace's slope is read directly
+    (:func:`_subbundle_slope`), without building its induced bundle.
     A destabilizing subspace is definite evidence; Stable/Semistable
     verdicts additionally require the enumeration to be certified
     complete (or the scalar-monodromy uniform-flag case, where every
@@ -682,8 +749,7 @@ def semistable(wfb, seed=0):
                 candidates.setdefault(_projector_key(s), s)
     saw_equal = False
     for w in candidates.values():
-        sub = induced_subbundle(wfb, w)
-        s_slope = slope(sub)
+        s_slope = _subbundle_slope(wfb, w, mats)
         if s_slope > total:
             return Semistability.UNSTABLE
         if s_slope == total:

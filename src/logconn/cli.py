@@ -13,11 +13,12 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import documents as doc
-from .bundles import Semistability, degree, semistable, slope
+from .bundles import Semistability, degree, semistable
 from .localforms import (
     IllConditionedBlockError,
     convergence_diagnostic,
@@ -161,7 +162,7 @@ def _cmd_normal_form(args):
 def _cmd_degree(args):
     wfb = doc.decode_bundle(doc.parse_document(_read(args.input), "weighted-bundle")["payload"])
     d = degree(wfb)
-    s = slope(wfb)
+    s = Fraction(d, wfb.rank)
     _emit(
         args,
         "report",

@@ -505,6 +505,75 @@ def test_induced_subbundle_matches_stepwise_reference(family, r, blocks, seed):
                 assert np.linalg.norm(projector(step) - projector(step_ref), 2) <= 1e-12
 
 
+def reference_semistable(wfb, seed=0):
+    """The earlier verdict loop: one induced_subbundle per candidate, compared by its slope."""
+    if wfb.rank == 1:
+        return Semistability.STABLE
+    total = slope(wfb)
+    enum = invariant_subspaces(wfb.rep, seed=seed)
+    candidates = {_projector_key(w): w for w in enum.subspaces}
+    mats = np.array(wfb.rep.matrices)
+    for f in wfb.flags:
+        for s, invariant in zip(f.subspaces, bundles._invariant_steps(f, mats, wfb.rep.scales, 1e-8)):
+            if invariant:
+                candidates.setdefault(_projector_key(s), s)
+    saw_equal = False
+    for w in candidates.values():
+        s_slope = slope(induced_subbundle(wfb, w))
+        if s_slope > total:
+            return Semistability.UNSTABLE
+        saw_equal = saw_equal or s_slope == total
+    if enum.complete:
+        return Semistability.SEMISTABLE if saw_equal else Semistability.STABLE
+    if bundles._is_scalar_family(wfb.rep.matrices) and all(len(f.weights) == 1 for f in wfb.flags):
+        return Semistability.SEMISTABLE
+    return Semistability.UNDETERMINED
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    family=st.sampled_from(["triangular", "diagonal", "blocks"]),
+    r=st.integers(3, 10),
+    blocks=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_candidate_slopes_and_verdict_match_the_induced_subbundles(family, r, blocks, seed):
+    # triangular and diagonal draws are conjugated_family frames; the
+    # eigenvector flags carry random weights, the trivial flags none
+    rng = np.random.default_rng(seed)
+    if family == "triangular":
+        rep = triangular_family(rng, r)
+    elif family == "diagonal":
+        rep = diagonal_family(rng, 3 + r % 3)
+    else:
+        rep = block_triangular_representation(rng, blocks)[0]
+    weighted = eigenvector_flags(rng, rep)
+    mats = np.array(rep.matrices)
+    for wfb in (weighted, weighted.with_flags(WeightedFlag.trivial(rep.rank) for _ in range(rep.n))):
+        for w in invariant_subspaces(rep).subspaces:
+            assert bundles._subbundle_slope(wfb, w, mats) == slope(induced_subbundle(wfb, w))
+        assert semistable(wfb) is reference_semistable(wfb)
+
+
+def test_candidate_slope_refuses_what_induced_subbundle_refuses():
+    rep = Representation([0.0, 1.0], [np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
+    wfb = WeightedFlatBundle(rep, (line_flag(1, -1), WeightedFlag.trivial(2)))
+    mats = np.array(rep.matrices)
+    assert bundles._subbundle_slope(wfb, np.eye(2)[:, :1], mats) == 1
+    tilted = np.array([[1.0], [1.0]]) / np.sqrt(2)
+    for restrict in (lambda w: induced_subbundle(wfb, w), lambda w: bundles._subbundle_slope(wfb, w, mats)):
+        with pytest.raises(FlagError, match="not invariant"):
+            restrict(tilted)
+    # flag (1, -1) then the trivial flag, over a 1-dimensional W: the counts of
+    # each flag must grow and end at dim W
+    flags = wfb.flags
+    assert bundles._induced_weight_trace(flags, [1, 1, 1], 1) == 1
+    assert bundles._induced_weight_trace(flags, [0, 1, 1], 1) == -1
+    for counts in ([1, 0, 1], [0, 0, 1], [1, 1, 0], [1, 2, 1]):
+        with pytest.raises(FlagError):
+            bundles._induced_weight_trace(flags, counts, 1)
+
+
 @pytest.mark.parametrize("angle, inside", [(1e-12, True), (1e-6, False)])
 def test_intersection_threshold_is_a_principal_angle(angle, inside):
     # W at principal angle `angle` from the flag step span(e_1): a sine at

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from logconn import MatrixSeries, WeightedFlag, WeightedFlatBundle, Representation
+from logconn import bundles
 from logconn import documents as doc
 from logconn.cli import main
+from logconn.eigen import clustered_schur
 
 from conftest import random_representation
 
@@ -76,6 +79,25 @@ def test_degree_and_semistable(tmp_path, capsys):
     code, out, _ = run(["semistable", path], capsys)
     assert code == 0
     assert parse_out(out)["payload"]["verdict"] == "Unstable"
+
+
+def test_degree_reports_its_slope_from_one_schur_pass_per_loop_matrix(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(3)
+    rep = random_representation(rng, 3, 3)
+    wfb = WeightedFlatBundle(rep, (WeightedFlag.trivial(3, 2), WeightedFlag.trivial(3), WeightedFlag.trivial(3)))
+    path = write(tmp_path, "wfb.json", "weighted-bundle", doc.encode_bundle(wfb))
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return clustered_schur(a)
+
+    monkeypatch.setattr(bundles, "clustered_schur", counted)
+    code, out, _ = run(["degree", path], capsys)
+    assert code == 0
+    payload = parse_out(out)["payload"]
+    assert len(calls) == rep.n
+    assert payload["rank"] == 3 and Fraction(*payload["slope"]) == Fraction(payload["degree"], 3)
 
 
 def test_semistable_strict_undetermined(tmp_path, capsys):
