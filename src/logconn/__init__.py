@@ -84,6 +84,7 @@ from .verify import (
     IntegrationError,
     LoopPath,
     MonodromyReport,
+    Transport,
     circle_loop,
     conjugacy_compare,
     growth_exponent,

@@ -5,15 +5,19 @@ Flat sections of d + A(z) dz/z (local) or d + sum B_j/(z - a_j) dz
 continuation (van der Hoeven, "Fast evaluation of holonomic functions",
 TCS 1999; Mezzarobba, "Truncation bounds for differentially finite
 series", 2019).  Each step moves at most 0.4 rho along the path, rho
-being the distance to the nearest singular point.  The steps of a path
-are fixed from its geometry first; the Taylor coefficients of all their
+being the distance to the nearest singular point.  The steps of a batch
+of paths (all standard loops of a system, say) are fixed from their
+geometry first and concatenated; the Taylor terms of all their
 propagators then come from one fixed-length recurrence over geometric
-accumulators, one batched matmul per term whatever its index, and the
-steps are applied in order as y + E_s y.  One term count serves the
-whole path: it comes from the Cauchy majorant (1 - w/rho)^-beta at the
-path's largest beta and step ratio, and the majorant's relative tail
-grows with both, so every step is summed to roundoff: there is no
-step-size controller and no tolerance (see :func:`_transport`).
+accumulators that carry each step's ratios h/(z0 - a_j), so for a
+Fuchsian system every term is one matrix product over all steps.  The
+terms are summed as they arrive by a compensated sum, and each path
+applies its own steps in order as y + E_s y.  One term count serves
+the whole batch: it comes from the Cauchy majorant (1 - w/rho)^-beta at
+the largest beta and step ratio of all steps, and the majorant's
+relative tail grows with both, so every step is summed to roundoff:
+there is no step-size controller and no tolerance (see
+:func:`_transport`).
 
 Conventions (one source of sign bugs, fixed here once):
 
@@ -43,6 +47,7 @@ __all__ = [
     "circle_loop",
     "standard_loops",
     "relation_order",
+    "Transport",
     "integrate_fuchsian",
     "integrate_local",
     "MonodromyReport",
@@ -112,13 +117,12 @@ class LoopPath:
                     best = min(best, abs(z0 + t * d - a))
             else:
                 _, c, r, t0, t1 = piece
-                samples = np.linspace(t0, t1, 181)
-                zs = c + r * np.exp(1j * samples)
+                if abs(t1 - t0) >= 2.0 * np.pi - 1e-12:
+                    best = min([best, *(abs(abs(a - c) - r) for a in points)])
+                    continue
+                zs = c + r * np.exp(1j * np.linspace(t0, t1, 181))
                 for a in points:
-                    if abs(t1 - t0) >= 2.0 * np.pi - 1e-12:
-                        best = min(best, abs(abs(a - c) - r))
-                    else:
-                        best = min(best, float(np.min(np.abs(zs - a))))
+                    best = min(best, float(np.min(np.abs(zs - a))))
         return best
 
     def winding_number(self, a):
@@ -283,47 +287,66 @@ def _term_count(beta, t):
 
 
 def _schedule(singular, pieces):
-    """Steps (z_s, z_{s+1}, rho_s) of the whole path; see :func:`_transport`."""
+    """Steps (z_s, z_{s+1}, rho_s) of one path; see :func:`_transport`."""
     steps = []
     for piece in pieces:
         point, length = _piece_point(piece)
         t, z = 0.0, point(0.0)
         while t < 1.0:
-            rho = float(np.min(np.abs(singular - z)))
-            if (1.0 - t) * length <= _STEP * rho:
+            rho = float(np.abs(singular - z).min())
+            if rho > 0.0 and (1.0 - t) * length <= _STEP * rho:
                 t_next = 1.0
-            elif (t_next := t + _STEP * rho / length) <= t:
+            elif rho == 0.0 or (t_next := t + _STEP * rho / length) <= t:
                 raise IntegrationError("path runs into a singular point")
             z_next = point(t_next)
             steps.append((z, z_next, rho))
             t, z = t_next, z_next
-    z0, z1, rho = np.array(steps).T
-    return z0, z1, rho.real
+    return steps
 
 
-def _transport(expansion, pieces, y):
-    """Continue the flat frame y analytically along the path pieces.
+@dataclass(frozen=True)
+class Transport:
+    """Frames at the ends of a batch of paths, and the work that gave them.
+
+    `frames[p]` continues the initial frame along path p; `steps[p]` is
+    the number of Taylor steps of path p; `terms` is the one term count
+    that served every step of every path.
+    """
+
+    frames: tuple
+    steps: tuple
+    terms: int
+
+
+def _transport(expansion, paths, y):
+    """Continue the flat frame y analytically along each of the paths.
 
     Schedule.  A step from z0 goes at most 0.4 rho along its piece, rho
     being the distance from z0 to the nearest singular point, so the
-    chord h has |h| <= 0.4 rho.  The steps of the whole path depend only
-    on its geometry and are fixed first (:func:`_schedule`).
+    chord h has |h| <= 0.4 rho.  The steps of every path depend only on
+    its geometry; they are fixed first (:func:`_schedule`) and
+    concatenated, so one recurrence serves every step of every path.
 
-    Recurrence.  ``expand(z0, rho)`` takes the S step starts and radii
-    and returns ``(beta, sigma, poly)`` with sigma of shape (S, n) and
-    poly broadcasting to (S, n, d+1, r, r).  In x = w/rho the
-    coefficients D_k = rho^{k+1} C_k of Y' = C(w) Y at z0 are
-    D_k = sum_j sum_{i<=min(k,d)} poly_{j,i} sigma_j (-sigma_j)^{k-i},
-    and norm(D_k) <= beta.  The frame coefficients of the step
-    propagator, (k+1) Phi_{k+1} = sum_{i<=k} D_i Phi_{k-i} with
-    Phi_0 = I, then follow from the accumulators
-    S_{j,q} = sum_{m<=q} (-sigma_j)^m Phi_{q-m} = Phi_q - sigma_j S_{j,q-1}:
+    Recurrence.  ``expand(z0, h, rho)`` takes the S step starts, chords
+    and radii and returns ``(beta, sigma, product)``; sigma has shape
+    (S, n).  In x = w/rho the coefficients D_k = rho^{k+1} C_k of
+    Y' = C(w) Y at z0 are D_k = sum_j sum_{i<=min(k,d)} P_{j,i}
+    s_j (-s_j)^{k-i}, with s_j = rho/(z0 - a_j) and norm(D_k) <= beta.
+    The step propagator is I + sum_{k>=1} x^k Phi_k with
+    (k+1) Phi_{k+1} = sum_{i<=k} D_i Phi_{k-i} and Phi_0 = I.  Its
+    terms Psi_k = x^k Phi_k come from the accumulators
+    U_{j,q} = x^{q+1} s_j sum_{m<=q} (-s_j)^m Phi_{q-m}, which carry
+    sigma_j = x s_j = h/(z0 - a_j):
 
-        (k+1) Phi_{k+1} = sum_j sigma_j sum_{i<=min(k,d)} poly_{j,i} S_{j,k-i},
+        (k+1) Psi_{k+1} = sum_j sum_{i<=min(k,d)} x^i P_{j,i} U_{j,k-i},
+        U_{j,0} = sigma_j I,   U_{j,k+1} = sigma_j (Psi_{k+1} - U_{j,k}),
 
-    one batched (S, r, (d+1) n r) @ (S, (d+1) n r, r) product per term,
-    of the same cost for every k, over all steps at once (van der
-    Hoeven's fixed-length recurrence for holonomic functions).
+    van der Hoeven's fixed-length recurrence for holonomic functions.
+    ``product(u, k)`` returns Psi_{k+1}, shape (r, S, r), from the
+    accumulators u of shape (n, r, S, r).  When the P_{j,i} do not
+    depend on the step (a Fuchsian system) that is one 2-D product of
+    shape (r, n r) @ (n r, S r) per term.  The accumulators are
+    updated in place.
 
     Term count.  Since (beta/rho) / (1 - w/rho) majorizes C, Y is
     majorized by norm(Y(z0)) (1 - w/rho)^-beta, and the relative tail
@@ -332,62 +355,79 @@ def _transport(expansion, pieces, y):
     negative binomial N.  N is Poisson with a Gamma(beta, t/(1-t))
     distributed mean, which is stochastically increasing in beta and
     in t, so the tail increases in both.  One :func:`_term_count` at
-    the largest beta and t of the path therefore sums every step to
-    roundoff: it puts the tail at that pair below roundoff, and the tail
-    of every step is no larger.  There is no step controller and no
-    tolerance.
+    the largest beta and t over all steps of all paths therefore sums
+    every step to roundoff: it puts the tail at that pair below
+    roundoff, and the tail of every step is no larger.  There is no
+    step controller and no tolerance.
 
-    Application.  Each step adds E_s y to y, E_s = sum_{k>=1} x_s^k
-    Phi_{s,k} with x_s = h_s / rho_s, summed by Horner from the smallest
-    term.  y + (E_s y) rounds once at the size of y per entry, where
-    (I + E_s) y would round at that size in every term of each inner
-    product.
+    Summation.  E_s = sum_{k>=1} Psi_{s,k} is summed as the terms
+    arrive, with a compensated (Kahan) sum, so no term is stored.  Its
+    computed value differs from the exact sum of the computed terms by
+    at most (2u + O(K u^2)) sum_k |Psi_{s,k}| componentwise (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 4.3),
+    whatever the order of the terms, where a plain sum from the largest
+    term would lose up to (K - 1) u.  The majorant bounds
+    sum_k norm(Psi_{s,k}) by (1 - t)^-beta.
+
+    Application.  Each path applies its own steps in order, y + E_s y.
+    That rounds once at the size of y per entry, where (I + E_s) y
+    would round at that size in every term of each inner product.
     """
     singular, expand = expansion
     y = np.array(y, dtype=np.complex128)
-    z0, z1, rho = _schedule(singular, pieces)
-    x = (z1 - z0) / rho
-    beta, sigma, poly = expand(z0, rho)
-    count = _term_count(float(np.max(beta)), float(np.max(np.abs(x))))
-    if count == 1:  # C vanishes on the path, or the path has no length
-        return y
-    # D_k for k < count - 1 uses only the first count - 1 blocks
-    blocks = sigma[:, :, None, None, None] * poly[:, :, : count - 1]
-    steps, n, d1, r, _ = blocks.shape
-    lhs = blocks.transpose(0, 3, 2, 1, 4).reshape(steps, r, d1 * n * r)
-    phi = np.empty((count, steps, r, r), dtype=np.complex128)
-    phi[0] = np.eye(r)
-    # S_{j,q} sits at slots (-q) % d1 and (-q) % d1 + d1 of the ring, so
-    # the d1 slots from (-k) % d1 hold S_{j,k}, ..., S_{j,k-d} in order
-    ring = np.zeros((steps, 2 * d1, n, r, r), dtype=np.complex128)
-    ring[:, 0] = ring[:, d1] = np.eye(r)
+    schedules = [_schedule(singular, pieces) for pieces in paths]
+    z0, z1, rho = np.array([step for path in schedules for step in path]).T
+    rho = rho.real
+    h = z1 - z0
+    beta, sigma, product = expand(z0, h, rho)
+    count = _term_count(float(np.max(beta)), float(np.max(np.abs(h) / rho)))
+    lengths = [len(path) for path in schedules]
+    if count == 1:  # C vanishes on the paths, or they have no length
+        return Transport(tuple(y.copy() for _ in paths), tuple(lengths), count)
+    steps, n = sigma.shape
+    r = y.shape[0]
+    sigma = np.broadcast_to(sigma.T[:, None, :, None], (n, r, steps, r)).copy()
+    acc = sigma * np.eye(r)[:, None, :]
+    total = np.zeros((r, steps, r), dtype=np.complex128)
+    carry = np.zeros_like(total)
     for k in range(count - 1):
-        p, q = -k % d1, -(k + 1) % d1
-        phi[k + 1] = lhs @ ring[:, p : p + d1].reshape(steps, d1 * n * r, r) / (k + 1)
-        ring[:, q] = ring[:, q + d1] = phi[k + 1][:, None] - sigma[:, :, None, None] * ring[:, p]
-    xs = x[:, None, None]
-    corrections = phi[-1] * xs
-    for k in range(count - 2, 0, -1):
-        corrections = (corrections + phi[k]) * xs
-    for e in corrections:
-        y = y + e @ y
-    return y
+        term = product(acc, k)
+        np.subtract(term, acc, out=acc)
+        acc *= sigma
+        term -= carry
+        new = total + term
+        np.subtract(new, total, out=carry)
+        carry -= term
+        total = new
+    corrections = total.transpose(1, 0, 2).copy()
+    frames, lo = [], 0
+    for length in lengths:
+        frame = y
+        for e in corrections[lo : lo + length]:
+            frame = frame + e @ frame
+        frames.append(frame)
+        lo += length
+    return Transport(tuple(frames), tuple(lengths), count)
 
 
 def _fuchsian_expansion(system):
     """Expansion of C(z) = -sum_j B_j / (z - a_j) for :func:`_transport`.
 
-    With v_j = rho/(z0 - a_j), D_k = -sum_j B_j v_j (-v_j)^k: sigma = v,
-    d = 0 and poly_{j,0} = -B_j.  As |v_j| <= 1,
-    beta = sum_j norm(B_j) |v_j| bounds norm(D_k).
+    With s_j = rho/(z0 - a_j), D_k = -sum_j B_j s_j (-s_j)^k: d = 0 and
+    P_{j,0} = -B_j, the same at every step, so each term is the one
+    product [-B_1 ... -B_n] @ U over all steps.  As |s_j| <= 1,
+    beta = sum_j norm(B_j) |s_j| bounds norm(D_k).
     """
     punctures = np.asarray(system.punctures, dtype=np.complex128)
     residues = np.array([as_matrix(b, square=True) for b in system.residues])
     norms = np.linalg.norm(residues, 2, axis=(1, 2))
+    n, r, _ = residues.shape
+    lhs = -residues.transpose(1, 0, 2).reshape(r, n * r)
 
-    def expand(z0, rho):
-        v = rho[:, None] / (z0[:, None] - punctures)
-        return np.abs(v) @ norms, v, -residues[None, :, None]
+    def expand(z0, h, rho):
+        diff = z0[:, None] - punctures
+        product = lambda u, k: (lhs / (k + 1) @ u.reshape(n * r, -1)).reshape(r, len(z0), r)
+        return (rho[:, None] / np.abs(diff)) @ norms, h[:, None] / diff, product
 
     return punctures, expand
 
@@ -397,12 +437,15 @@ def _local_expansion(a_series, center):
 
     At s0 = z0 - center the Taylor shift A(s0 + rho x) = sum_i At_i x^i
     has At_i = rho^i sum_n binom(n, i) s0^{n-i} A_n; times the geometric
-    series of rho/(s0 + rho x) this gives sigma = rho/s0, d = the degree
-    of A and poly_{0,i} = -At_i, and beta = sum_i norm(At_i) bounds
-    norm(D_k) (rho = |s0|).  Trailing coefficients that are exactly zero
-    (such as the padding of a normal form's B, whose true degree is the
-    weight gap) are dropped first: At_i is exactly zero past the last
-    nonzero A_n, so beta and every D_k are unchanged while d shrinks.
+    series of rho/(s0 + rho x) this gives s = rho/s0, d = the degree of
+    A and P_{0,i} = -At_i, and beta = sum_i norm(At_i) bounds norm(D_k)
+    (rho = |s0|).  The At_i depend on the step, so each term is one
+    batched (S, r, (d+1) r) @ (S, (d+1) r, r) product over the last d+1
+    accumulators, which are kept in a ring.  Trailing coefficients that
+    are exactly zero (such as the padding of a normal form's B, whose
+    true degree is the weight gap) are dropped first: At_i is exactly
+    zero past the last nonzero A_n, so beta and every D_k are unchanged
+    while d shrinks.
     """
     a = a_series.coeffs
     nonzero = np.flatnonzero(np.any(a != 0, axis=(1, 2)))
@@ -410,35 +453,61 @@ def _local_expansion(a_series, center):
     n = np.arange(a.shape[0])
     gap = np.maximum(n[None, :] - n[:, None], 0)  # n - i
     binom = np.array([[math.comb(j, i) if j >= i else 0 for j in n] for i in n], dtype=float)
+    d1, r = a.shape[0], a.shape[1]
 
-    def expand(z0, rho):
+    def expand(z0, h, rho):
         s0 = z0 - center
         shift = binom * s0[:, None, None] ** gap * rho[:, None, None] ** n[:, None]
-        at = (shift.reshape(-1, n.size) @ a.reshape(n.size, -1)).reshape(len(s0), n.size, *a.shape[1:])
+        at = (shift.reshape(-1, d1) @ a.reshape(d1, -1)).reshape(len(s0), d1, r, r)
         beta = np.linalg.norm(at, 2, axis=(2, 3)).sum(axis=1)
-        return beta, (rho / s0)[:, None], -at[:, None]
+        # x^i P_{0,i} side by side, in the order of the accumulator window
+        scaled = at * ((h / rho)[:, None] ** n)[:, :, None, None]
+        lhs = -scaled.transpose(0, 2, 1, 3).reshape(len(s0), r, d1 * r)
+        # U_q sits at slots (-q) % d1 and (-q) % d1 + d1 of the ring, so
+        # the slots from (-k) % d1 hold U_k, ..., U_{k-d} in order
+        ring = np.zeros((len(s0), 2 * d1, r, r), dtype=np.complex128)
+
+        def product(u, k):
+            p, m = -k % d1, min(k, d1 - 1) + 1
+            ring[:, p] = ring[:, p + d1] = u[0].transpose(1, 0, 2)
+            window = ring[:, p : p + m].reshape(len(s0), m * r, r)
+            psi = np.empty((r, len(s0), r), dtype=np.complex128)
+            np.matmul(lhs[:, :, : m * r], window, out=psi.transpose(1, 0, 2))
+            psi.view(np.float64)[...] /= k + 1  # as reals: a complex divisor costs a complex division
+            return psi
+
+        return beta, (h / s0)[:, None], product
 
     return np.array([center], dtype=np.complex128), expand
 
 
-def integrate_fuchsian(system, loop):
-    """Loop matrix G' of d + sum B_j/(z - a_j) dz with Y(start) = I.
+def integrate_fuchsian(system, loops):
+    """Loop matrices G' of d + sum B_j/(z - a_j) dz with Y(start) = I.
 
-    With the right-multiplication convention the returned matrix is the
-    monodromy factor of this loop for the fundamental solution based at
-    the loop's start point.  Raises :class:`IntegrationError` when the
-    loop passes within 1e-6 of a puncture.
+    With the right-multiplication convention a returned matrix is the
+    monodromy factor of its loop for the fundamental solution based at
+    the loop's start point.  For one :class:`LoopPath` this returns its
+    matrix.  For a sequence of loops it returns a :class:`Transport`
+    whose frames are the loop matrices, all taken by one recurrence.
+    Raises :class:`IntegrationError` when a loop passes within 1e-6 of
+    a puncture.
     """
+    single = isinstance(loops, LoopPath)
+    batch = [loops] if single else list(loops)
+    if not batch:
+        raise ValueError("no loops to integrate")
     expansion = _fuchsian_expansion(system)
-    if loop.clearance(expansion[0]) < 1e-6:
-        raise IntegrationError("loop clearance below threshold")
-    return _transport(expansion, loop.pieces, np.eye(system.rank))
+    for i, loop in enumerate(batch):
+        if loop.clearance(expansion[0]) < 1e-6:
+            raise IntegrationError(f"loop {i} passes within 1e-6 of a puncture")
+    transport = _transport(expansion, [loop.pieces for loop in batch], np.eye(system.rank))
+    return transport.frames[0] if single else transport
 
 
 def integrate_local(a_series, loop, y0=None):
     """Loop/path transport for the local system d + A(z) dz/z around z = 0."""
     y0 = np.eye(a_series.dim_out) if y0 is None else y0
-    return _transport(_local_expansion(a_series, 0.0), loop.pieces, y0)
+    return _transport(_local_expansion(a_series, 0.0), [loop.pieces], y0).frames[0]
 
 
 # --------------------------------------------------------------------------
@@ -498,7 +567,11 @@ class MonodromyReport:
 
     `order` is the puncture order in which the loop product telescopes
     to the identity; `conjugator` intertwines computed and target lists
-    when a target representation was supplied.
+    when a target representation was supplied.  `loop_steps` holds the
+    Taylor steps of each loop and `terms` the one term count they
+    share.  `liouville_defects` holds |det G_j exp(2 pi i tr B_j) - 1|
+    per loop: Liouville's formula makes that 0 exactly, so it measures
+    the transport error of each loop on its own.
     """
 
     loop_matrices: tuple
@@ -508,22 +581,31 @@ class MonodromyReport:
     conjugator: object
     per_loop_residuals: tuple
     basepoint: complex
+    loop_steps: tuple
+    terms: int
+    liouville_defects: tuple
 
 
 def monodromy_report(system, target=None, tol=1e-10, basepoint=None):
     """Integrate the standard loops of a Fuchsian system and compare.
 
-    If `target` (a representation with matrices G_j) is given, its
+    All loops go through one :func:`integrate_fuchsian` call.  If
+    `target` (a representation with matrices G_j) is given, its
     matrices are compared against the computed loop matrices up to one
     simultaneous conjugation.
     """
     loops, s = standard_loops(system.punctures, basepoint=basepoint)
-    mats = [integrate_fuchsian(system, lp) for lp in loops]
+    transport = integrate_fuchsian(system, loops)
+    mats = list(transport.frames)
     order = relation_order(system.punctures, s)
     prod = np.eye(mats[0].shape[0], dtype=np.complex128)
     for j in order:
         prod = prod @ mats[j]
     defect = float(np.linalg.norm(prod - np.eye(prod.shape[0]), 2))
+    liouville = tuple(
+        float(abs(np.linalg.det(g) * np.exp(2j * np.pi * np.trace(b)) - 1.0))
+        for g, b in zip(mats, system.residues)
+    )
     ok, conj = True, None
     residuals = ()
     if target is not None:
@@ -543,6 +625,9 @@ def monodromy_report(system, target=None, tol=1e-10, basepoint=None):
         conjugator=conj,
         per_loop_residuals=residuals,
         basepoint=s,
+        loop_steps=transport.steps,
+        terms=transport.terms,
+        liouville_defects=liouville,
     )
 
 
@@ -587,7 +672,7 @@ def growth_exponent(source, v, radii, center=0.0 + 0.0j, angle=0.0):
         raise ValueError("zero vector has no growth exponent")
     for r0, r1 in zip(radii[:-1], radii[1:]):
         piece = ("line", center + r0 * direction, center + r1 * direction)
-        y = _transport(expansion, [piece], y)
+        y = _transport(expansion, [[piece]], y).frames[0]
         norms.append(float(np.linalg.norm(y)))
 
     logr = np.log(radii)

@@ -138,6 +138,11 @@ def test_synth_verify_pipeline(tmp_path, capsys, rng):
     payload = parse_out(out)["payload"]
     assert payload["conjugacy_ok"] is True
     assert payload["product_defect"] < 1e-8
+    # the report's transport counters stay out of the payload
+    assert set(payload) == {
+        "basepoint", "command", "conjugacy_ok", "conjugator",
+        "loop_matrices", "order", "per_loop_residuals", "product_defect",
+    }
 
 
 def test_verify_exit_3_names_the_defect_and_the_threshold(tmp_path, capsys, monkeypatch):

@@ -225,6 +225,15 @@ def test_monodromy_report_fields(rng):
     assert len(report.loop_matrices) == n
     assert report.product_defect < 1e-8
     assert sorted(report.order) == list(range(n))
+    # transport counters: the steps of each loop and the one term count they share
+    loops, _ = standard_loops(system.punctures)
+    expansion = verify._fuchsian_expansion(system)
+    singles = [verify._transport(expansion, [lp.pieces], np.eye(r)) for lp in loops]
+    assert report.loop_steps == tuple(s.steps[0] for s in singles)
+    assert report.terms == max(s.terms for s in singles)
+    assert len(report.liouville_defects) == n
+    for g, b, defect in zip(report.loop_matrices, residues, report.liouville_defects):
+        assert defect == abs(np.linalg.det(g) * np.exp(2j * np.pi * np.trace(b)) - 1.0)
 
 
 def test_degree_zero_trace():
@@ -367,7 +376,7 @@ def _initial(rng, r, one_column):
 
 
 def _assert_transports_agree(expansion, reference, pieces, y0):
-    got = verify._transport(expansion, pieces, y0)
+    got = verify._transport(expansion, [pieces], y0).frames[0]
     want = reference_transport(reference, pieces, y0)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
@@ -430,10 +439,12 @@ def test_batched_local_transport_matches_reference(r, order, source, seed, one_c
 def test_path_into_a_singular_point_raises():
     system = FuchsianSystem([0.0, 1.0], [np.array([[0.25]]), np.array([[-0.25]])])
     with pytest.raises(IntegrationError):
-        verify._transport(verify._fuchsian_expansion(system), [("line", 0.5 + 0.5j, 1.0 + 0.0j)], np.eye(1))
+        verify._transport(verify._fuchsian_expansion(system), [[("line", 0.5 + 0.5j, 1.0 + 0.0j)]], np.eye(1))
     series = MatrixSeries.constant(np.array([[-0.25]]), 0)
     with pytest.raises(IntegrationError):
-        verify._transport(verify._local_expansion(series, 0.0), [("line", 0.5, 0.0)], np.eye(1))
+        verify._transport(verify._local_expansion(series, 0.0), [[("line", 0.5, 0.0)]], np.eye(1))
+    with pytest.raises(IntegrationError):  # a path of no length that sits on the singular point
+        integrate_local(series, LoopPath((("line", 0j, 0j),)))
 
 
 def test_choose_basepoint_matches_loop_reference():
@@ -443,3 +454,118 @@ def test_choose_basepoint_matches_loop_reference():
     inputs += [np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1j])]  # collinear, repeated
     for punctures in inputs:
         assert verify._choose_basepoint(punctures) == reference_basepoint(punctures)
+
+
+def _assert_batch_matches_reference(expansion, reference, paths, y0):
+    """One _transport call over all paths: each frame matches its own reference run."""
+    batch = verify._transport(expansion, paths, y0)
+    singles = [verify._transport(expansion, [pieces], y0) for pieces in paths]
+    assert batch.steps == tuple(s.steps[0] for s in singles)
+    assert batch.terms == max(s.terms for s in singles)
+    for got, pieces in zip(batch.frames, paths):
+        want = reference_transport(reference, pieces, y0)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+    return batch, singles
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+    spread=st.floats(1.0, 8.0),
+    one_column=st.booleans(),
+    data=st.data(),
+)
+def test_one_transport_serves_several_loops_of_a_system(shape, seed, spread, one_column, data):
+    # the standard loops, a small circle around each puncture and one drawn
+    # path go through one recurrence; B_0 is up to 8 times larger than the
+    # draws of the others, so the loops near a_0 need the most terms
+    n, r = shape
+    rng = np.random.default_rng(seed)
+    punctures = sorted_punctures(rng, n)
+    parts = data.draw(arrays(np.float64, (2, n, r, r), elements=st.floats(-1.0, 1.0)))
+    xs = (0.35 / np.sqrt(r)) * (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    xs[0] *= spread
+    residues = xs - xs.mean(axis=0)
+    system = FuchsianSystem(punctures, list(residues))
+    minpair = float(np.min(np.abs(punctures[:, None] - punctures[None, :]) + 10.0 * np.eye(n)))
+    paths = [lp.pieces for lp in standard_loops(punctures)[0]]
+    paths += [circle_loop(a, 0.3 * minpair).pieces for a in punctures]
+    paths.append(_draw_pieces(data, punctures[-1], minpair))
+    batch, _ = _assert_batch_matches_reference(
+        verify._fuchsian_expansion(system),
+        reference_fuchsian_expansion(punctures, residues),
+        paths,
+        _initial(rng, r, one_column),
+    )
+    assert len(set(batch.steps)) > 1
+
+
+def test_the_loop_with_the_largest_majorant_sets_the_shared_term_count():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    punctures = np.array([0.0, 1.0, 3.0 + 2.0j])
+    residues = np.array([0.6 * x, -0.6 * x - 0.01 * y, 0.01 * y])
+    loops = [circle_loop(a, 0.3) for a in punctures] + standard_loops(punctures)[0]
+    system = FuchsianSystem(punctures, list(residues))
+    batch, singles = _assert_batch_matches_reference(
+        verify._fuchsian_expansion(system),
+        reference_fuchsian_expansion(punctures, residues),
+        [lp.pieces for lp in loops],
+        np.eye(3),
+    )
+    terms = [s.terms for s in singles]
+    # the small circle around a_2 sees only B_2 at full weight; the circle
+    # around a_0 and the connectors near the basepoint see the large B_0
+    assert batch.terms == max(terms) > terms[0] > terms[2]
+    assert len(set(batch.steps)) > 1
+
+
+def test_batched_loops_keep_their_clearance_guard():
+    system = FuchsianSystem([0.0, 1.0], [np.array([[0.25]]), np.array([[-0.25]])])
+    loops, _ = standard_loops(system.punctures)
+    transport = integrate_fuchsian(system, loops)
+    assert [g.shape for g in transport.frames] == [(1, 1), (1, 1)]
+    near = circle_loop(0.0, 1.0 + 5e-7)  # passes 5e-7 from the puncture at 1
+    with pytest.raises(IntegrationError, match="loop 2"):
+        integrate_fuchsian(system, loops + [near])
+    with pytest.raises(IntegrationError, match="loop 0"):
+        integrate_fuchsian(system, [near] + loops)
+    with pytest.raises(ValueError):
+        integrate_fuchsian(system, [])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, data):
+    """Liouville's formula per loop and the telescoping product, to derived bounds.
+
+    Error model, to first order in u = eps/2: each of the S_j steps of
+    loop j sums `terms` = K Taylor terms, and every term perturbs the
+    frame it moves by at most u relative, so the computed G_j carries a
+    relative error delta_j <= S_j K u.  Then
+    * det is multiplicative and d(det G)/det G = tr(G^-1 dG), so
+      |det G_j exp(2 pi i tr B_j) - 1| <= r norm(G_j^-1) norm(dG_j)
+      <= r kappa(G_j) delta_j;
+    * the exact product is I and each factor moves by delta_j norm(G_j),
+      so norm(prod G - I) <= sum_j delta_j prod_i norm(G_i).
+    """
+    n, r = shape
+    parts = data.draw(arrays(np.float64, (2, n, r, r), elements=st.floats(-1.0, 1.0)))
+    xs = 0.5 * (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    residues = xs - xs.mean(axis=0)  # entries of modulus <= 1
+    system = FuchsianSystem(sorted_punctures(np.random.default_rng(seed), n), list(residues))
+    report = monodromy_report(system)
+    u = np.finfo(float).eps / 2.0
+    delta = [steps * report.terms * u for steps in report.loop_steps]
+    for g, b, d, defect in zip(report.loop_matrices, residues, delta, report.liouville_defects):
+        assert defect == abs(np.linalg.det(g) * np.exp(2j * np.pi * np.trace(b)) - 1.0)
+        assert defect <= r * np.linalg.cond(g, 2) * d
+    norms = np.prod([np.linalg.norm(g, 2) for g in report.loop_matrices])
+    assert report.product_defect <= sum(delta) * norms
