@@ -11,8 +11,6 @@ from .series import (
     ShapeMismatchError,
     SingularLeadingCoefficientError,
     WeightDiagonal,
-    series_arith,
-    series_inverse,
     twist,
 )
 from .eigen import (

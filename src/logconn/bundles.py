@@ -443,37 +443,39 @@ _SPAN_TOL = 1e-10  # relative rank tolerance of the algebra span
 _PROBES = 8  # random algebra elements tried for a simple spectrum
 
 
-def _algebra_span(matrices):
-    """Words in the matrices spanning the algebra they generate (Burnside search).
+def _span_closure(seed, images):
+    """Arrays shaped like `seed` spanning the smallest space that holds it
+    and is closed under `images`, a linear map from a stack of such
+    arrays to the stack of their images under every generator (Burnside
+    search).  Each array is handled as the row of its entries.
 
-    Level k + 1 multiplies the words level k added by every generator;
-    longer words add nothing else, so each level grows the span or ends
-    the search, which therefore stops within r^2 levels.  A level is
-    decided as one batch.  One batched product forms its words, each
-    scaled by 1 / max(1, |word|), and two block passes project them off
-    the orthonormal basis of the span so far (the second restores the
+    Level k + 1 maps the rows level k added; images of older rows add
+    nothing else, so each level grows the span or ends the search,
+    which therefore stops within as many levels as a row has entries.
+    A level is decided as one batch.  Its images, each scaled by
+    1 / max(1, |image|), are projected in two block passes off the
+    orthonormal basis of the span so far (the second restores the
     orthogonality the first loses to cancellation).  One pivoted QR of
     the residuals then takes the largest remaining residual first and
-    stops once every residual left is at most _SPAN_TOL: the words it
-    took are kept, and every word it left lies within _SPAN_TOL of the
+    stops once every residual left is at most _SPAN_TOL: the images it
+    took are kept, and every image it left lies within _SPAN_TOL of the
     span.  The kept residuals' orthonormal basis is projected off the
-    old basis once more and re-orthonormalized before it joins it (block
-    Gram-Schmidt with reorthogonalization), so the basis stays
+    old basis once more and re-orthonormalized before it joins it
+    (block Gram-Schmidt with reorthogonalization), so the basis stays
     orthonormal to rounding however small the kept residuals are.
 
-    A kept word is stored as its product scaled to unit norm, not as its
+    A kept row is stored as its image scaled to unit norm, not as its
     orthonormalized residual: the residual carries the cancellation
-    error of its projection, which products with an ill-conditioned
-    generator would lift above _SPAN_TOL.  Kept words stay in the
-    level's order.
+    error of its projection, which images under an ill-conditioned
+    generator would lift above _SPAN_TOL.  Kept rows follow the seed in
+    the level's order.
     """
-    r = matrices.shape[-1]
-    words = frontier = np.eye(r, dtype=np.complex128)[None]
-    basis = frontier.reshape(-1, 1) / np.sqrt(r)
-    while len(frontier) and len(words) < r * r:
-        level = (frontier[:, None] @ matrices[None]).reshape(-1, r, r)
-        norms = np.linalg.norm(level, axis=(1, 2))
-        x = level.reshape(len(level), -1).T / np.maximum(1.0, norms)
+    rows = frontier = seed.reshape(1, -1)
+    basis = rows.T / np.linalg.norm(seed)
+    while len(frontier) and len(rows) < seed.size:
+        level = images(frontier.reshape(-1, *seed.shape)).reshape(-1, seed.size)
+        norms = np.linalg.norm(level, axis=1)
+        x = level.T / np.maximum(1.0, norms)
         x = x - basis @ (basis.conj().T @ x)
         x = x - basis @ (basis.conj().T @ x)
         if np.max(np.linalg.norm(x, axis=0)) <= _SPAN_TOL:
@@ -483,9 +485,15 @@ def _algebra_span(matrices):
         new = q[:, :rank] - basis @ (basis.conj().T @ q[:, :rank])
         basis = np.hstack([basis, np.linalg.qr(new)[0]])
         kept = np.sort(piv[:rank])
-        frontier = level[kept] / norms[kept, None, None]
-        words = np.concatenate([words, frontier])
-    return words
+        frontier = level[kept] / norms[kept, None]
+        rows = np.concatenate([rows, frontier])
+    return rows.reshape(-1, *seed.shape)
+
+
+def _algebra_span(matrices):
+    """Words spanning the algebra the matrices generate: span{I} closed under right multiplication."""
+    r = matrices.shape[-1]
+    return _span_closure(np.eye(r, dtype=np.complex128), lambda w: (w[:, None] @ matrices).reshape(-1, r, r))
 
 
 def _eigvecs_distinct(m, tol=1e-8):

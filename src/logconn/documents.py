@@ -10,8 +10,8 @@ Serialization is canonical: the stdlib's C encoder with keys sorted and
 no whitespace, floats printed as Python's repr (the shortest string that
 reads back to the same double), so canonical documents round-trip
 byte-identically.  Matrices are encoded and decoded as whole arrays; the
-reader refuses null, NaN, Infinity and string entries, and payloads of
-the wrong JSON type.
+reader refuses null, NaN, Infinity, string and boolean entries, and
+payloads of the wrong JSON type.
 """
 
 import json
@@ -82,6 +82,11 @@ def _refuse_constant(name):
     raise DocumentError(f"non-finite number {name} in document")
 
 
+def _has_boolean(obj):
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return isinstance(obj, bool) or any(map(_has_boolean, items))
+
+
 def parse_document(text, expected_kind=None):
     try:
         doc = json.loads(text, parse_constant=_refuse_constant)
@@ -95,6 +100,10 @@ def parse_document(text, expected_kind=None):
         raise DocumentError(f"unknown document kind {doc['kind']!r}")
     if expected_kind is not None and doc["kind"] != expected_kind:
         raise DocumentError(f"expected a {expected_kind} document, got {doc['kind']}")
+    # no input kind has a boolean field, and numpy reads one among numbers as 0 or 1;
+    # the exact search runs only on texts that hold one, so clean documents pay no scan
+    if doc["kind"] != "report" and ("true" in text or "false" in text) and _has_boolean(doc):
+        raise DocumentError(f"a {doc['kind']} document takes no booleans")
     return doc
 
 
@@ -102,9 +111,10 @@ def _complex_array(obj, ndim, what):
     """`obj`, nested arrays of [re, im] pairs, as a complex array with `ndim` axes."""
     try:
         a = np.asarray(obj)
-        # strings are refused, nulls read as NaN and are refused below
-        strings = a.dtype.kind == "U" or (a.dtype == object and any(isinstance(x, str) for x in a.flat))
-        a = None if strings else a.astype(np.float64, copy=False)
+        # strings and all-boolean arrays are refused (parse_document refuses a
+        # boolean among numbers); nulls read as NaN and are refused below
+        refused = a.dtype.kind in "Ub" or (a.dtype == object and any(isinstance(x, (str, bool)) for x in a.flat))
+        a = None if refused else a.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         a = None  # an object in place of a number, or ragged nesting
     if a is None or a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in a.shape:

@@ -24,8 +24,6 @@ __all__ = [
     "as_matrix",
     "MatrixSeries",
     "WeightDiagonal",
-    "series_arith",
-    "series_inverse",
     "twist",
 ]
 
@@ -278,20 +276,6 @@ class WeightDiagonal:
 
     def shifted(self, offset):
         return WeightDiagonal(tuple(x + int(offset) for x in self.entries))
-
-
-def series_arith(a, b, op):
-    """Truncated series arithmetic by name: op is "add" or "mul"."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def series_inverse(a, cond_threshold=1e12):
-    """Series inverse (function form of :meth:`MatrixSeries.inverse`)."""
-    return a.inverse(cond_threshold)
 
 
 def _weight_entries(phi):

@@ -26,8 +26,9 @@ from .bundles import (
     invariant_subspaces,
     semistable,
     _orthonormalize,
+    _span_closure,
 )
-from .eigen import CLUSTER_TOL, _chain, eigenvalues, norm_log, norm_log_scalar, schur, spectral_split
+from .eigen import CLUSTER_TOL, _chain, clustered_schur, eigenvalues, norm_log, norm_log_scalar, schur
 from .series import MatrixSeries, WeightDiagonal, as_matrix
 
 __all__ = [
@@ -735,16 +736,10 @@ class NotCyclicError(ValueError):
     pass
 
 
-def _krylov_span(matrices, seed_vec, tol=1e-9):
-    """Orthonormal basis of the module generated by a vector."""
-    r = len(seed_vec)
-    basis = _orthonormalize(np.reshape(seed_vec, (r, 1)), tol)
-    frontier = basis
-    while frontier.shape[1] and basis.shape[1] < r:
-        k = basis.shape[1]
-        basis = _orthonormalize(np.hstack([g @ frontier for g in matrices]), tol, basis)
-        frontier = basis[:, k:]
-    return basis
+def _module_rank(matrices, v):
+    """Rank of the module the matrices generate from v: span{v} closed under them (bundles._span_closure)."""
+    mats, seed = np.asarray(matrices), np.asarray(v, dtype=np.complex128)
+    return len(_span_closure(seed, lambda u: np.swapaxes(mats @ u.T, 1, 2).reshape(-1, len(seed))))
 
 
 @dataclass(frozen=True)
@@ -781,11 +776,9 @@ def cyclic_weight_plan(rep, k, h, bounds, tol=1e-8):
     lam = (h.conj() @ gk @ h) / (h.conj() @ h)
     if np.linalg.norm(gk @ h - lam * h) > tol * np.linalg.norm(gk, 2) * np.linalg.norm(h):
         raise NotEigenvectorError("h is not an eigenvector of the loop matrix at k")
-    kry = _krylov_span(mats, h)
-    if kry.shape[1] < r:
-        raise NotCyclicError(
-            f"module generated by h has rank {kry.shape[1]} < {r}"
-        )
+    rank = _module_rank(mats, h)
+    if rank < r:
+        raise NotCyclicError(f"module generated by h has rank {rank} < {r}")
 
     gap = max((r - 1) * (n - 2), 1)
     top = bounds[k] + (r - 1) * (n - 2)
@@ -902,11 +895,9 @@ def double_rank_embedding(rep, tol=1e-10):
     image = mats[0] @ e_last
     if np.linalg.norm(image - e_last) > 1e-9:
         raise AssertionError("e_{2r} is not fixed by the first block matrix")
-    kry = _krylov_span(mats, e_last)
-    if kry.shape[1] < 2 * r:
-        raise NotCyclicError(
-            f"e_2r generates rank {kry.shape[1]} < {2 * r}; input not normalized?"
-        )
+    rank = _module_rank(mats, e_last)
+    if rank < 2 * r:
+        raise NotCyclicError(f"e_2r generates rank {rank} < {2 * r}; input not normalized?")
     return Representation(rep.punctures, tuple(mats), rep.basepoint)
 
 
@@ -914,23 +905,28 @@ def double_rank_embedding(rep, tol=1e-10):
 # rank-three decision
 
 
-def _jordan_blocks(g, split):
-    """Number of Jordan blocks of g: the nullities of g - mu I over the clusters of its split."""
-    svals = [np.linalg.svd(g - mu * np.eye(len(g)), compute_uv=False) for mu, _, _ in split.clusters]
+def _distinct_means(g):
+    """The cluster means of g (:func:`clustered_schur`), each once, in Schur order."""
+    return list(dict.fromkeys(clustered_schur(g)[2].tolist()))
+
+
+def _jordan_blocks(g, means):
+    """Number of Jordan blocks of g: the nullities of g - mu I at its distinct cluster means."""
+    svals = [np.linalg.svd(g - mu * np.eye(len(g)), compute_uv=False) for mu in means]
     return sum(int(np.sum(s <= 1e-7 * max(1.0, s[0]))) for s in svals)
 
 
 def jordan_block_count(g):
     """Total number of Jordan blocks: sum of geometric multiplicities."""
     g = as_matrix(g, square=True)
-    return _jordan_blocks(g, spectral_split(g))
+    return _jordan_blocks(g, _distinct_means(g))
 
 
-def _exponent_obstruction(counts, splits):
-    """bt_obstruction from the Jordan block count and the spectral split of each loop matrix."""
+def _exponent_obstruction(counts, means):
+    """bt_obstruction from the Jordan block count and the distinct cluster means of each loop matrix."""
     if any(count != 1 for count in counts):
         return False, None
-    return True, complex(sum(norm_log_scalar(split.clusters[0][0]) for split in splits))
+    return True, complex(sum(norm_log_scalar(m[0]) for m in means))
 
 
 def bt_obstruction(rep):
@@ -941,8 +937,8 @@ def bt_obstruction(rep):
     a non-integer value obstructs any trivial-bundle realization of a
     reducible representation of this shape.
     """
-    splits = [spectral_split(g) for g in rep.matrices]
-    return _exponent_obstruction([_jordan_blocks(g, s) for g, s in zip(rep.matrices, splits)], splits)
+    means = [_distinct_means(g) for g in rep.matrices]
+    return _exponent_obstruction([_jordan_blocks(g, m) for g, m in zip(rep.matrices, means)], means)
 
 
 class Rank3Verdict(Enum):
@@ -968,8 +964,8 @@ def rank3_decide(rep, seed=0):
     criterion needs the canonical extension's splitting type, which is
     not computed here).
 
-    Each loop matrix is factored once: one spectral split gives both its
-    Jordan block count and its scalar exponent.  The split's clusters
+    Each loop matrix is factored once: its clustered Schur form gives
+    both its Jordan block count and its scalar exponent.  The clusters
     have the radius that rounding of a defective eigenvalue needs
     (eigen._cluster_means), so a conjugated Jordan block counts as one block
     in any basis, and the verdict does not depend on the frame.
@@ -979,8 +975,8 @@ def rank3_decide(rep, seed=0):
     enum = invariant_subspaces(rep, seed=seed)
     if enum.complete and not enum.subspaces:
         return Rank3Decision(Rank3Verdict.REALIZABLE, "irreducible")
-    splits = [spectral_split(g) for g in rep.matrices]
-    counts = [_jordan_blocks(g, s) for g, s in zip(rep.matrices, splits)]
+    means = [_distinct_means(g) for g in rep.matrices]
+    counts = [_jordan_blocks(g, m) for g, m in zip(rep.matrices, means)]
     for j, cnt in enumerate(counts):
         if cnt >= 2:
             return Rank3Decision(
@@ -990,7 +986,7 @@ def rank3_decide(rep, seed=0):
             )
     reducible_witness = len(enum.subspaces) > 0
     if reducible_witness and all(c == 1 for c in counts):
-        applies, mu_sum = _exponent_obstruction(counts, splits)
+        applies, mu_sum = _exponent_obstruction(counts, means)
         if applies and (
             abs(mu_sum.imag) > 1e-6 or abs(mu_sum.real - round(mu_sum.real)) > 1e-6
         ):

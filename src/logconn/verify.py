@@ -103,27 +103,7 @@ class LoopPath:
     def clearance(self, points):
         """Minimum distance from the path to any of the given points."""
         points = np.asarray(points, dtype=np.complex128)
-        best = math.inf
-        for piece in self.pieces:
-            if piece[0] == "line":
-                _, z0, z1 = piece
-                d = z1 - z0
-                L2 = abs(d) ** 2
-                for a in points:
-                    if L2 == 0.0:
-                        best = min(best, abs(z0 - a))
-                        continue
-                    t = np.clip(((a - z0) * np.conj(d)).real / L2, 0.0, 1.0)
-                    best = min(best, abs(z0 + t * d - a))
-            else:
-                _, c, r, t0, t1 = piece
-                if abs(t1 - t0) >= 2.0 * np.pi - 1e-12:
-                    best = min([best, *(abs(abs(a - c) - r) for a in points)])
-                    continue
-                zs = c + r * np.exp(1j * np.linspace(t0, t1, 181))
-                for a in points:
-                    best = min(best, float(np.min(np.abs(zs - a))))
-        return best
+        return min(float(np.min(_piece_distance(piece, points), initial=math.inf)) for piece in self.pieces)
 
     def winding_number(self, a):
         """Winding of the closed path around a (integer)."""
@@ -189,19 +169,37 @@ def relation_order(punctures, basepoint):
     return tuple(int(i) for i in np.argsort(-angles, kind="stable"))
 
 
+def _segment_distance(z0, z1, points):
+    """Distance from each point to the segment [z0, z1] (arrays broadcast): the projection
+    onto its line, clamped to the segment.  Each operation rounds as numpy's scalar
+    arithmetic does (hypot moduli, no fused multiply-add, |d|^2 by pow), so a standard
+    loop's radius does not depend on how many punctures share the call."""
+    d, u = z1 - z0, points - z0
+    length2 = np.float_power(np.hypot(np.real(d), np.imag(d)), 2)
+    t = np.clip((u.real * np.real(d) + u.imag * np.imag(d)) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    w = z0 + t * d - points
+    return np.hypot(w.real, w.imag)
+
+
+def _piece_distance(piece, points):
+    """Distance from each point to a path piece, in closed form.  On an arc about c the
+    circle's nearest point to a lies on the ray through a, at ||a - c| - r|; off the
+    sweep the distance grows with the angle from that ray, so the nearer end is nearest."""
+    if piece[0] == "line":
+        return _segment_distance(piece[1], piece[2], points)
+    _, c, r, t0, t1 = piece
+    lo, sweep = min(t0, t1), abs(t1 - t0)
+    inside = np.mod(np.angle(points - c) - lo, 2.0 * np.pi) <= sweep  # all points for a full circle
+    ends = np.minimum(np.abs(c + r * np.exp(1j * t0) - points), np.abs(c + r * np.exp(1j * t1) - points))
+    return np.where(inside, np.abs(np.abs(points - c) - r), ends)
+
+
 def _connector_clearance(punctures, basepoint):
     """Smallest distance of any connector segment to a foreign puncture."""
     punctures = np.asarray(punctures, dtype=np.complex128)
-    clearance = math.inf
-    for j, a in enumerate(punctures):
-        d = a - basepoint
-        L2 = abs(d) ** 2
-        for m, b in enumerate(punctures):
-            if m == j:
-                continue
-            t = np.clip(((b - basepoint) * np.conj(d)).real / L2, 0.0, 1.0)
-            clearance = min(clearance, abs(basepoint + t * d - b))
-    return clearance
+    dist = _segment_distance(basepoint, punctures[:, None], punctures[None, :])  # connector j, puncture m
+    np.fill_diagonal(dist, math.inf)
+    return float(np.min(dist, initial=math.inf))
 
 
 def standard_loops(punctures, basepoint=None, radius_factor=0.5):

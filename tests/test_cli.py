@@ -439,6 +439,14 @@ def test_malformed_payloads_exit_2(tmp_path, capsys, case):
     assert json.loads(err) == {"message": message, "reason": "DocumentError"}
 
 
+def test_boolean_entry_in_a_representation_exits_2(tmp_path, capsys):
+    payload = {"matrices": [[[[True, 0.0]]], [[[1.0, 0.0]]]], "punctures": [[0.0, 0.0], [1.0, 0.0]]}
+    path = write(tmp_path, "rep.json", "representation", payload)
+    code, out, err = run(["normlog", path], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"message": "a representation document takes no booleans", "reason": "DocumentError"}
+
+
 def test_non_finite_constant_in_a_representation_exits_2(tmp_path, capsys):
     path = tmp_path / "rep.json"
     payload = '{"matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]], "punctures": [[NaN, 0.0], [1.0, 0.0]]}'

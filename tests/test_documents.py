@@ -81,6 +81,17 @@ def test_reader_refuses_non_finite_constants(constant):
     assert not np.isfinite(json.loads(text)["payload"]["punctures"][0][0])
 
 
+def test_reader_refuses_booleans_where_numbers_belong():
+    with pytest.raises(doc.DocumentError, match="matrix must be"):
+        doc.decode_matrix([[[True, False]]])
+    payload = '{"matrices": [[[[true, 2.0]]]], "punctures": [[0.0, 0.0]]}'
+    text = f'{{"kind": "representation", "payload": {payload}, "version": "1"}}'
+    with pytest.raises(doc.DocumentError, match="representation document takes no booleans"):
+        doc.parse_document(text)
+    # a report may hold booleans
+    assert doc.parse_document('{"kind": "report", "payload": {"ok": true}, "version": "1"}')["payload"] == {"ok": True}
+
+
 def test_decoders_name_the_offending_matrix():
     with pytest.raises(doc.DocumentError, match="residue 1 has a null"):
         doc.decode_system({"punctures": [[0.0, 0.0], [1.0, 0.0]], "residues": [[[[0.0, 0.0]]], [[[None, 0.0]]]]})

@@ -5,8 +5,6 @@ from logconn import (
     MatrixSeries,
     NegativeValuationError,
     WeightDiagonal,
-    series_arith,
-    series_inverse,
     twist,
 )
 from logconn.series import ShapeMismatchError, SingularLeadingCoefficientError
@@ -143,17 +141,6 @@ def test_twist_round_trip(rng):
     back, _ = twist(twisted, [-p for p in phi_out.entries], [-p for p in phi_in.entries])
     n = min(back.order, s.order)
     assert np.allclose(back.coeffs[: n + 1], s.coeffs[: n + 1])
-
-
-def test_series_function_forms(rng):
-    a = rand_series(rng, 3, 2)
-    b = rand_series(rng, 3, 2)
-    assert series_arith(a, b, "add").allclose(a + b)
-    assert series_arith(a, b, "mul").allclose(a * b)
-    with pytest.raises(ValueError):
-        series_arith(a, b, "pow")
-    c = a + MatrixSeries.constant(3 * np.eye(2), 3)
-    assert series_inverse(c).allclose(c.inverse())
 
 
 def test_weight_diagonal_blocks():

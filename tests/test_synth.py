@@ -27,7 +27,7 @@ from logconn import (
     splitting_bound_check,
     validate_weight_family,
 )
-from logconn.bundles import WeightedFlag, WeightedFlatBundle, degree
+from logconn.bundles import WeightedFlag, WeightedFlatBundle, _orthonormalize, degree
 from logconn.eigen import norm_log, norm_log_scalar, spectral_split
 from logconn.synth import (
     DisorderedWeightsError,
@@ -35,6 +35,7 @@ from logconn.synth import (
     NonCommutingError,
     NotCyclicError,
     NotEigenvectorError,
+    _module_rank,
     _smith_solve,
     permutation_matrix,
 )
@@ -216,14 +217,14 @@ def test_commutative_branch_cut_accuracy():
     assert max(_expm_error(commutative_fuchsian(rep), rep) for rep in reps) <= 1e-12
 
 
-def test_commutative_makes_one_norm_log_call_per_puncture_and_no_spectral_split(monkeypatch):
+def test_commutative_makes_one_norm_log_call_per_puncture_and_no_clustered_schur(monkeypatch):
     import logconn.synth as synth
 
-    calls = {"spectral_split": [], "norm_log": []}
+    calls = {"clustered_schur": [], "norm_log": []}
     for name, record in calls.items():
         monkeypatch.setattr(synth, name, lambda g, f=getattr(synth, name), rec=record: rec.append(g) or f(g))
     commutative_fuchsian(_defective_commuting(np.random.default_rng(1), 4, 6))
-    assert (len(calls["spectral_split"]), len(calls["norm_log"])) == (0, 4)
+    assert (len(calls["clustered_schur"]), len(calls["norm_log"])) == (0, 4)
 
 
 def _inconsistent_commuting():
@@ -541,6 +542,42 @@ def test_cyclic_weight_plan_rejects_noncyclic():
         cyclic_weight_plan(rep, 0, np.array([1.0, 0.0]), [0, 0])
 
 
+def reference_krylov_span(matrices, v, tol=1e-9):
+    """Orthonormal basis of the module the matrices generate from v, one column at a time."""
+    basis = frontier = _orthonormalize(np.reshape(v, (-1, 1)), tol)
+    while frontier.shape[1] and basis.shape[1] < len(v):
+        k = basis.shape[1]
+        basis = _orthonormalize(np.hstack([g @ frontier for g in matrices]), tol, basis)
+        frontier = basis[:, k:]
+    return basis
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    r=st.integers(2, 7),
+    n=st.integers(1, 3),
+    inside=st.booleans(),
+    spread=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_module_rank_matches_the_columnwise_krylov_span(r, n, inside, spread, seed, data):
+    # block upper-triangular generators keep span(e_1..e_k) invariant: a v
+    # inside it generates that k-dimensional module, a generic v all of C^r;
+    # a frame I + spread G moves the invariant subspace off the axes
+    k = data.draw(st.integers(1, r - 1))
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
+    mats[:, k:, :k] = 0.0
+    s = np.eye(r) + spread * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))) / np.sqrt(2 * r)
+    mats = s @ mats @ np.linalg.inv(s)
+    m = k if inside else r
+    v = s @ np.concatenate([rng.normal(size=m) + 1j * rng.normal(size=m), np.zeros(r - m)])
+    rank = _module_rank(mats, v)
+    assert rank == reference_krylov_span(list(mats), v).shape[1]
+    assert rank == m
+
+
 def test_double_rank_embedding(rng):
     for _ in range(3):
         n = int(rng.integers(3, 6))
@@ -650,8 +687,8 @@ def test_rank3_decide_splits_each_loop_matrix_once(monkeypatch):
     import logconn.synth as synth
 
     calls = []
-    original = synth.spectral_split
-    monkeypatch.setattr(synth, "spectral_split", lambda g: calls.append(g) or original(g))
+    original = synth.clustered_schur
+    monkeypatch.setattr(synth, "clustered_schur", lambda g: calls.append(g) or original(g))
     decision = rank3_decide(Representation([0.0, 1.0, 2.0], _jordan_rank3(np.random.default_rng(3))))
     assert decision.certificate == "splitting-type-needed"
     assert len(calls) == 3

@@ -523,6 +523,36 @@ def test_the_loop_with_the_largest_majorant_sets_the_shared_term_count():
     assert len(set(batch.steps)) > 1
 
 
+def test_clearance_of_a_partial_arc_is_exact():
+    # a puncture 1e-9 outside a half circle, midway between two of the
+    # one-degree samples an arc's clearance was once read from (8.7e-3)
+    theta = 90.5 * np.pi / 180
+    puncture = (1.0 + 1e-9) * np.exp(1j * theta)
+    loop = LoopPath((("arc", 0, 1, 0, np.pi), ("line", -1, 1)))
+    assert abs(loop.clearance([puncture]) - 1e-9) <= 1e-15
+    system = FuchsianSystem([puncture, 3.0], [np.array([[0.25]]), np.array([[-0.25]])])
+    with pytest.raises(IntegrationError, match="loop 0"):
+        integrate_fuchsian(system, loop)
+
+
+def test_piece_distances_match_dense_sampling():
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 1.0, 20001)
+    for _ in range(100):
+        points = 2.0 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        z0, z1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        t0 = rng.uniform(-2 * np.pi, 2 * np.pi)
+        sweep = rng.uniform(0.1, 2 * np.pi) * rng.choice([-1, 1])  # clockwise arcs as reversed loops have
+        arc = ("arc", complex(rng.normal()), float(rng.uniform(0.2, 2.0)), t0, t0 + sweep)
+        for piece in (("line", z0, z1), ("line", z0, z0), arc):
+            point, length = verify._piece_point(piece)
+            dense = np.abs(point(ts)[:, None] - points).min(axis=0)
+            exact = verify._piece_distance(piece, points)
+            # the samples lie on the piece, one within length / 4e4 of its nearest point
+            assert np.all(exact <= dense + 1e-12)
+            assert np.all(dense - exact <= length / 4e4 + 1e-12)
+
+
 def test_batched_loops_keep_their_clearance_guard():
     system = FuchsianSystem([0.0, 1.0], [np.array([[0.25]]), np.array([[-0.25]])])
     loops, _ = standard_loops(system.punctures)
