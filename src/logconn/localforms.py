@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 _RESONANCE_SVAL = 1e-8
+# Bytes of block operators one stacked SVD takes (at least one degree's).
+# At r = 16 with one weight class a degree's operator alone is 1 MiB, so
+# there each degree goes alone and memory stays that of one degree.
+_WINDOW_GROUP_BYTES = 1 << 20
 
 
 class IllConditionedBlockError(RuntimeError):
@@ -141,6 +145,29 @@ def normal_form_b_series(k, phi, order):
     return twisted.pad(max(order, gaps))
 
 
+def _window_svds(a0_arr, slices, degrees):
+    """SVDs of the block operators for each degree j in `degrees`.
+
+    The operator X -> (j I + T_ii) X - X T_mm of block pair (i, m) acts
+    on column-major vec(X) as kron(I, j I + T_ii) - kron(T_mm^T, I).
+    Every pair takes one stacked SVD over the degrees, which runs the
+    same ``zgesdd`` per matrix as one call per degree.  Returns
+    ``{j: {(i, m): (u, svals, vh)}}``.
+    """
+    jj = np.asarray(degrees, dtype=float)[:, None, None]
+    out = {j: {} for j in degrees}
+    for i, si in enumerate(slices):
+        di = si.stop - si.start
+        lefts = jj * np.eye(di) + a0_arr[si, si]
+        for mm, sm in enumerate(slices):
+            dm = sm.stop - sm.start
+            ops = np.kron(np.eye(dm), lefts) - np.kron(a0_arr[sm, sm].T, np.eye(di))
+            us, svals, vhs = np.linalg.svd(ops)
+            for g, j in enumerate(degrees):
+                out[j][i, mm] = us[g], svals[g], vhs[g]
+    return out
+
+
 def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
     """Gauge-fix a local logarithmic connection to its normal form.
 
@@ -169,8 +196,9 @@ def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
     (j I + A0) M^j - M^j A0 = R^{j-1} with triangular coefficients,
     which one LAPACK ``ztrsyl`` back substitution solves (Bartels &
     Stewart, CACM 15, 1972).  Only the degrees j <= s + cutoff take the
-    SVD of every block operator; resonance decisions, cokernel
-    corrections and warnings all come from there.
+    SVD of every block operator, one stacked SVD per block pair for a
+    group of degrees (:func:`_window_svds`); resonance decisions,
+    cokernel corrections and warnings all come from there.
     """
     r = conn.rank
     n = conn.order
@@ -189,25 +217,30 @@ def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
     m[0] = np.eye(r)
     warnings = []
     s = 2.0 * np.linalg.norm(a0_arr, 2)
+    window = [j for j in range(1, n + 1) if not j - s > resonance_sval * max(1.0, j + s)]
+    # a degree's operators hold sum_{i,m} (d_i d_m)^2 = (sum_i d_i^2)^2 entries
+    group = max(1, _WINDOW_GROUP_BYTES // (16 * sum((sl.stop - sl.start) ** 2 for sl in slices) ** 2))
+    svds = {}
 
     for j in range(1, n + 1):
         terms = m[1:j] @ b[j - 1 : 0 : -1] - a_arr[j - 1 : 0 : -1] @ m[1:j]
         rhs = np.concatenate([-a_arr[j : j + 1], terms]).sum(axis=0)
-        if j - s > resonance_sval * max(1.0, j + s):
+        if j not in window:
             x, scale, _ = scipy.linalg.lapack.ztrsyl(j * np.eye(r) + a0_arr, a0_arr, rhs, isgn=-1)
             m[j] = x / scale
             if not np.all(np.isfinite(m[j])):
                 raise IllConditionedBlockError("non-finite triangular solve", ("*", "*", j))
             continue
+        if j not in svds:
+            start = window.index(j)
+            svds = _window_svds(a0_arr, slices, window[start : start + group])
         for i in range(l):
             for mm in range(l):
                 si, sm = slices[i], slices[mm]
                 di, dm = si.stop - si.start, sm.stop - sm.start
-                left = j * np.eye(di) + a0_arr[si, si]
-                op = np.kron(np.eye(dm), left) - np.kron(a0_arr[sm, sm].T, np.eye(di))
+                u, svals, vh = svds[j][i, mm]
                 rvec = rhs[si, sm].flatten(order="F")
                 resonant = values[i] - j == values[mm]
-                u, svals, vh = np.linalg.svd(op)
                 smax = svals[0] if len(svals) else 0.0
                 cutoff = resonance_sval * max(1.0, smax)
                 small = svals <= cutoff
@@ -255,10 +288,7 @@ def gauge_residual(conn, nf):
     n = conn.order
     lhs = nf.m.z_derivative()
     rhs = nf.m * nf.b.truncate(n).pad(n) - a_arr * nf.m
-    worst = 0.0
-    for j in range(n + 1):
-        worst = max(worst, float(np.linalg.norm(lhs.coeffs[j] - rhs.coeffs[j], 2)))
-    return worst
+    return float(np.linalg.norm(lhs.coeffs[: n + 1] - rhs.coeffs[: n + 1], 2, axis=(1, 2)).max())
 
 
 def fundamental_check(nf, tol=1e-7, conn=None, radius=0.5):
@@ -326,13 +356,12 @@ def convergence_diagnostic(conn, nf, delta):
     a_arr = arranged_series(conn, nf.t)
     n = conn.order
     b = nf.b.truncate(n).pad(n)
-    norms_a = [float(np.linalg.norm(a_arr.coeffs[j], 2)) for j in range(n + 1)]
-    norms_b = [float(np.linalg.norm(b.coeffs[j], 2)) for j in range(n + 1)]
-    norms_m = [float(np.linalg.norm(nf.m.coeffs[j], 2)) for j in range(n + 1)]
+    stack = np.concatenate([a_arr.coeffs[: n + 1], b.coeffs[: n + 1], nf.m.coeffs[: n + 1]])
+    norms_a, norms_b, norms_m = np.linalg.norm(stack, 2, axis=(1, 2)).reshape(3, n + 1).tolist()
     c0 = 2 * int(math.floor(norms_a[0])) + 2
     cj = [0.0] + [norms_a[j] + norms_b[j] for j in range(1, n + 1)]
     eps0 = 1.0
-    big_c = max(2.0, 1.000001 * max(cj[1:], default=1.0), 1.000001 * 1.0)
+    big_c = max(2.0, 1.000001 * max(cj[1:], default=1.0))
     delta_max = eps0 / (2.0 * big_c)
     in_range = delta <= delta_max
     big_d = sum(norms_m[j] * delta ** j for j in range(0, min(c0, n) + 1))

@@ -60,6 +60,12 @@ def as_matrix(a, square=False):
     return m
 
 
+def last_nonzero(coeffs):
+    """Index of the last coefficient with a nonzero entry, -1 for an all-zero stack."""
+    nonzero = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
+    return int(nonzero[-1]) if nonzero.size else -1
+
+
 @dataclass(frozen=True)
 class MatrixSeries:
     """Truncated power series sum_{j<=N} coeffs[j] z^j with matrix coefficients.
@@ -168,9 +174,14 @@ class MatrixSeries:
             )
         n = min(self.order, other.order)
         mixed = self.order != other.order
-        out = np.array(
-            [np.einsum("kab,kbc->ac", self.coeffs[: j + 1], other.coeffs[j::-1]) for j in range(n + 1)]
-        )
+        # a product with an exactly zero factor adds nothing to the sum, so
+        # each degree runs only over the coefficients up to each operand's
+        # last nonzero one (a padded polynomial such as a normal form's B)
+        da, db = last_nonzero(self.coeffs[: n + 1]), last_nonzero(other.coeffs[: n + 1])
+        out = np.zeros((n + 1, self.dim_out, other.dim_in), dtype=np.complex128)
+        for j in range(min(n, da + db) + 1):
+            lo, hi = max(0, j - db), min(j, da)
+            out[j] = np.einsum("kab,kbc->ac", self.coeffs[lo : hi + 1], other.coeffs[j - hi : j - lo + 1][::-1])
         return MatrixSeries(out, truncated=mixed or self.truncated or other.truncated)
 
     def __rmul__(self, other):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import floor_snap
-from .series import as_matrix
+from .series import as_matrix, last_nonzero
 
 __all__ = [
     "IntegrationError",
@@ -106,7 +106,15 @@ class LoopPath:
         return min(float(np.min(_piece_distance(piece, points), initial=math.inf)) for piece in self.pieces)
 
     def winding_number(self, a):
-        """Winding of the closed path around a (integer)."""
+        """Winding of the closed path around a (integer).
+
+        Each piece adds its change of arg(z - a) in closed form.  A segment,
+        and an arc about c when a lies outside its circle, see a within an
+        angle below pi: the principal argument of (z1 - a)/(z0 - a).  Inside
+        the circle, arg(z - a) = t + arg((z - a)/(z - c)) on the arc, where
+        the last term stays in (-pi/2, pi/2), so the change is t1 - t0 plus
+        the change of that term between the ends.
+        """
         total = 0.0
         for piece in self.pieces:
             if piece[0] == "line":
@@ -114,12 +122,11 @@ class LoopPath:
                 total += np.angle((z1 - a) / (z0 - a))
             else:
                 _, c, r, t0, t1 = piece
-                if abs(c - a) < 1e-12:
-                    total += t1 - t0
+                z0, z1 = c + r * np.exp(1j * t0), c + r * np.exp(1j * t1)
+                if abs(a - c) < r:
+                    total += t1 - t0 + np.angle((z1 - a) / (z1 - c)) - np.angle((z0 - a) / (z0 - c))
                 else:
-                    ts = np.linspace(t0, t1, 361)
-                    zs = c + r * np.exp(1j * ts) - a
-                    total += float(np.sum(np.angle(zs[1:] / zs[:-1])))
+                    total += np.angle((z1 - a) / (z0 - a))
         return int(round(total / (2.0 * np.pi)))
 
 
@@ -446,8 +453,7 @@ def _local_expansion(a_series, center):
     while d shrinks.
     """
     a = a_series.coeffs
-    nonzero = np.flatnonzero(np.any(a != 0, axis=(1, 2)))
-    a = a[: nonzero[-1] + 1 if nonzero.size else 1]
+    a = a[: max(last_nonzero(a), 0) + 1]
     n = np.arange(a.shape[0])
     gap = np.maximum(n[None, :] - n[:, None], 0)  # n - i
     binom = np.array([[math.comb(j, i) if j >= i else 0 for j in n] for i in n], dtype=float)

@@ -1,8 +1,10 @@
 import itertools
+import math
 import re
 
 import mpmath
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from logconn import (
     morphism_weight_check,
     normal_form,
 )
+import logconn.localforms as localforms
 from logconn.eigen import CLUSTER_TOL
 from logconn.localforms import arranged_series
 from logconn.verify import circle_loop, integrate_local
@@ -410,3 +413,145 @@ def test_integrate_local_ignores_zero_padding(rng):
     gap = max(nf.phi.entries) - min(nf.phi.entries)
     assert nf.b.order > gap
     assert np.all(integrate_local(nf.b, loop) == integrate_local(nf.b.truncate(gap), loop))
+
+
+# --------------------------------------------------------------------------
+# the stacked window against the per-block and per-coefficient loops
+
+
+def _normal_form_per_block(conn, tol=CLUSTER_TOL, resonance_sval=1e-8):
+    """The recursion with one Kronecker operator and one SVD per block and degree."""
+    r, n = conn.rank, conn.order
+    t_total, a0_arr, phi = localforms._arranging_gauge(conn.residue, tol)
+    a_arr = arranged_series(conn, t_total).coeffs
+    slices, values = phi.block_slices, phi.values
+    l = len(values)
+    k = np.zeros((r, r), dtype=np.complex128)
+    for mdx, sl in enumerate(slices):
+        k[sl, sl] = -a0_arr[sl, sl] - values[mdx] * np.eye(sl.stop - sl.start)
+    b = np.zeros((n + 1, r, r), dtype=np.complex128)
+    m = np.zeros((n + 1, r, r), dtype=np.complex128)
+    m[0] = np.eye(r)
+    warnings = []
+    s = 2.0 * np.linalg.norm(a0_arr, 2)
+    for j in range(1, n + 1):
+        terms = m[1:j] @ b[j - 1 : 0 : -1] - a_arr[j - 1 : 0 : -1] @ m[1:j]
+        rhs = np.concatenate([-a_arr[j : j + 1], terms]).sum(axis=0)
+        if j - s > resonance_sval * max(1.0, j + s):
+            x, scale, _ = scipy.linalg.lapack.ztrsyl(j * np.eye(r) + a0_arr, a0_arr, rhs, isgn=-1)
+            m[j] = x / scale
+            continue
+        for i in range(l):
+            for mm in range(l):
+                si, sm = slices[i], slices[mm]
+                di, dm = si.stop - si.start, sm.stop - sm.start
+                left = j * np.eye(di) + a0_arr[si, si]
+                op = np.kron(np.eye(dm), left) - np.kron(a0_arr[sm, sm].T, np.eye(di))
+                rvec = rhs[si, sm].flatten(order="F")
+                resonant = values[i] - j == values[mm]
+                u, svals, vh = np.linalg.svd(op)
+                cutoff = resonance_sval * max(1.0, svals[0])
+                small = svals <= cutoff
+                if not resonant and np.any(small):
+                    dropped = float(np.linalg.norm((u[:, small].conj().T @ rvec)))
+                    warnings.append(
+                        f"near-resonant block (i={i}, m={mm}, j={j}): "
+                        f"smallest singular value {svals[-1]:.3e}, dropped residual {dropped:.3e}"
+                    )
+                if resonant:
+                    coker = u[:, small]
+                    bvec = -(coker @ (coker.conj().T @ rvec)) if coker.shape[1] else np.zeros_like(rvec)
+                    b[j][si, sm] = bvec.reshape((di, dm), order="F")
+                    k[si, sm] = -b[j][si, sm]
+                    rvec = rvec + bvec
+                safe = np.where(small | (svals == 0.0), 1.0, svals)
+                inv_svals = np.where(small | (svals == 0.0), 0.0, 1.0 / safe)
+                xvec = vh.conj().T @ (inv_svals * (u.conj().T @ rvec))
+                m[j][si, sm] = xvec.reshape((di, dm), order="F")
+    b_series = localforms.normal_form_b_series(k, phi, n)
+    return localforms.NormalForm(MatrixSeries(m), k, phi, t_total, b_series, tuple(warnings))
+
+
+def _gauge_residual_per_coefficient(conn, nf):
+    a_arr = arranged_series(conn, nf.t)
+    n = conn.order
+    lhs = nf.m.z_derivative()
+    rhs = nf.m * nf.b.truncate(n).pad(n) - a_arr * nf.m
+    worst = 0.0
+    for j in range(n + 1):
+        worst = max(worst, float(np.linalg.norm(lhs.coeffs[j] - rhs.coeffs[j], 2)))
+    return worst
+
+
+def _convergence_per_coefficient(conn, nf, delta):
+    a_arr = arranged_series(conn, nf.t)
+    n = conn.order
+    b = nf.b.truncate(n).pad(n)
+    norms_a = [float(np.linalg.norm(a_arr.coeffs[j], 2)) for j in range(n + 1)]
+    norms_b = [float(np.linalg.norm(b.coeffs[j], 2)) for j in range(n + 1)]
+    norms_m = [float(np.linalg.norm(nf.m.coeffs[j], 2)) for j in range(n + 1)]
+    c0 = 2 * int(math.floor(norms_a[0])) + 2
+    cj = [0.0] + [norms_a[j] + norms_b[j] for j in range(1, n + 1)]
+    big_c = max(2.0, 1.000001 * max(cj[1:], default=1.0), 1.000001 * 1.0)
+    big_d = sum(norms_m[j] * delta**j for j in range(0, min(c0, n) + 1))
+    checks = []
+    for j in range(c0 + 1, n + 1):
+        lhs = norms_m[j] * delta**j
+        rhs = big_d * 2.0 ** (c0 - j)
+        checks.append((j, lhs, rhs, lhs <= rhs * (1.0 + 1e-12)))
+    return c0, big_c, 1.0 / (2.0 * big_c), tuple(checks)
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+
+def _assert_same_normal_form(conn, tol=CLUSTER_TOL, delta=0.125):
+    nf, ref = normal_form(conn, tol=tol), _normal_form_per_block(conn, tol=tol)
+    assert nf.phi == ref.phi and nf.warnings == ref.warnings
+    for got, want in ((nf.m.coeffs, ref.m.coeffs), (nf.k, ref.k), (nf.t, ref.t), (nf.b.coeffs, ref.b.coeffs)):
+        assert _same_bits(got, want)
+    assert _same_bits(gauge_residual(conn, nf), _gauge_residual_per_coefficient(conn, ref))
+    conv = convergence_diagnostic(conn, nf, delta)
+    c0, big_c, delta_max, checks = _convergence_per_coefficient(conn, ref, delta)
+    assert (conv.c0, conv.checks) == (c0, checks)
+    assert _same_bits([conv.big_c, conv.delta_max], [big_c, delta_max])
+    return nf
+
+
+def _conjugated(rng, lam, order):
+    r = len(lam)
+    g = random_invertible(rng, r)
+    coeffs = random_connection(rng, r, order).a.coeffs.copy()
+    coeffs[0] = g @ np.diag(lam) @ np.linalg.inv(g)
+    return LocalLogConnection(MatrixSeries(coeffs))
+
+
+def test_stacked_window_matches_the_per_block_loops(rng, monkeypatch):
+    conns = [random_connection(rng, r, order, resonant=True) for r, order in ((2, 10), (3, 12), (5, 20), (6, 16))]
+    # unequal classes: Phi = (2, 1, 1, 0, 0, 0)
+    unequal = _conjugated(rng, -np.array([2.3, 1.2, 1.6, 0.1, 0.5, 0.7]) + 0.03j, 14)
+    conns.append(unequal)
+    nfs = [_assert_same_normal_form(conn) for conn in conns]
+    assert nfs[-1].phi.entries == (2, 1, 1, 0, 0, 0)
+    assert sum(np.max(np.abs(np.triu(nf.k, 1))) > 0.01 for nf in nfs[:4]) >= 2  # cokernel corrections
+    # a near-resonant block (i = 0, m = 1) at degree 2 warns identically
+    near = _conjugated(rng, [-3.0, -(1.0 - 1e-9), -0.4 + 0.2j], 12)
+    assert len(_assert_same_normal_form(near, tol=1e-12).warnings) == 1
+    groups = []  # degrees per stacked SVD call
+    stacked = localforms._window_svds
+    monkeypatch.setattr(localforms, "_window_svds", lambda *args: groups.append(len(args[2])) or stacked(*args))
+    # an empty window: 2 norm(A0) < 1, so every degree is one triangular solve
+    small = LocalLogConnection(MatrixSeries(0.5 ** np.arange(11)[:, None, None] * random_connection(rng, 4, 10).a.coeffs / 8))
+    assert 2.0 * np.linalg.norm(arranged_series(small, normal_form(small).t).coeffs[0], 2) < 1.0
+    _assert_same_normal_form(small)
+    assert groups == []
+    # the window's degrees in groups of one and of two degrees' operator
+    # bytes; a window of three degrees ends on a short group
+    for conn, tol in [(conns[2], CLUSTER_TOL), (conns[3], CLUSTER_TOL), (unequal, CLUSTER_TOL), (near, 1e-12)]:
+        sizes = normal_form(conn, tol=tol).phi.sizes
+        for group in (1, 2):
+            monkeypatch.setattr(localforms, "_WINDOW_GROUP_BYTES", group * 16 * sum(d * d for d in sizes) ** 2)
+            groups.clear()
+            _assert_same_normal_form(conn, tol=tol)
+            assert max(groups) == group and len(groups) >= 2

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import logconn.series as series
 from logconn import (
     MatrixSeries,
     NegativeValuationError,
+    SplittingType,
     WeightDiagonal,
+    bq_frame,
     twist,
 )
 from logconn.series import ShapeMismatchError, SingularLeadingCoefficientError
@@ -189,3 +194,55 @@ def test_mul_and_twist_match_loop_references(rng):
             coeffs[: -shifts[i, m], i, m] = 0.0  # no poles
         twisted, _ = twist(MatrixSeries(coeffs), po, pi)
         assert np.array_equal(twisted.coeffs, _twist_reference(coeffs, shifts, twisted.order))
+
+
+def _mul_full_einsum(a, b):
+    """The Cauchy product as one einsum per degree over every coefficient pair."""
+    n = min(a.order, b.order)
+    out = np.array([np.einsum("kab,kbc->ac", a.coeffs[: j + 1], b.coeffs[j::-1]) for j in range(n + 1)])
+    return MatrixSeries(out, truncated=a.order != b.order or a.truncated or b.truncated)
+
+
+def _zero_tail(rng, order, shape, tail):
+    coeffs = rng.normal(size=(order + 1,) + shape) + 1j * rng.normal(size=(order + 1,) + shape)
+    coeffs[min(tail, order + 1) :] = 0.0
+    return coeffs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    orders=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    tails=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+    flags=st.tuples(st.booleans(), st.booleans()),
+)
+def test_mul_skips_zero_tails_bit_for_bit(seed, orders, dims, tails, flags):
+    # summing each degree only up to each operand's last nonzero
+    # coefficient drops exactly zero products, which leave the sum's bits
+    # unchanged; a tail index past the order keeps every coefficient
+    rng = np.random.default_rng(seed)
+    p, q, s = dims
+    a = MatrixSeries(_zero_tail(rng, orders[0], (p, q), tails[0]), truncated=flags[0])
+    b = MatrixSeries(_zero_tail(rng, orders[1], (q, s), tails[1]), truncated=flags[1])
+    out, ref = a * b, _mul_full_einsum(a, b)
+    assert out.order == min(orders)
+    assert out.truncated == ref.truncated
+    assert np.array_equal(out.coeffs.view(np.int64), ref.coeffs.view(np.int64))
+    assert series.last_nonzero(a.coeffs) == min(tails[0], orders[0] + 1) - 1
+
+
+def test_bq_frame_residual_is_unchanged_by_the_zero_tail_product(rng, monkeypatch):
+    # bq_frame multiplies its gauge b, padded with zeros to the frame's
+    # order, by the frame series
+    cases = [(SplittingType(c), order) for c in ((2, 1, 0), (3, 1, 0, 0), (4, 2, 1)) for order in (4, 8)]
+    frames = []
+    for c, order in cases:
+        q = MatrixSeries(rng.normal(size=(order + 1, c.rank, c.rank)) + 1j * rng.normal(size=(order + 1, c.rank, c.rank)))
+        frames.append((c, q, bq_frame(c, q)))
+    monkeypatch.setattr(MatrixSeries, "__mul__", _mul_full_einsum)
+    for c, q, frame in frames:
+        ref = bq_frame(c, q)
+        assert frame.perm == ref.perm
+        assert np.array_equal(frame.b.coeffs.view(np.int64), ref.b.coeffs.view(np.int64))
+        assert np.float64(frame.residual).view(np.int64) == np.float64(ref.residual).view(np.int64)

@@ -553,6 +553,43 @@ def test_piece_distances_match_dense_sampling():
             assert np.all(dense - exact <= length / 4e4 + 1e-12)
 
 
+def test_winding_next_to_an_arc_is_exact():
+    # points 1e-9 inside and outside the unit circle, midway between two of
+    # the one-degree samples an arc's winding was once summed over (inside
+    # read 0)
+    theta = 0.5 * np.pi / 180
+    inside, outside = (1.0 - 1e-9) * np.exp(1j * theta), (1.0 + 1e-9) * np.exp(1j * theta)
+    circle = circle_loop(0.0, 1.0)
+    assert (circle.winding_number(inside), circle.winding_number(outside)) == (1, 0)
+    assert (circle.reversed().winding_number(inside), circle.reversed().winding_number(outside)) == (-1, 0)
+    half = LoopPath((("arc", 0, 1, 0, np.pi), ("line", -1, 1)))
+    top = np.exp(1j * 90.5 * np.pi / 180)
+    assert (half.winding_number((1.0 - 1e-9) * top), half.winding_number((1.0 + 1e-9) * top)) == (1, 0)
+    assert (half.winding_number(1e-9j), half.winding_number(-1e-9j)) == (1, 0)
+
+
+def test_winding_matches_dense_sampling():
+    # an arc closed by its chord, or by an arc of another circle through
+    # its ends (a lens or a crescent); arcs may turn more than once
+    rng = np.random.default_rng(11)
+    ts = np.linspace(0.0, 1.0, 200001)
+    for _ in range(60):
+        c, radius = complex(rng.normal()), float(rng.uniform(0.2, 2.0))
+        t0 = rng.uniform(-2 * np.pi, 2 * np.pi)
+        t1 = t0 + rng.uniform(0.1, 4 * np.pi) * rng.choice([-1, 1])
+        z0, z1 = c + radius * np.exp(1j * t0), c + radius * np.exp(1j * t1)
+        c2 = (z0 + z1) / 2 + rng.normal() * 1j * (z1 - z0)  # on the bisector of the chord
+        s1, s0 = np.angle(z1 - c2), np.angle(z0 - c2)
+        back = ("arc", c2, abs(z1 - c2), s1, s0 + 2 * np.pi * rng.choice([-1, 0, 1]))
+        for closing in (("line", z1, z0), back):
+            loop = LoopPath((("arc", c, radius, t0, t1), closing))
+            points = c + 2.0 * radius * (rng.normal(size=8) + 1j * rng.normal(size=8))
+            zs = np.concatenate([verify._piece_point(piece)[0](ts) for piece in loop.pieces])
+            for a in points[[loop.clearance([p]) > 1e-2 * radius for p in points]]:
+                dense = np.sum(np.angle((zs[1:] - a) / (zs[:-1] - a))) / (2 * np.pi)
+                assert loop.winding_number(a) == round(dense)
+
+
 def test_batched_loops_keep_their_clearance_guard():
     system = FuchsianSystem([0.0, 1.0], [np.array([[0.25]]), np.array([[-0.25]])])
     loops, _ = standard_loops(system.punctures)
