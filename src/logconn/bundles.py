@@ -8,18 +8,23 @@ and (semi)stability are computed from this data; the local extension
 operation realizes the weighted data as a logarithmic connection matrix
 at one puncture.
 
-Subspace arithmetic is numerical.  A flag is stored as one unitary
-basis Q whose leading k_m columns span its m-th step, so its steps are
-nested by construction and a matrix keeps the flag exactly when Q^* g Q
-is block upper triangular; the constructor reads the step ranks and Q
-from a fixed number of batched LAPACK calls (see :class:`WeightedFlag`).
-Containment compares projection residuals with an absolute tolerance
-times the matrix scale; a subspace meets a flag step in the directions
-whose principal angle to it has sine at most 2 RANK_TOL = 2e-9, read
-from one batched SVD (see :func:`_intersection_coords`).  Semistability
-needs only the slope of each invariant subspace: :func:`semistable`
-reads it from those sine counts and the Schur forms of the restricted
-loop matrices, and builds no sub-bundle (see :func:`_subbundle_slope`).
+Subspace arithmetic is numerical, with one rank rule and one
+containment rule.  The rank of a spanning set is the number of its
+singular values above RANK_TOL max(1, sigma_1) (:func:`_numerical_ranks`):
+one SVD gives a span's orthonormal basis and its complement
+(:func:`_span_basis`), one batched SVD the steps of a flag.  A flag is
+stored as one unitary basis Q whose leading k_m columns span its m-th
+step, so its steps are nested by construction and a matrix keeps the
+flag exactly when Q^* g Q is block upper triangular; the constructor
+reads the step ranks and Q from a fixed number of batched LAPACK calls
+(see :class:`WeightedFlag`).  A subspace meets a flag step in the
+directions whose principal angle to it has sine at most 2 RANK_TOL =
+2e-9, read from one batched SVD (see :func:`_intersection_coords`).
+Invariance under a matrix compares residuals with an absolute tolerance
+times the matrix scale.  Semistability needs only the slope of each
+invariant subspace: :func:`semistable` reads it from those sine counts
+and the Schur forms of the restricted loop matrices, and builds no
+sub-bundle (see :func:`_subbundle_slope`).
 """
 
 import math
@@ -73,35 +78,19 @@ class NonIntegralDegreeError(ValueError):
     pass
 
 
-def _orthonormalize(cols, tol=RANK_TOL, basis=None):
-    """Extend an orthonormal basis by the independent columns of `cols`.
+def _numerical_ranks(sv):
+    """Numerical rank per row of descending singular values: the count above RANK_TOL max(1, sigma_1)."""
+    return np.count_nonzero(sv > RANK_TOL * np.maximum(1.0, sv[..., :1]), axis=-1)
 
-    Columns are taken in order.  Each is projected off the basis built
-    so far in two passes (one matrix product each; the second pass
-    restores the orthogonality the first loses to cancellation) and is
-    kept when its residual exceeds tol * max(1, |column|).  The result's
-    leading columns are `basis` unchanged (none when omitted), so each
-    prefix of the new columns spans what the matching input prefix adds.
+
+def _span_basis(cols):
+    """(U, k): U unitary, U[:, :k] an orthonormal basis of span(cols), U[:, k:] its orthogonal complement.
+
+    One SVD of the columns; k is their numerical rank (:func:`_numerical_ranks`).
     """
-    cols = as_matrix(cols)
-    n = cols.shape[0]
-    k = 0 if basis is None else basis.shape[1]
-    rows = np.empty((k + cols.shape[1], n), dtype=np.complex128)  # basis vectors as rows
-    if k:
-        rows[:k] = basis.T
-    for v in cols.T:
-        if k == n:
-            break
-        u = rows[:k]
-        w = v - (u @ v.conj()).conj() @ u  # (u @ v.conj()).conj() is u.conj() @ v, without copying u
-        w = w - (u @ w.conj()).conj() @ u
-        nw = np.linalg.norm(w)
-        if nw > tol * max(1.0, np.linalg.norm(v)):
-            rows[k] = w / nw
-            k += 1
-    out = rows[:k].T
-    out.setflags(write=False)
-    return out
+    u, sv, _ = np.linalg.svd(as_matrix(cols))
+    u.setflags(write=False)
+    return u, int(_numerical_ranks(sv))
 
 
 def _maps_into(w, mats, scales, tol):
@@ -135,23 +124,24 @@ def _step_tails(w, flags):
     return c[which] * (np.arange(r)[:, None] >= ks[:, None, None])
 
 
-def _meet_counts(sines, tol=RANK_TOL):
-    """dim(W meet F_m) per step: the principal-angle sines at most 2 tol.
+def _meet_counts(sines):
+    """dim(W meet F_m) per step: the principal-angle sines at most 2 RANK_TOL.
 
     Threshold.  The null space of [W, -B] for an orthonormal basis B of
     the step was the earlier rule, at singular values up to
-    tol * max(1, sigma_1).  The Gram matrix of [W, -B] has eigenvalues
-    1 +- cos theta_i (and 1), so its small singular values are
-    sqrt(2) sin(theta_i / 2) and sigma_1 = sqrt(1 + cos theta_1),
+    RANK_TOL * max(1, sigma_1).  The Gram matrix of [W, -B] has
+    eigenvalues 1 +- cos theta_i (and 1), so its small singular values
+    are sqrt(2) sin(theta_i / 2) and sigma_1 = sqrt(1 + cos theta_1),
     sqrt(2) up to O(theta_1^2) once an angle is near zero: it accepted
-    theta <= 2 arcsin(tol), 2 tol up to O(tol^3).  The same rule in sines
-    is sin theta <= 2 tol.  Rounding perturbs the tails by a few eps, so
-    sines below about 1e-15 read as zero, far inside the threshold.
+    theta <= 2 arcsin(RANK_TOL), 2 RANK_TOL up to O(RANK_TOL^3).  The
+    same rule in sines is sin theta <= 2 RANK_TOL.  Rounding perturbs
+    the tails by a few eps, so sines below about 1e-15 read as zero, far
+    inside the threshold.
     """
-    return np.count_nonzero(sines <= 2 * tol, axis=1).tolist()
+    return np.count_nonzero(sines <= 2 * RANK_TOL, axis=1).tolist()
 
 
-def _intersection_coords(w, flags, tol=RANK_TOL):
+def _intersection_coords(w, flags):
     """Orthonormal W-coordinates of span(W) intersect F_m, for every step F_m of every flag.
 
     One batched SVD factors the stack of :func:`_step_tails`; the right
@@ -162,24 +152,22 @@ def _intersection_coords(w, flags, tol=RANK_TOL):
     """
     k = w.shape[1]
     _, sines, vh = np.linalg.svd(_step_tails(w, flags), full_matrices=False)
-    return [vh[m, k - d :].conj().T for m, d in enumerate(_meet_counts(sines, tol))]
+    return [vh[m, k - d :].conj().T for m, d in enumerate(_meet_counts(sines))]
 
 
-def intersect_spans(a, b, tol=RANK_TOL):
+def intersect_spans(a, b):
     """Orthonormal basis of span(a) intersect span(b).
 
-    Both spans are orthonormalized at `tol`; a complete QR of b's basis
-    gives the unitary whose leading columns span it, and the
-    intersection is a @ c for the coordinates c of
+    :func:`_span_basis` gives both spans, and b's unitary whose leading
+    columns span it; the intersection is A c for the coordinates c of
     :func:`_intersection_coords`, the directions of span(a) at principal
-    angle theta with sin theta <= 2 tol from span(b).
+    angle theta with sin theta <= 2 RANK_TOL from span(b).
     """
-    a = _orthonormalize(a, tol)
-    b = _orthonormalize(b, tol)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    q = np.linalg.qr(b, mode="complete")[0]
-    return a @ _intersection_coords(a, [(q, (b.shape[1],))], tol)[0]
+    ua, ka = _span_basis(a)
+    ub, kb = _span_basis(b)
+    if ka == 0 or kb == 0:
+        return np.zeros((ua.shape[0], 0), dtype=np.complex128)
+    return ua[:, :ka] @ _intersection_coords(ua[:, :ka], [(ub, (kb,))])[0]
 
 
 @dataclass(frozen=True)
@@ -292,7 +280,7 @@ class WeightedFlag:
         for m, s in enumerate(steps):
             padded[m, :, : s.shape[1]] = s
         u, sv, _ = np.linalg.svd(padded, full_matrices=False)
-        ranks = np.count_nonzero(sv > RANK_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        ranks = _numerical_ranks(sv)
         dims = tuple(ranks.tolist())
         if any(d2 <= d1 for d1, d2 in zip((0,) + dims, dims)):
             raise FlagError(f"flag dimensions must strictly increase, got {dims}")
@@ -359,20 +347,21 @@ def _invariant_steps(flag, mats, scales, tol):
     return [bool(np.max(worst[k:, :k]) <= tol) for k in flag.dims[:-1]]
 
 
-def weight_of(flag, v, tol=RANK_TOL):
+def weight_of(flag, v):
     """Weight of a vector: psi of the first flag subspace containing it.
 
-    Zero vectors have weight +infinity.
+    One product c = Q^* v with the flag's unitary basis gives every
+    residual: the part of v outside step m has norm |c[k_m:]|, and v
+    lies in the step when that is at most RANK_TOL max(1, |v|).  The
+    last step (k_l = r) leaves no residual.  Vectors of norm at most
+    RANK_TOL have weight +infinity.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     nv = np.linalg.norm(v)
-    if nv <= tol:
+    if nv <= RANK_TOL:
         return math.inf
-    for s, w in zip(flag.subspaces, flag.weights):
-        resid = v - s @ (s.conj().T @ v)
-        if np.linalg.norm(resid) <= tol * max(1.0, nv):
-            return w
-    raise FlagError("vector not contained in the full space; flag is inconsistent")
+    c = flag.basis.conj().T @ v
+    return next(w for k, w in zip(flag.dims, flag.weights) if np.linalg.norm(c[k:]) <= RANK_TOL * max(1.0, nv))
 
 
 @dataclass(frozen=True)
@@ -595,8 +584,9 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
         undecided = bool(np.any(nonzero & (m <= tol * scale)))
         found = []
         for cols in _closed_sets(np.any(nonzero, axis=0).T):
-            w = _orthonormalize(vecs[:, cols])
-            if w.shape[1] == len(cols) and all_invariant(w):
+            u, k = _span_basis(vecs[:, cols])
+            w = u[:, :k]
+            if k == len(cols) and all_invariant(w):
                 found.append(w)
             else:
                 undecided = True
@@ -634,40 +624,25 @@ class Semistability(Enum):
     UNDETERMINED = "Undetermined"
 
 
-def induced_subbundle(wfb, w_basis, tol=RANK_TOL):
-    """Restrict a weighted flat bundle to an invariant subspace W.
+def induced_subbundle(wfb, w_basis):
+    """Restrict a weighted flat bundle to the invariant subspace W = span(w_basis).
 
-    The loop matrices restrict to W^* G_j W in an orthonormal basis W.
-    Each flag restricts by intersection, in W-coordinates; induced
-    weights are read off where the intersection dimensions jump.  The
-    intersections with every step of every flag come from one batched
-    SVD (:func:`_intersection_coords`): a step contains the directions
-    of W whose principal angle theta to it has sin theta <= 2 tol.
-    Those coordinates are the induced flag's steps.
+    The result is :meth:`SubBundle.of`'s bundle: it is written in the
+    orthonormal basis of W that :func:`_span_basis` picks, not in the
+    columns of w_basis.
     """
-    w = _orthonormalize(w_basis, tol)
-    mats = np.array(wfb.rep.matrices)
-    if not _maps_into(w, mats, wfb.rep.scales, 1e-7):
-        raise FlagError("subspace is not invariant under the representation")
-    rep = Representation(wfb.rep.punctures, tuple(w.conj().T @ mats @ w), wfb.rep.basepoint, tol=1e-6)
-    coords = _intersection_coords(w, [(f.basis, f.dims) for f in wfb.flags], tol)
-    flags = []
-    start = 0
-    for f in wfb.flags:
-        steps = []
-        weights = []
-        for c, wt in zip(coords[start:], f.weights):
-            if c.shape[1] > (steps[-1].shape[1] if steps else 0):
-                steps.append(c)
-                weights.append(wt)
-        start += len(f.weights)
-        flags.append(WeightedFlag(tuple(steps), tuple(weights)))
-    return WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6)
+    return SubBundle.of(wfb, w_basis).bundle
 
 
 @dataclass(frozen=True)
 class SubBundle:
-    """An invariant subspace together with its induced weighted bundle."""
+    """An invariant subspace W with its induced weighted bundle, in the coordinates of `basis`.
+
+    `basis` is the orthonormal basis of W that :func:`_span_basis` picks
+    from the spanning set given to :meth:`of`.  The loop matrices and the
+    flags of `bundle` are written in it: coordinates c are the ambient
+    vector basis @ c.
+    """
 
     basis: np.ndarray
     bundle: WeightedFlatBundle
@@ -677,9 +652,37 @@ class SubBundle:
         return self.basis.shape[1]
 
     @classmethod
-    def of(cls, wfb, basis, tol=RANK_TOL):
-        basis = _orthonormalize(basis, tol)
-        return cls(basis=basis, bundle=induced_subbundle(wfb, basis, tol))
+    def of(cls, wfb, basis):
+        """Restrict wfb to W = span(basis), which must be invariant (FlagError otherwise).
+
+        The loop matrices restrict to W^* G_j W in the orthonormal basis
+        W of :func:`_span_basis`.  Each flag restricts by intersection, in
+        W-coordinates; induced weights are read off where the
+        intersection dimensions jump.  The intersections with every step
+        of every flag come from one batched SVD
+        (:func:`_intersection_coords`): a step contains the directions of
+        W whose principal angle theta to it has sin theta <= 2 RANK_TOL.
+        Those coordinates are the induced flag's steps.
+        """
+        u, k = _span_basis(basis)
+        w = u[:, :k]
+        mats = np.array(wfb.rep.matrices)
+        if not _maps_into(w, mats, wfb.rep.scales, 1e-7):
+            raise FlagError("subspace is not invariant under the representation")
+        rep = Representation(wfb.rep.punctures, tuple(w.conj().T @ mats @ w), wfb.rep.basepoint, tol=1e-6)
+        coords = _intersection_coords(w, [(f.basis, f.dims) for f in wfb.flags])
+        flags = []
+        start = 0
+        for f in wfb.flags:
+            steps = []
+            weights = []
+            for c, wt in zip(coords[start:], f.weights):
+                if c.shape[1] > (steps[-1].shape[1] if steps else 0):
+                    steps.append(c)
+                    weights.append(wt)
+            start += len(f.weights)
+            flags.append(WeightedFlag(tuple(steps), tuple(weights)))
+        return cls(basis=w, bundle=WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6))
 
 
 def _is_scalar_family(mats, tol=1e-10):

@@ -227,7 +227,7 @@ class MatrixSeries:
         return acc
 
     def max_coeff_norm(self):
-        return max(np.linalg.norm(c, 2) for c in self.coeffs)
+        return np.linalg.norm(self.coeffs, 2, axis=(1, 2)).max()
 
     def allclose(self, other, atol=1e-12):
         n = min(self.order, other.order)
@@ -318,31 +318,21 @@ def twist(series, phi_out, phi_in, ztol=ZERO_TOL):
     nonzero = mags > ztol
     val = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), n + 1)
 
-    poles = []
-    min_valuation = None
-    out_order = None
-    for i in range(series.dim_out):
-        for m in range(series.dim_in):
-            if val[i, m] > n:
-                continue  # identically zero entry: no constraint
-            v = int(val[i, m] + shifts[i, m])
-            if min_valuation is None or v < min_valuation:
-                min_valuation = v
-            if v < 0:
-                poles.append((i, m, v))
-            known = n + int(shifts[i, m])
-            if out_order is None or known < out_order:
-                out_order = known
+    present = val <= n  # identically zero entries put no constraint
+    if not present.any():
+        # zero series: untouched knowledge horizon
+        return MatrixSeries(series.coeffs.copy(), truncated=series.truncated), 0
+    twisted_val = val + shifts
+    min_valuation = int(twisted_val[present].min())
+    # row-major, as Python ints for the message and the error's entries
+    poles = [(i, m, int(twisted_val[i, m])) for i, m in np.argwhere(present & (twisted_val < 0)).tolist()]
     if poles:
         raise NegativeValuationError(
             f"twist produced poles at entries {[(i, m) for i, m, _ in poles]}",
             min_valuation,
             poles,
         )
-    if out_order is None:
-        # zero series: untouched knowledge horizon
-        return MatrixSeries(series.coeffs.copy(), truncated=series.truncated), 0
-    out_order = max(out_order, 0)
+    out_order = max(n + int(shifts[present].min()), 0)  # the least known order over the entries
     target = np.arange(n + 1)[:, None, None] + shifts  # z-power each coefficient moves to
     if np.any((target < 0) & nonzero):
         raise AssertionError("pole escaped the valuation scan")
@@ -350,6 +340,4 @@ def twist(series, phi_out, phi_in, ztol=ZERO_TOL):
     keep = (target >= 0) & (target <= out_order)
     _, rows, cols = np.nonzero(keep)
     out[target[keep], rows, cols] = series.coeffs[keep]
-    return MatrixSeries(out, truncated=series.truncated), (
-        0 if min_valuation is None else min_valuation
-    )
+    return MatrixSeries(out, truncated=series.truncated), min_valuation

@@ -25,7 +25,7 @@ from .bundles import (
     degree,
     invariant_subspaces,
     semistable,
-    _orthonormalize,
+    _span_basis,
     _span_closure,
 )
 from .eigen import CLUSTER_TOL, _chain, clustered_schur, eigenvalues, norm_log, norm_log_scalar, schur
@@ -784,7 +784,7 @@ def cyclic_weight_plan(rep, k, h, bounds, tol=1e-8):
     top = bounds[k] + (r - 1) * (n - 2)
     if r > 1:
         # full G_k-invariant flag starting at <h>
-        w = _orthonormalize(np.column_stack([h / np.linalg.norm(h), np.eye(r)]))
+        w = np.column_stack([h / np.linalg.norm(h), _span_basis(h[:, None])[0][:, 1:]])
         gw = w.conj().T @ gk @ w
         _, uq = schur(gw[1:, 1:])
         full = w @ np.block(
@@ -838,7 +838,7 @@ def _normalize_for_doubling(rep, tol=1e-9):
             continue
         # basis (f_1, ..., f_{r-2}, G_1 v, v): in the new coordinates the
         # last column of G_1 is exactly e_{r-1}
-        rest = _orthonormalize(np.column_stack([v, w, e]))[:, 2:]
+        rest = _span_basis(np.column_stack([v, w]))[0][:, 2:]
         s = np.column_stack([rest, w, v])
         return rep.conjugated(s)
     raise InconsistentRepresentationError(

@@ -1,4 +1,4 @@
-"""Shared random generators for the test corpus.
+"""Shared random generators and references for the test corpus.
 
 Connections model germs of analytic matrix functions: the residue has
 eigenvalue real parts within a few units and imaginary parts below one
@@ -31,6 +31,34 @@ def random_connection(rng, r, order, rho=0.5, resonant=False):
     ]
     coeffs = np.concatenate([[a0], tail]) if order else np.array([a0])
     return LocalLogConnection(MatrixSeries(coeffs))
+
+
+def reference_orthonormalize(cols, tol=1e-9, basis=None):
+    """Gram-Schmidt reference: extend an orthonormal basis by the independent columns of `cols`.
+
+    Columns are taken in order.  Each is projected off the basis built
+    so far in two passes and kept when its residual exceeds
+    tol * max(1, |column|).  The result's leading columns are `basis`
+    unchanged (none when omitted), so each prefix of the new columns
+    spans what the matching input prefix adds.
+    """
+    cols = np.asarray(cols, dtype=np.complex128)
+    n = cols.shape[0]
+    k = 0 if basis is None else basis.shape[1]
+    rows = np.empty((k + cols.shape[1], n), dtype=np.complex128)  # basis vectors as rows
+    if k:
+        rows[:k] = basis.T
+    for v in cols.T:
+        if k == n:
+            break
+        u = rows[:k]
+        w = v - (u @ v.conj()).conj() @ u
+        w = w - (u @ w.conj()).conj() @ u
+        nw = np.linalg.norm(w)
+        if nw > tol * max(1.0, np.linalg.norm(v)):
+            rows[k] = w / nw
+            k += 1
+    return rows[:k].T
 
 
 def random_invertible(rng, r, scale=1.0):

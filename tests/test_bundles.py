@@ -34,13 +34,13 @@ from logconn.bundles import (
     InvalidRepresentationError,
     NonIntegralDegreeError,
     _algebra_span,
-    _orthonormalize,
     _projector_key,
+    _span_basis,
     intersect_spans,
 )
 from logconn.eigen import spectral_split
 
-from conftest import random_invertible, random_representation, sorted_punctures
+from conftest import random_invertible, random_representation, reference_orthonormalize, sorted_punctures
 
 TWO_PI_I = 2j * np.pi
 
@@ -83,7 +83,7 @@ def reference_flag(steps, weights):
 
     Returns the dims, the weights and the orthonormal step bases.
     """
-    subs = [_orthonormalize(step) for step in steps]
+    subs = [reference_orthonormalize(step) for step in steps]
     weights = tuple(int(w) for w in weights)
     if len(subs) != len(weights) or not subs:
         raise FlagError("need one weight per subspace")
@@ -357,23 +357,52 @@ def _rank(m):
     n=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
     kinds=st.lists(st.sampled_from(["new", "copy", "zero", "combo"]), min_size=1, max_size=10),
-    prior=st.integers(0, 7),
 )
-def test_orthonormalize_properties(n, seed, kinds, prior):
+def test_span_basis_properties(n, seed, kinds):
     cols, ranks = _columns_of_kinds(n, seed, kinds)
-    q = _orthonormalize(cols)
-    assert q.shape == (n, ranks[-1])
-    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
-    for j, k in enumerate(ranks, start=1):
-        # the first k outputs span exactly what the first j inputs span
-        assert _rank(np.hstack([cols[:, :j], q[:, :k]])) == k == _rank(cols[:, :j])
+    u, k = _span_basis(cols)
+    assert u.shape == (n, n)
+    assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
+    assert k == ranks[-1] == reference_orthonormalize(cols).shape[1]
+    # U[:, :k] spans exactly what the columns span, U[:, k:] is orthogonal to it
+    assert _rank(np.hstack([cols, u[:, :k]])) == k == _rank(cols)
+    assert np.max(np.abs(u[:, k:].conj().T @ cols), initial=0.0) <= 1e-12 * max(1.0, np.linalg.norm(cols, 2))
 
-    rng = np.random.default_rng(seed + 1)
-    basis = _orthonormalize(rng.normal(size=(n, min(prior, n))))
-    extended = _orthonormalize(cols, basis=basis)
-    assert np.array_equal(extended[:, : basis.shape[1]], basis)
-    assert np.allclose(extended.conj().T @ extended, np.eye(extended.shape[1]), atol=1e-12)
-    assert extended.shape[1] == _rank(np.hstack([basis, cols]))
+
+@pytest.mark.parametrize("shape", [(4, 0), (4, 3), (1, 1)])
+def test_span_basis_of_nothing_is_empty(shape):
+    u, k = _span_basis(np.zeros(shape))
+    assert k == 0
+    assert np.array_equal(u.conj().T @ u, np.eye(shape[0]))
+
+
+def reference_weight_of(flag, v, tol=RANK_TOL):
+    """The earlier weight_of: one projection per flag step."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    nv = np.linalg.norm(v)
+    if nv <= tol:
+        return math.inf
+    for s, w in zip(flag.subspaces, flag.weights):
+        if np.linalg.norm(v - s @ (s.conj().T @ v)) <= tol * max(1.0, nv):
+            return w
+    raise FlagError("vector not contained in the full space")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(r=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_weight_of_matches_the_stepwise_projections(r, seed, scale):
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    dims = sorted(set(rng.integers(1, r + 1, size=int(rng.integers(1, r + 1))).tolist()) | {r})
+    weights = sorted(rng.choice(np.arange(-3 * r, 3 * r), size=len(dims), replace=False).tolist(), reverse=True)
+    flag = WeightedFlag(tuple(basis[:, :k] for k in dims), tuple(weights))
+    assert weight_of(flag, np.zeros(r)) == reference_weight_of(flag, np.zeros(r)) == math.inf
+    for k, wt in zip(dims, weights):
+        # a vector drawn inside step m, and (but for the last step) outside it
+        v = scale * basis[:, :k] @ (rng.normal(size=k) + 1j * rng.normal(size=k))
+        assert weight_of(flag, v) == reference_weight_of(flag, v) == wt
+        v_out = v + scale * (rng.normal(size=r) + 1j * rng.normal(size=r))
+        assert weight_of(flag, v_out) == reference_weight_of(flag, v_out)
 
 
 def test_semistable_unstable_line():
@@ -409,8 +438,8 @@ def test_induced_subbundle_weights():
 
 def reference_intersect_spans(a, b, tol=RANK_TOL):
     """The earlier intersection: null space of [a, -b] at singular values <= tol max(1, sigma_1)."""
-    a = _orthonormalize(a, tol)
-    b = _orthonormalize(b, tol)
+    a = reference_orthonormalize(a, tol)
+    b = reference_orthonormalize(b, tol)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
     m = np.hstack([a, -b])
@@ -418,12 +447,12 @@ def reference_intersect_spans(a, b, tol=RANK_TOL):
     ncols = m.shape[1]
     null_dim = int(np.sum(svals <= tol * max(1.0, svals[0]))) + max(0, ncols - len(svals))
     vectors = a @ vh.conj().T[: a.shape[1], ncols - null_dim :]
-    return _orthonormalize(vectors, tol)
+    return reference_orthonormalize(vectors, tol)
 
 
 def reference_induced_subbundle(wfb, w_basis, tol=RANK_TOL):
     """The earlier restriction: one intersection per flag step, then its W-coordinates."""
-    w = _orthonormalize(w_basis, tol)
+    w = reference_orthonormalize(w_basis, tol)
     mats = tuple(w.conj().T @ g @ w for g in wfb.rep.matrices)
     rep = Representation(wfb.rep.punctures, mats, wfb.rep.basepoint, tol=1e-6)
     flags = []
@@ -432,7 +461,7 @@ def reference_induced_subbundle(wfb, w_basis, tol=RANK_TOL):
         for s, wt in zip(f.subspaces, f.weights):
             inter = reference_intersect_spans(w, s, tol)
             if inter.shape[1] > (steps[-1].shape[1] if steps else 0):
-                steps.append(_orthonormalize(w.conj().T @ inter))
+                steps.append(reference_orthonormalize(w.conj().T @ inter))
                 weights.append(wt)
         flags.append(WeightedFlag(tuple(steps), tuple(weights)))
     return WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6)
@@ -495,14 +524,17 @@ def test_induced_subbundle_matches_stepwise_reference(family, r, blocks, seed):
     enum = invariant_subspaces(rep)
     assert enum.complete and enum.subspaces
     for w in enum.subspaces:
-        sub = induced_subbundle(wfb, w)
+        # the two restrictions pick different orthonormal bases of span(W),
+        # so their steps are compared in the ambient space, W c
+        sub = SubBundle.of(wfb, w)
         ref = reference_induced_subbundle(wfb, w)
-        assert degree(sub) == reference_degree(ref) == reference_degree(sub)
-        for f, f_ref in zip(sub.flags, ref.flags):
+        ref_basis = reference_orthonormalize(w)
+        assert degree(sub.bundle) == degree(induced_subbundle(wfb, w)) == reference_degree(ref) == reference_degree(sub.bundle)
+        for f, f_ref in zip(sub.bundle.flags, ref.flags):
             assert f.dims == f_ref.dims
             assert f.weights == f_ref.weights
             for step, step_ref in zip(f.subspaces, f_ref.subspaces):
-                assert np.linalg.norm(projector(step) - projector(step_ref), 2) <= 1e-12
+                assert np.linalg.norm(projector(sub.basis @ step) - projector(ref_basis @ step_ref), 2) <= 1e-12
 
 
 def reference_semistable(wfb, seed=0):
@@ -621,13 +653,13 @@ def test_intersect_spans_matches_reference_on_the_partial_search(patterns):
 def reference_algebra_span(matrices):
     """The earlier Burnside search: one word at a time, kept when its residual exceeds _SPAN_TOL."""
     r = matrices[0].shape[0]
-    basis = _orthonormalize(np.eye(r).reshape(-1, 1))
+    basis = reference_orthonormalize(np.eye(r).reshape(-1, 1))
     words = frontier = [np.eye(r, dtype=np.complex128)]
     while frontier and len(words) < r * r:
         added = []
         for word in (w @ g for w in frontier for g in matrices):
             k = basis.shape[1]
-            basis = _orthonormalize(word.reshape(-1, 1), _SPAN_TOL, basis)
+            basis = reference_orthonormalize(word.reshape(-1, 1), _SPAN_TOL, basis)
             if basis.shape[1] > k:
                 added.append(word / np.linalg.norm(word))
         words = words + added
@@ -657,7 +689,7 @@ def assert_span_matches_the_wordwise_search(rep):
     mats = np.array(rep.matrices)
     words, ref = _algebra_span(mats), reference_algebra_span(list(mats))
     assert len(words) == len(ref)
-    assert _orthonormalize(words.reshape(len(words), -1).T, _SPAN_TOL).shape[1] == len(words)
+    assert reference_orthonormalize(words.reshape(len(words), -1).T, _SPAN_TOL).shape[1] == len(words)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

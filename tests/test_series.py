@@ -196,6 +196,75 @@ def test_mul_and_twist_match_loop_references(rng):
         assert np.array_equal(twisted.coeffs, _twist_reference(coeffs, shifts, twisted.order))
 
 
+def _twist_loop(s, po, pi, ztol=series.ZERO_TOL):
+    """The entry-by-entry valuation scan twist made before its array form, and its result."""
+    n = s.order
+    shifts = np.subtract.outer(po, pi)
+    nonzero = np.abs(s.coeffs) > ztol
+    val = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), n + 1)
+    poles = []
+    min_valuation = None
+    out_order = None
+    for i in range(s.dim_out):
+        for m in range(s.dim_in):
+            if val[i, m] > n:
+                continue
+            v = int(val[i, m] + shifts[i, m])
+            if min_valuation is None or v < min_valuation:
+                min_valuation = v
+            if v < 0:
+                poles.append((i, m, v))
+            known = n + int(shifts[i, m])
+            if out_order is None or known < out_order:
+                out_order = known
+    if poles:
+        raise NegativeValuationError(
+            f"twist produced poles at entries {[(i, m) for i, m, _ in poles]}", min_valuation, poles
+        )
+    if out_order is None:
+        return MatrixSeries(s.coeffs.copy(), truncated=s.truncated), 0
+    out_order = max(out_order, 0)
+    return MatrixSeries(_twist_reference(s.coeffs, shifts, out_order), truncated=s.truncated), min_valuation
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    order=st.integers(0, 5),
+    dout=st.integers(1, 4),
+    din=st.integers(1, 4),
+    zeros=st.sampled_from(["none", "entries", "leading", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_twist_matches_the_entrywise_scan(order, dout, din, zeros, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(order + 1, dout, din)) + 1j * rng.normal(size=(order + 1, dout, din))
+    if zeros == "entries":
+        coeffs[:, rng.random((dout, din)) < 0.5] = 0.0
+    elif zeros == "leading":
+        # leading coefficients at or below ZERO_TOL: valuations 0 .. order + 1 per entry
+        lead = rng.integers(0, order + 2, size=(dout, din))
+        coeffs[np.arange(order + 1)[:, None, None] < lead] = series.ZERO_TOL * rng.uniform(0.0, 1.0)
+    elif zeros == "all":
+        coeffs[:] = 0.0
+    s = MatrixSeries(coeffs, truncated=bool(rng.integers(2)))
+    po = rng.integers(-3, 4, size=dout).tolist()
+    pi = rng.integers(-3, 4, size=din).tolist()  # shifts of both signs
+    try:
+        expected, expected_val = _twist_loop(s, po, pi)
+    except NegativeValuationError as ref:
+        with pytest.raises(NegativeValuationError) as err:
+            twist(s, po, pi)
+        assert str(err.value) == str(ref)
+        assert err.value.min_valuation == ref.min_valuation and type(err.value.min_valuation) is int
+        assert err.value.entries == ref.entries
+        assert all(type(x) is int for entry in err.value.entries for x in entry)
+        return
+    got, val = twist(s, po, pi)
+    assert val == expected_val and type(val) is int
+    assert got.truncated == expected.truncated
+    assert np.array_equal(got.coeffs, expected.coeffs)
+
+
 def _mul_full_einsum(a, b):
     """The Cauchy product as one einsum per degree over every coefficient pair."""
     n = min(a.order, b.order)

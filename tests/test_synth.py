@@ -27,7 +27,7 @@ from logconn import (
     splitting_bound_check,
     validate_weight_family,
 )
-from logconn.bundles import WeightedFlag, WeightedFlatBundle, _orthonormalize, degree
+from logconn.bundles import WeightedFlag, WeightedFlatBundle, degree
 from logconn.eigen import norm_log, norm_log_scalar, spectral_split
 from logconn.synth import (
     DisorderedWeightsError,
@@ -43,6 +43,7 @@ from conftest import (
     random_commuting_representation,
     random_invertible,
     random_representation,
+    reference_orthonormalize,
     upper_triangular_representation,
 )
 
@@ -544,10 +545,10 @@ def test_cyclic_weight_plan_rejects_noncyclic():
 
 def reference_krylov_span(matrices, v, tol=1e-9):
     """Orthonormal basis of the module the matrices generate from v, one column at a time."""
-    basis = frontier = _orthonormalize(np.reshape(v, (-1, 1)), tol)
+    basis = frontier = reference_orthonormalize(np.reshape(v, (-1, 1)), tol)
     while frontier.shape[1] and basis.shape[1] < len(v):
         k = basis.shape[1]
-        basis = _orthonormalize(np.hstack([g @ frontier for g in matrices]), tol, basis)
+        basis = reference_orthonormalize(np.hstack([g @ frontier for g in matrices]), tol, basis)
         frontier = basis[:, k:]
     return basis
 
