@@ -391,7 +391,7 @@ class WeightedFlatBundle:
         return WeightedFlatBundle(self.rep, tuple(flags), self.check_tol)
 
 
-def degree(wfb, tol=1e-6):
+def degree(wfb):
     """deg = sum_j ( Tr Phi_j + Tr norm log G_j ), verified to be an integer.
 
     Tr norm log G_j = Tr F / (2 pi i) for the Schur-Parlett F that
@@ -401,21 +401,21 @@ def degree(wfb, tol=1e-6):
     mu + log(t_ii e^{-2 pi i mu}) / (2 pi i), where e^{2 pi i mu} = m.
     A zero eigenvalue raises SingularMatrixError.
     """
-    return _degree(wfb.rep.matrices, sum(f.weight_diagonal().trace() for f in wfb.flags), tol)
+    return _degree(wfb.rep.matrices, sum(f.weight_diagonal().trace() for f in wfb.flags))
 
 
-def _degree(mats, weight_trace, tol=1e-6):
+def _degree(mats, weight_trace):
     """weight_trace + sum_j Tr norm log G_j over the matrices, as :func:`degree` reads it.
 
-    A sum farther than tol from an integer raises NonIntegralDegreeError.
+    A sum farther than _DEGREE_TOL = 1e-6 from an integer raises NonIntegralDegreeError.
     """
     total = weight_trace + 0.0j
     for g in mats:
         t, _, means = clustered_schur(g)
         total += np.sum(log_branches(means) + np.log(t.diagonal() / means) / (2j * np.pi))
-    if abs(total.imag) > tol or abs(total.real - round(total.real)) > tol:
+    if abs(total.imag) > _DEGREE_TOL or abs(total.real - round(total.real)) > _DEGREE_TOL:
         raise NonIntegralDegreeError(
-            f"degree {total} is not an integer to tolerance {tol}; inconsistent representation"
+            f"degree {total} is not an integer to tolerance {_DEGREE_TOL}; inconsistent representation"
         )
     return int(round(total.real))
 
@@ -429,6 +429,8 @@ def slope(wfb):
 
 
 _SPAN_TOL = 1e-10  # relative rank tolerance of the algebra span
+_DEGREE_TOL = 1e-6  # a degree sum farther than this from an integer is rejected
+_CHECK_TOL = 1e-8  # residual per unit scale that counts as zero in the invariance and splitting checks
 _PROBES = 8  # random algebra elements tried for a simple spectrum
 
 
@@ -485,11 +487,11 @@ def _algebra_span(matrices):
     return _span_closure(np.eye(r, dtype=np.complex128), lambda w: (w[:, None] @ matrices).reshape(-1, r, r))
 
 
-def _eigvecs_distinct(m, tol=1e-8):
-    """Unit eigenvectors when all eigenvalues are simple; None otherwise."""
+def _eigvecs_distinct(m):
+    """Unit eigenvectors when no two eigenvalues chain within 1e-8 max(1, max |lambda|); None otherwise."""
     vals, vecs = np.linalg.eig(m)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if len(_chain(vals, tol * scale)) < len(vals):
+    if len(_chain(vals, 1e-8 * scale)) < len(vals):
         return None
     return vecs
 
@@ -529,7 +531,7 @@ class InvariantSubspaces:
     certificate: str
 
 
-def invariant_subspaces(rep, tol=1e-8, seed=0):
+def invariant_subspaces(rep, seed=0):
     """Proper nonzero subspaces invariant under every loop matrix.
 
     The generated matrix algebra is spanned first: if it is the full
@@ -552,8 +554,8 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
     reducible only up to relative perturbations of that size, which move
     M_ji by up to _SPAN_TOL C_ji, the larger term.  An entry at most
     _SPAN_TOL C_ji is therefore roundoff: no edge.  An entry above
-    tol C_ji cannot come from a relative perturbation of g by `tol`, the
-    tolerance of the invariance check: an edge.  An entry in between is
+    _CHECK_TOL C_ji cannot come from a relative perturbation of g by
+    1e-8, the invariance check's tolerance: an edge.  An entry in between is
     undecided; it is read as an edge, so every set is still checked, and
     the list is marked incomplete, as it is when a set fails its check.
     Without a simple-spectrum probe a partial list is assembled from
@@ -566,7 +568,7 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
         return InvariantSubspaces((), True, "full-matrix-algebra")
 
     def all_invariant(w):
-        return _maps_into(w, mats, rep.scales, tol)
+        return _maps_into(w, mats, rep.scales, _CHECK_TOL)
 
     def by_key(found):
         return tuple(sorted(found, key=lambda w: (w.shape[1], _projector_key(w))))
@@ -574,14 +576,14 @@ def invariant_subspaces(rep, tol=1e-8, seed=0):
     rng = np.random.default_rng(seed)
     for _ in range(_PROBES):
         coeffs = rng.normal(size=len(words)) + 1j * rng.normal(size=len(words))
-        vecs = _eigvecs_distinct(np.tensordot(coeffs, words, axes=1), tol)
+        vecs = _eigvecs_distinct(np.tensordot(coeffs, words, axes=1))
         if vecs is None:
             continue
         vinv = np.linalg.inv(vecs)
         m = np.abs(vinv @ mats @ vecs)
         scale = np.abs(vinv) @ np.abs(mats) @ np.abs(vecs)
         nonzero = m > _SPAN_TOL * scale
-        undecided = bool(np.any(nonzero & (m <= tol * scale)))
+        undecided = bool(np.any(nonzero & (m <= _CHECK_TOL * scale)))
         found = []
         for cols in _closed_sets(np.any(nonzero, axis=0).T):
             u, k = _span_basis(vecs[:, cols])
@@ -685,10 +687,10 @@ class SubBundle:
         return cls(basis=w, bundle=WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6))
 
 
-def _is_scalar_family(mats, tol=1e-10):
+def _is_scalar_family(mats):
     for g in mats:
         d = g[0, 0]
-        if np.linalg.norm(g - d * np.eye(g.shape[0]), 2) > tol * max(1.0, abs(d)):
+        if np.linalg.norm(g - d * np.eye(g.shape[0]), 2) > 1e-10 * max(1.0, abs(d)):
             return False
     return True
 
@@ -788,7 +790,7 @@ class SplitExtension:
     alpha: np.ndarray
 
 
-def induce_weights_split_extension(sub, quot, split, tol=1e-8):
+def induce_weights_split_extension(sub, quot, split):
     """Weights on the total space of an extension, split at one puncture.
 
     Away from puncture k the flag stacks the sub flag below the
@@ -821,10 +823,10 @@ def induce_weights_split_extension(sub, quot, split, tol=1e-8):
     if alpha.shape != (r, rq):
         raise ValueError("alpha must map the quotient into the total space")
     proj = np.hstack([np.zeros((rq, rs)), np.eye(rq)])
-    if np.linalg.norm(proj @ alpha - np.eye(rq), 2) > tol:
+    if np.linalg.norm(proj @ alpha - np.eye(rq), 2) > _CHECK_TOL:
         raise ValueError("alpha is not a right inverse of the projection")
     gk = mats[kdx]
-    if np.linalg.norm(gk @ alpha - alpha @ quot.rep.matrices[kdx], 2) > tol * max(
+    if np.linalg.norm(gk @ alpha - alpha @ quot.rep.matrices[kdx], 2) > _CHECK_TOL * max(
         1.0, np.linalg.norm(gk, 2)
     ):
         raise ValueError("alpha does not intertwine the loop matrices at k")
@@ -886,7 +888,7 @@ def induce_weights_split_extension(sub, quot, split, tol=1e-8):
     return total
 
 
-def local_extension(g, flag, tol=1e-8):
+def local_extension(g, flag):
     """Connection matrix realizing weighted data at one puncture.
 
     Adapts a basis to the flag (so g becomes block-upper-triangular),
@@ -895,9 +897,9 @@ def local_extension(g, flag, tol=1e-8):
     the largest weight gap.
     """
     g = as_matrix(g, square=True)
-    if not flag.invariant_under(g, tol):
+    if not flag.invariant_under(g):
         raise FlagError("flag is not invariant under the matrix")
-    # in the flag's basis g is block upper triangular up to tol; its
+    # in the flag's basis g is block upper triangular up to 1e-8; its
     # block-lower part is rounding and is dropped, from K too
     g_ad = flag.basis.conj().T @ g @ flag.basis
     for k in flag.dims[:-1]:

@@ -215,9 +215,9 @@ def encode_bundle(wfb):
     }
 
 
-def decode_bundle(obj, tol=1e-8):
+def decode_bundle(obj):
     rep, flag_objs = _fields(obj, "weighted-bundle payload", representation=object, flags=list)
-    rep = decode_representation(rep, tol=tol)
+    rep = decode_representation(rep)
     flags = []
     for i, f in enumerate(flag_objs):
         steps, weights = _fields(f, f"flag {i}", subspaces=list, weights=list)
@@ -235,10 +235,9 @@ def encode_system(system):
     }
 
 
-def decode_system(obj, tol=1e-8):
+def decode_system(obj):
     punctures, residues = _fields(obj, "fuchsian-system payload", punctures=list, residues=list)
     return FuchsianSystem(
         [decode_complex(a, f"puncture {j}") for j, a in enumerate(punctures)],
         [decode_matrix(b, f"residue {j}") for j, b in enumerate(residues)],
-        tol=tol,
     )

@@ -44,6 +44,8 @@ __all__ = [
     "spectral_split",
     "NormalizedLog",
     "norm_log",
+    "cluster_expm",
+    "floor_snap",
     "norm_log_scalar",
     "log_branches",
     "commuting_log_check",
@@ -358,9 +360,9 @@ def log_branches(vals, tol=CLUSTER_TOL):
     return re - (re > 1.0 - tol) + 1j * mu.imag
 
 
-def norm_log_scalar(rho, snap_tol=CLUSTER_TOL):
+def norm_log_scalar(rho):
     """Normalized logarithm of a nonzero complex scalar: :func:`log_branches` of one value."""
-    return complex(log_branches(rho, snap_tol))
+    return complex(log_branches(rho))
 
 
 def norm_log(g, tol=CLUSTER_TOL):
@@ -412,19 +414,20 @@ def floor_snap(x, tol=CLUSTER_TOL):
     return int(np.floor(x))
 
 
-def commuting_log_check(g, g2, c, tol=1e-8):
+def commuting_log_check(g, g2, c):
     """Whether norm_log(G) C = C norm_log(G') given G C = C G'.
 
     Diagnostic for the intertwining property of normalized logarithms;
-    returns the verdict, never raises on a false outcome.
+    K C = C K' holds to 1e-8 max(1, ||K|| ||C||); never raises on a false
+    outcome, but a precondition residual above 1e-6 ||G|| ||C|| raises.
     """
     g = as_matrix(g, square=True)
     g2 = as_matrix(g2, square=True)
     c = as_matrix(c)
     scale = max(np.linalg.norm(g, 2) * np.linalg.norm(c, 2), 1e-30)
-    if np.linalg.norm(g @ c - c @ g2, 2) > 100 * tol * scale:
+    if np.linalg.norm(g @ c - c @ g2, 2) > 1e-6 * scale:
         raise ValueError("precondition G C = C G' fails beyond tolerance")
     k = norm_log(g).k
     k2 = norm_log(g2).k
     kscale = max(np.linalg.norm(k, 2) * np.linalg.norm(c, 2), 1.0)
-    return np.linalg.norm(k @ c - c @ k2, 2) <= tol * kscale
+    return np.linalg.norm(k @ c - c @ k2, 2) <= 1e-8 * kscale

@@ -41,7 +41,7 @@ __all__ = [
     "morphism_weight_check",
 ]
 
-_RESONANCE_SVAL = 1e-8
+_RESONANCE_SVAL = 1e-8  # a block operator with sigma_min <= this max(1, sigma_max) is near-resonant
 # Bytes of block operators one stacked SVD takes (at least one degree's).
 # At r = 16 with one weight class a degree's operator alone is 1 MiB, so
 # there each degree goes alone and memory stays that of one degree.
@@ -81,11 +81,11 @@ class LocalLogConnection:
         return cls(MatrixSeries.constant(matrix, order))
 
 
-def integer_weights(a0, tol=CLUSTER_TOL):
+def integer_weights(a0):
     """Integer weights floor(-Re mu) of the residue's eigenvalues mu, sorted,
     each read at its cluster mean (:func:`clustered_schur`)."""
     _, _, means = clustered_schur(a0)
-    return WeightDiagonal(tuple(sorted((floor_snap(-mu.real, tol) for mu in means), reverse=True)))
+    return WeightDiagonal(tuple(sorted((floor_snap(-mu.real) for mu in means), reverse=True)))
 
 
 def _arranging_gauge(a0, tol):
@@ -168,7 +168,7 @@ def _window_svds(a0_arr, slices, degrees):
     return out
 
 
-def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
+def normal_form(conn, tol=CLUSTER_TOL):
     """Gauge-fix a local logarithmic connection to its normal form.
 
     Follows the inductive construction: arrange the residue
@@ -180,7 +180,7 @@ def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
     degree.  Resonant blocks take the canonical choice: B picks up the
     cokernel component of the right side, M the minimum-norm solution.
     Near-resonant non-resonant blocks (smallest singular value of the
-    block operator below `resonance_sval` times max(1, largest)) are
+    block operator below _RESONANCE_SVAL = 1e-8 times max(1, largest)) are
     solved the same way with a recorded warning instead of a hard
     failure.
 
@@ -188,7 +188,7 @@ def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
     blocks T_ii, so the block operator X -> (j I + T_ii) X - X T_mm is
     j I + L with norm(L) <= norm(T_ii) + norm(T_mm) <= s = 2 norm(A0).
     By Weyl's inequality its singular values lie in [j - s, j + s].
-    Once j - s > resonance_sval max(1, j + s), no block at degree j
+    Once j - s > _RESONANCE_SVAL max(1, j + s), no block at degree j
     has a singular value below the cutoff: none is near-resonant, none
     has a cokernel, B^j = 0, and the blockwise minimum-norm solve is
     the plain inverse.  As A0 is block-diagonal the blockwise equations
@@ -217,7 +217,7 @@ def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
     m[0] = np.eye(r)
     warnings = []
     s = 2.0 * np.linalg.norm(a0_arr, 2)
-    window = [j for j in range(1, n + 1) if not j - s > resonance_sval * max(1.0, j + s)]
+    window = [j for j in range(1, n + 1) if not j - s > _RESONANCE_SVAL * max(1.0, j + s)]
     # a degree's operators hold sum_{i,m} (d_i d_m)^2 = (sum_i d_i^2)^2 entries
     group = max(1, _WINDOW_GROUP_BYTES // (16 * sum((sl.stop - sl.start) ** 2 for sl in slices) ** 2))
     svds = {}
@@ -242,7 +242,7 @@ def normal_form(conn, tol=CLUSTER_TOL, resonance_sval=_RESONANCE_SVAL):
                 rvec = rhs[si, sm].flatten(order="F")
                 resonant = values[i] - j == values[mm]
                 smax = svals[0] if len(svals) else 0.0
-                cutoff = resonance_sval * max(1.0, smax)
+                cutoff = _RESONANCE_SVAL * max(1.0, smax)
                 small = svals <= cutoff
                 if not resonant and np.any(small):
                     dropped = float(
@@ -381,12 +381,12 @@ def convergence_diagnostic(conn, nf, delta):
     )
 
 
-def morphism_weight_check(m, phi_source, phi_target, tol=1e-9):
+def morphism_weight_check(m, phi_source, phi_target):
     """Whether a gauge intertwiner respects weights.
 
     True iff every block M_{i,m} with source weight psi'^m greater than
-    target weight psi^i vanishes to the stored order, which is the
-    block-triangular reformulation of 'weights never decrease'.
+    target weight psi^i vanishes to the stored order (entries at most 1e-9
+    max(1, max_j ||M_j||)): the block-triangular form of 'weights never decrease'.
     """
     if m.dim_in != phi_source.dim or m.dim_out != phi_target.dim:
         raise ShapeMismatchError("weight shapes do not match the intertwiner")
@@ -397,6 +397,6 @@ def morphism_weight_check(m, phi_source, phi_target, tol=1e-9):
         for mm, (psi_s, sl_s) in enumerate(zip(phi_source.values, src_slices)):
             if psi_s > psi_t:
                 block = m.coeffs[:, sl_t, sl_s]
-                if np.max(np.abs(block)) > tol * scale:
+                if np.max(np.abs(block)) > 1e-9 * scale:
                     return False
     return True

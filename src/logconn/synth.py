@@ -74,11 +74,10 @@ class InconsistentRepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class FuchsianSystem:
-    """d + sum B_j/(z - a_j) dz on the trivial bundle; residues sum to zero."""
+    """d + sum B_j/(z - a_j) dz on the trivial bundle; residues sum to zero (to 1e-8 max(1, max ||B_j||))."""
 
     punctures: tuple
     residues: tuple
-    tol: float = 1e-8
 
     def __post_init__(self):
         punctures = tuple(complex(a) for a in self.punctures)
@@ -92,7 +91,7 @@ class FuchsianSystem:
             raise ValueError("residues must share one size")
         total = sum(residues)
         scale = max(1.0, max(np.linalg.norm(b, 2) for b in residues))
-        if np.linalg.norm(total, 2) > self.tol * scale:
+        if np.linalg.norm(total, 2) > 1e-8 * scale:
             raise ValueError(
                 f"residues sum to {np.linalg.norm(total, 2):.3e}; system not smooth at infinity"
             )
@@ -433,10 +432,11 @@ class SolverIncompleteError(RuntimeError):
     """The case analysis does not cover this input (rank above four)."""
 
 
-def _column_classes(rho, tol):
-    """Per puncture, row index -> class id, rows with equal diagonal entries sharing one."""
+def _column_classes(rho):
+    """Per puncture, row index -> class id, rows whose diagonal entries chain within
+    CLUSTER_TOL max(1, max |rho_j|) sharing one."""
     return [
-        {int(i): cid for cid, idx in enumerate(_chain(col, tol * max(1.0, np.max(np.abs(col))))) for i in idx}
+        {int(i): cid for cid, idx in enumerate(_chain(col, CLUSTER_TOL * max(1.0, np.max(np.abs(col))))) for i in idx}
         for col in np.asarray(rho)
     ]
 
@@ -646,11 +646,11 @@ def _solve_cases(classes, lam, n, rows, relaxed):
     return {**low, **high}
 
 
-def validate_weight_family(rho, lam, phi, mode="strict-a", tol=CLUSTER_TOL):
+def validate_weight_family(rho, lam, phi, mode="strict-a"):
     """Check the ordering constraints and exact row sums of a weight family."""
     n = len(rho)
     r = len(rho[0])
-    classes = _column_classes(rho, tol)
+    classes = _column_classes(rho)
     for i in range(r):
         if sum(phi[j][i] for j in range(n)) != lam[i]:
             return False
@@ -667,7 +667,7 @@ def validate_weight_family(rho, lam, phi, mode="strict-a", tol=CLUSTER_TOL):
     return True
 
 
-def solve_weights_parabolic(rep, mode="strict-a", tol=CLUSTER_TOL):
+def solve_weights_parabolic(rep, mode="strict-a"):
     """Integer weights for an upper-triangular representation.
 
     Computes the exponent sums Lambda^i from the diagonal entries,
@@ -691,7 +691,7 @@ def solve_weights_parabolic(rep, mode="strict-a", tol=CLUSTER_TOL):
     rho = [[complex(g[i, i]) for i in range(r)] for g in mats]
     lam = []
     for i in range(r):
-        total = sum(norm_log_scalar(rho[j][i], tol) for j in range(n))
+        total = sum(norm_log_scalar(rho[j][i]) for j in range(n))
         if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
             raise InconsistentRepresentationError(
                 f"exponent sum {total} for diagonal index {i} is not an integer"
@@ -700,7 +700,7 @@ def solve_weights_parabolic(rep, mode="strict-a", tol=CLUSTER_TOL):
         if val > 0:
             raise InconsistentRepresentationError("exponent sum must be non-positive")
         lam.append(val)
-    classes = _column_classes(rho, tol)
+    classes = _column_classes(rho)
     relaxed = mode == "relaxed-a'"
     if r > 4 and not relaxed:
         try:
@@ -718,8 +718,8 @@ def solve_weights_parabolic(rep, mode="strict-a", tol=CLUSTER_TOL):
     else:
         sol = _solve_cases(classes, lam, n, range(r), relaxed)
     phi = tuple(tuple(sol[i][j] for i in range(r)) for j in range(n))
-    eq_ok = validate_weight_family(rho, lam, phi, mode="relaxed-a'", tol=tol)
-    if not validate_weight_family(rho, lam, phi, mode="strict-a", tol=tol):
+    eq_ok = validate_weight_family(rho, lam, phi, mode="relaxed-a'")
+    if not validate_weight_family(rho, lam, phi, mode="strict-a"):
         raise AssertionError("solver produced weights violating the ordering constraints")
     return WeightMatrixFamily(phi=phi, satisfies_equalities=eq_ok)
 
@@ -752,7 +752,7 @@ class CyclicWeightPlan:
     gap: int
 
 
-def cyclic_weight_plan(rep, k, h, bounds, tol=1e-8):
+def cyclic_weight_plan(rep, k, h, bounds):
     """Weight plan from an eigenvector of G_k that generates the module.
 
     Builds a full G_k-invariant flag starting at <h> with weight gaps
@@ -774,7 +774,7 @@ def cyclic_weight_plan(rep, k, h, bounds, tol=1e-8):
         raise ValueError("bad vector")
     gk = mats[k]
     lam = (h.conj() @ gk @ h) / (h.conj() @ h)
-    if np.linalg.norm(gk @ h - lam * h) > tol * np.linalg.norm(gk, 2) * np.linalg.norm(h):
+    if np.linalg.norm(gk @ h - lam * h) > 1e-8 * np.linalg.norm(gk, 2) * np.linalg.norm(h):
         raise NotEigenvectorError("h is not an eigenvector of the loop matrix at k")
     rank = _module_rank(mats, h)
     if rank < r:
@@ -817,7 +817,7 @@ def cyclic_weight_plan(rep, k, h, bounds, tol=1e-8):
     return CyclicWeightPlan(bundle=bundle, verdict=verdict, degree=d, gap=gap)
 
 
-def _normalize_for_doubling(rep, tol=1e-9):
+def _normalize_for_doubling(rep):
     """Conjugate so that <e_r, G_1 e_r> = <e_{r-1}, e_r> with both present."""
     g1 = rep.matrices[0]
     r = rep.rank
@@ -825,7 +825,7 @@ def _normalize_for_doubling(rep, tol=1e-9):
     scale = max(1.0, np.linalg.norm(g1, 2))
     col = g1[:, r - 1]
     upper = np.max(np.abs(col[: r - 2])) if r > 2 else 0.0
-    if upper <= tol * scale and abs(col[r - 2]) > tol * scale:
+    if upper <= 1e-9 * scale < abs(col[r - 2]):  # entries at most 1e-9 scale are absent
         return rep
     candidates = [e[:, i] for i in range(r - 1, -1, -1)]
     candidates += [e[:, i] + e[:, j] for i in range(r) for j in range(i + 1, r)]
@@ -846,7 +846,7 @@ def _normalize_for_doubling(rep, tol=1e-9):
     )
 
 
-def double_rank_embedding(rep, tol=1e-10):
+def double_rank_embedding(rep):
     """Embed a representation into one of double the rank with a cyclic
     eigenvector.
 
@@ -888,7 +888,7 @@ def double_rank_embedding(rep, tol=1e-10):
     for g in mats:
         prod = prod @ g
     scale = max(np.linalg.norm(g, 2) for g in mats)
-    if np.linalg.norm(prod - np.eye(2 * r), 2) > tol * scale ** n:
+    if np.linalg.norm(prod - np.eye(2 * r), 2) > 1e-10 * scale ** n:
         raise AssertionError("block product failed to telescope to the identity")
     e_last = np.zeros(2 * r, dtype=np.complex128)
     e_last[-1] = 1.0

@@ -209,14 +209,14 @@ def _connector_clearance(punctures, basepoint):
     return float(np.min(dist, initial=math.inf))
 
 
-def standard_loops(punctures, basepoint=None, radius_factor=0.5):
+def standard_loops(punctures, basepoint=None):
     """One anticlockwise loop per puncture from a common basepoint.
 
     Each loop is segment out, full circle, and segment back.  The circle
-    radius starts from radius_factor times the minimum pairwise puncture
-    distance and shrinks until every connector segment stays clear of
-    every other circle; the connectors all emanate from one point, so
-    they never cross and the loops form a geometric basis whose product
+    radius starts from half the minimum pairwise puncture distance and
+    shrinks until every connector segment stays clear of every other
+    circle; the connectors all emanate from one point, so they never
+    cross and the loops form a geometric basis whose product
     telescopes in the :func:`relation_order`.  Returns
     ``(loops, basepoint)`` with loops indexed like the punctures.
     """
@@ -233,7 +233,7 @@ def standard_loops(punctures, basepoint=None, radius_factor=0.5):
         basepoint = _choose_basepoint(punctures)
     basepoint = complex(basepoint)
     clearance = _connector_clearance(punctures, basepoint)
-    radius = radius_factor * minpair
+    radius = 0.5 * minpair
     if n > 1:
         if clearance <= 1e-9 * minpair:
             raise ValueError(
@@ -518,11 +518,12 @@ def integrate_local(a_series, loop, y0=None):
 # monodromy reports and conjugacy
 
 
-def conjugacy_compare(mats_a, mats_b, tol=1e-8, seed=0):
+def conjugacy_compare(mats_a, mats_b, tol=1e-8):
     """Search for invertible S with A_j S = S B_j for all j.
 
     Solves the joint intertwiner system by SVD of the stacked operator
-    and scans the near-null space for an invertible combination.
+    and scans the near-null space for an invertible combination: its
+    basis vectors, then eight draws of a generator seeded with 0.
     Returns ``(ok, S)``; S is scaled to unit determinant magnitude.
     """
     mats_a = [as_matrix(m, square=True) for m in mats_a]
@@ -548,7 +549,7 @@ def conjugacy_compare(mats_a, mats_b, tol=1e-8, seed=0):
         return False, None
     basis = vh.conj().T[:, r * r - null_dim :]
     candidates = [basis[:, i] for i in range(basis.shape[1])]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(8):
         w = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
         candidates.append(basis @ w)
