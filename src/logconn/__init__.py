@@ -9,7 +9,6 @@ from .series import (
     MatrixSeries,
     NegativeValuationError,
     ShapeMismatchError,
-    SingularLeadingCoefficientError,
     WeightDiagonal,
     twist,
 )

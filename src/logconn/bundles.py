@@ -37,7 +37,7 @@ import scipy.linalg
 
 # schur is unused here but stays bound as bundles.schur, a binding the
 # benchmark's tracer wraps and its tests check
-from .eigen import _chain, _closure, clustered_schur, log_branches, norm_log, schur, spectral_split  # noqa: F401
+from .eigen import _INTEGER_TOL, _chain, _closure, _integer_defect, clustered_schur, log_branches, norm_log, schur, spectral_split  # noqa: F401
 from .localforms import LocalLogConnection, normal_form_b_series
 from .series import WeightDiagonal, as_matrix
 
@@ -58,6 +58,7 @@ __all__ = [
     "Semistability",
     "semistable",
     "induced_subbundle",
+    "intersect_spans",
     "SplitExtension",
     "induce_weights_split_extension",
     "local_extension",
@@ -407,15 +408,15 @@ def degree(wfb):
 def _degree(mats, weight_trace):
     """weight_trace + sum_j Tr norm log G_j over the matrices, as :func:`degree` reads it.
 
-    A sum farther than _DEGREE_TOL = 1e-6 from an integer raises NonIntegralDegreeError.
+    A sum farther than _INTEGER_TOL = 1e-6 from an integer raises NonIntegralDegreeError.
     """
     total = weight_trace + 0.0j
     for g in mats:
         t, _, means = clustered_schur(g)
         total += np.sum(log_branches(means) + np.log(t.diagonal() / means) / (2j * np.pi))
-    if abs(total.imag) > _DEGREE_TOL or abs(total.real - round(total.real)) > _DEGREE_TOL:
+    if _integer_defect(total) > _INTEGER_TOL:
         raise NonIntegralDegreeError(
-            f"degree {total} is not an integer to tolerance {_DEGREE_TOL}; inconsistent representation"
+            f"degree {total} is not an integer to tolerance {_INTEGER_TOL}; inconsistent representation"
         )
     return int(round(total.real))
 
@@ -429,7 +430,6 @@ def slope(wfb):
 
 
 _SPAN_TOL = 1e-10  # relative rank tolerance of the algebra span
-_DEGREE_TOL = 1e-6  # a degree sum farther than this from an integer is rejected
 _CHECK_TOL = 1e-8  # residual per unit scale that counts as zero in the invariance and splitting checks
 _PROBES = 8  # random algebra elements tried for a simple spectrum
 

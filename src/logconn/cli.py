@@ -27,11 +27,7 @@ from .localforms import (
     normal_form,
 )
 from .eigen import NonConvergenceError, SingularMatrixError, norm_log
-from .series import (
-    NegativeValuationError,
-    ShapeMismatchError,
-    SingularLeadingCoefficientError,
-)
+from .series import NegativeValuationError, ShapeMismatchError
 from .synth import (
     BqFrameError,
     DisorderedWeightsError,
@@ -67,7 +63,6 @@ _VALIDATION_ERRORS = (
 _NUMERIC_ERRORS = (
     NonConvergenceError,
     SingularMatrixError,
-    SingularLeadingCoefficientError,
     IllConditionedBlockError,
     IntegrationError,
     BqFrameError,

@@ -414,6 +414,14 @@ def floor_snap(x, tol=CLUSTER_TOL):
     return int(np.floor(x))
 
 
+_INTEGER_TOL = 1e-6  # a degree or exponent sum whose _integer_defect exceeds this is not an integer
+
+
+def _integer_defect(z):
+    """Distance of complex z (or each entry of an array) from the integers: max(|Im z|, |Re z - round(Re z)|)."""
+    return np.maximum(np.abs(z.imag), np.abs(z.real - np.round(z.real)))
+
+
 def commuting_log_check(g, g2, c):
     """Whether norm_log(G) C = C norm_log(G') given G C = C G'.
 

@@ -34,6 +34,8 @@ __all__ = [
     "NormalForm",
     "integer_weights",
     "normal_form",
+    "normal_form_b_series",
+    "arranged_series",
     "gauge_residual",
     "fundamental_check",
     "ConvergenceReport",

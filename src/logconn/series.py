@@ -3,7 +3,7 @@
 A series S(z) = sum_{j=0}^{N} S^j z^j is stored as a stack of complex
 coefficient matrices.  The order N means "coefficients above N are
 unknown", not zero, so arithmetic always truncates to the smallest
-order of the operands and marks the result when orders were mixed.
+order of the operands.
 
 Integer weight diagonals Phi = diag(phi^1 >= ... >= phi^r) act on
 series by the twisted conjugation z^Phi S z^{-Phi'}, implemented as
@@ -19,9 +19,9 @@ import numpy as np
 __all__ = [
     "ZERO_TOL",
     "ShapeMismatchError",
-    "SingularLeadingCoefficientError",
     "NegativeValuationError",
     "as_matrix",
+    "last_nonzero",
     "MatrixSeries",
     "WeightDiagonal",
     "twist",
@@ -32,10 +32,6 @@ ZERO_TOL = 1e-10
 
 
 class ShapeMismatchError(ValueError):
-    pass
-
-
-class SingularLeadingCoefficientError(ValueError):
     pass
 
 
@@ -70,13 +66,10 @@ def last_nonzero(coeffs):
 class MatrixSeries:
     """Truncated power series sum_{j<=N} coeffs[j] z^j with matrix coefficients.
 
-    `coeffs` has shape (N+1, dim_out, dim_in).  `truncated` records that
-    the value arose from mixing operands of unequal order (the result is
-    exact only up to the shared order).
+    `coeffs` has shape (N+1, dim_out, dim_in).
     """
 
     coeffs: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -117,22 +110,10 @@ class MatrixSeries:
     def identity(cls, dim, order=0):
         return cls.constant(np.eye(dim), order)
 
-    @classmethod
-    def zero(cls, dim_out, dim_in=None, order=0):
-        if dim_in is None:
-            dim_in = dim_out
-        return cls(np.zeros((order + 1, dim_out, dim_in), dtype=np.complex128))
-
-    def coeff(self, j):
-        """Coefficient of z^j (zero above the order is *not* assumed; raises)."""
-        if not 0 <= j <= self.order:
-            raise IndexError(f"coefficient z^{j} outside stored order {self.order}")
-        return self.coeffs[j]
-
     def truncate(self, order):
         if order >= self.order:
             return self
-        return MatrixSeries(self.coeffs[: order + 1].copy(), truncated=True)
+        return MatrixSeries(self.coeffs[: order + 1].copy())
 
     def pad(self, order):
         """Extend with explicit zero coefficients (asserts exactness above N)."""
@@ -140,7 +121,7 @@ class MatrixSeries:
             return self
         c = np.zeros((order + 1, self.dim_out, self.dim_in), dtype=np.complex128)
         c[: self.order + 1] = self.coeffs
-        return MatrixSeries(c, truncated=self.truncated)
+        return MatrixSeries(c)
 
     def __add__(self, other):
         if not isinstance(other, MatrixSeries):
@@ -150,22 +131,16 @@ class MatrixSeries:
                 f"add: shapes {(self.dim_out, self.dim_in)} vs {(other.dim_out, other.dim_in)}"
             )
         n = min(self.order, other.order)
-        mixed = self.order != other.order
-        return MatrixSeries(
-            self.coeffs[: n + 1] + other.coeffs[: n + 1],
-            truncated=mixed or self.truncated or other.truncated,
-        )
+        return MatrixSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return MatrixSeries(-self.coeffs, truncated=self.truncated)
+        return MatrixSeries(-self.coeffs)
 
     def __mul__(self, other):
-        """Truncated Cauchy product, or scalar multiple."""
-        if np.isscalar(other):
-            return MatrixSeries(self.coeffs * other, truncated=self.truncated)
+        """Truncated Cauchy product."""
         if not isinstance(other, MatrixSeries):
             return NotImplemented
         if self.dim_in != other.dim_out:
@@ -173,7 +148,6 @@ class MatrixSeries:
                 f"mul: inner dims {self.dim_in} vs {other.dim_out}"
             )
         n = min(self.order, other.order)
-        mixed = self.order != other.order
         # a product with an exactly zero factor adds nothing to the sum, so
         # each degree runs only over the coefficients up to each operand's
         # last nonzero one (a padded polynomial such as a normal form's B)
@@ -182,40 +156,12 @@ class MatrixSeries:
         for j in range(min(n, da + db) + 1):
             lo, hi = max(0, j - db), min(j, da)
             out[j] = np.einsum("kab,kbc->ac", self.coeffs[lo : hi + 1], other.coeffs[j - hi : j - lo + 1][::-1])
-        return MatrixSeries(out, truncated=mixed or self.truncated or other.truncated)
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return MatrixSeries(self.coeffs * other, truncated=self.truncated)
-        return NotImplemented
-
-    def inverse(self):
-        """Series inverse; requires a leading coefficient of condition at most 1e12.
-
-        The result X satisfies self * X = X * self = I + O(z^{N+1}).
-        """
-        if not self.is_square:
-            raise ShapeMismatchError("inverse needs a square series")
-        a0 = self.coeffs[0]
-        cond = np.linalg.cond(a0)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularLeadingCoefficientError(f"leading coefficient condition {cond:.3e} exceeds 1.0e+12")
-        n = self.order
-        r = self.dim_out
-        inv = np.zeros((n + 1, r, r), dtype=np.complex128)
-        x0 = np.linalg.inv(a0)
-        inv[0] = x0
-        for j in range(1, n + 1):
-            acc = np.zeros((r, r), dtype=np.complex128)
-            for k in range(1, j + 1):
-                acc += self.coeffs[k] @ inv[j - k]
-            inv[j] = -x0 @ acc
-        return MatrixSeries(inv, truncated=self.truncated)
+        return MatrixSeries(out)
 
     def z_derivative(self):
         """The series of z * d/dz: coefficient j maps to j * coeffs[j]."""
         j = np.arange(self.order + 1).reshape(-1, 1, 1)
-        return MatrixSeries(j * self.coeffs, truncated=self.truncated)
+        return MatrixSeries(j * self.coeffs)
 
     def eval(self, z):
         """Horner evaluation at a complex point (truncated polynomial value)."""
@@ -283,9 +229,6 @@ class WeightDiagonal:
     def trace(self):
         return sum(self.entries)
 
-    def shifted(self, offset):
-        return WeightDiagonal(tuple(x + int(offset) for x in self.entries))
-
 
 def _weight_entries(phi):
     if isinstance(phi, WeightDiagonal):
@@ -318,7 +261,7 @@ def twist(series, phi_out, phi_in):
     present = val <= n  # identically zero entries put no constraint
     if not present.any():
         # zero series: untouched knowledge horizon
-        return MatrixSeries(series.coeffs.copy(), truncated=series.truncated), 0
+        return MatrixSeries(series.coeffs.copy()), 0
     twisted_val = val + shifts
     min_valuation = int(twisted_val[present].min())
     # row-major, as Python ints for the message and the error's entries
@@ -335,4 +278,4 @@ def twist(series, phi_out, phi_in):
     keep = (target >= 0) & (target <= out_order)
     _, rows, cols = np.nonzero(keep)
     out[target[keep], rows, cols] = series.coeffs[keep]
-    return MatrixSeries(out, truncated=series.truncated), min_valuation
+    return MatrixSeries(out), min_valuation

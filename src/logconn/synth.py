@@ -28,7 +28,7 @@ from .bundles import (
     _span_basis,
     _span_closure,
 )
-from .eigen import CLUSTER_TOL, _chain, clustered_schur, eigenvalues, norm_log, norm_log_scalar, schur
+from .eigen import _INTEGER_TOL, CLUSTER_TOL, _chain, _integer_defect, clustered_schur, eigenvalues, norm_log, norm_log_scalar, schur
 from .series import MatrixSeries, WeightDiagonal, as_matrix
 
 __all__ = [
@@ -178,8 +178,8 @@ def commutative_fuchsian(rep, tol=1e-8):
                 )
     ks = [norm_log(g).k for g in mats]
     xi = eigenvalues(sum(ks))
-    defect = np.maximum(np.abs(xi.imag), np.abs(xi.real - np.round(xi.real)))
-    if np.any(defect > 1e-6):
+    defect = _integer_defect(xi)
+    if np.any(defect > _INTEGER_TOL):
         raise InconsistentRepresentationError(
             f"exponent sum {xi[np.argmax(defect)]} is not an integer; loop product broken"
         )
@@ -282,26 +282,21 @@ def bq_frame(c, qk, tol=1e-9):
     qp = MatrixSeries(qk.coeffs[:, :, list(perm)])
     q = qp.coeffs  # q[p, j, m]
 
-    deg_b = max(0, cs[0] - cs[-1] - 1)
-    b = np.zeros((deg_b + 1, r, r), dtype=np.complex128)
+    # every degree p below here is at most spread - 1 < qk.order
+    b = np.zeros((c.spread, r, r), dtype=np.complex128)
     b[0] += np.eye(r)
     for i in range(r):
         max_p = cs[i] - cs[-1] - 1
         for p in range(0, max_p + 1):
-            alpha = None
-            for j in range(i + 1, r):
-                if p <= cs[i] - cs[j] - 1:
-                    alpha = j
-                    break
-            if alpha is None:
-                continue
+            # column r - 1 admits every such p, so the first admitting column exists
+            alpha = next(j for j in range(i + 1, r) if p <= cs[i] - cs[j] - 1)
             idx = list(range(alpha, r))
             rhs = np.zeros(len(idx), dtype=np.complex128)
             for mpos, m in enumerate(idx):
-                acc = q[p, i, m] if p <= qp.order else 0.0
+                acc = q[p, i, m]
                 for t in range(0, p):
                     for j in range(i + 1, r):
-                        if t <= cs[i] - cs[j] - 1 and 0 <= p - t <= qp.order:
+                        if t <= cs[i] - cs[j] - 1:
                             acc += b[t, i, j] * q[p - t, j, m]
                 rhs[mpos] = -acc
             block = q[0][np.ix_(idx, idx)]
@@ -692,7 +687,7 @@ def solve_weights_parabolic(rep, mode="strict-a"):
     lam = []
     for i in range(r):
         total = sum(norm_log_scalar(rho[j][i]) for j in range(n))
-        if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
+        if _integer_defect(total) > _INTEGER_TOL:
             raise InconsistentRepresentationError(
                 f"exponent sum {total} for diagonal index {i} is not an integer"
             )
@@ -987,9 +982,7 @@ def rank3_decide(rep, seed=0):
     reducible_witness = len(enum.subspaces) > 0
     if reducible_witness and all(c == 1 for c in counts):
         applies, mu_sum = _exponent_obstruction(counts, means)
-        if applies and (
-            abs(mu_sum.imag) > 1e-6 or abs(mu_sum.real - round(mu_sum.real)) > 1e-6
-        ):
+        if applies and _integer_defect(mu_sum) > _INTEGER_TOL:
             return Rank3Decision(
                 Rank3Verdict.NOT_REALIZABLE,
                 "nonintegral-exponent-sum",

@@ -659,11 +659,14 @@ def growth_exponent(source, v, radii, center=0.0 + 0.0j, angle=0.0):
 
     The estimate is flagged unreliable when fewer than 8 radii or fewer
     than 3 decades are supplied, or when the fit standard error is too
-    large to pin down the integer part.
+    large to pin down the integer part.  Fewer than 2 distinct radii
+    leave no slope to fit and raise ValueError.
     """
     radii = np.asarray(sorted((float(r) for r in radii), reverse=True), dtype=float)
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
+    if (distinct := np.unique(radii).size) < 2:
+        raise ValueError(f"the slope fit needs at least 2 distinct radii, got {distinct}")
     direction = np.exp(1j * angle)
 
     if hasattr(source, "residues"):

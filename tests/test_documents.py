@@ -1,15 +1,19 @@
 """Canonical documents: the writer, the reader and their round trip."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from logconn import MatrixSeries
+from logconn import FuchsianSystem, LocalLogConnection, MatrixSeries, Representation, WeightedFlag, WeightedFlatBundle
 from logconn import documents as doc
+
+from conftest import random_invertible
 
 # doubles that break a hand-written printer or parser: signed zeros,
 # subnormals, the ends of the range, integer values and values past 2^53
@@ -40,9 +44,39 @@ def _matrix_and_series(draw):
     return draw(_complex((rows, cols))), draw(_complex((order + 1, rows, cols)))
 
 
+@st.composite
+def _payload_objects(draw):
+    """One object of each payload kind; numbers come from _FLOATS wherever the constructor admits any."""
+    r, n, order = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    punctures, basepoint = draw(_complex((n,))), draw(_complex(()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conn = LocalLogConnection(MatrixSeries(draw(_complex((order + 1, r, r)))))
+    mats = [random_invertible(rng, r) for _ in range(n - 1)]
+    rep = Representation(punctures, [*mats, np.linalg.inv(functools.reduce(np.matmul, mats, np.eye(r)))], basepoint)
+    residues = [rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)) for _ in range(n - 1)]
+    system = FuchsianSystem(punctures, [*residues, -sum(residues, np.zeros((r, r)))])
+    flags = []
+    for g in rep.matrices:
+        # the leading Schur vectors of g span g-invariant steps
+        z = scipy.linalg.schur(g, output="complex")[1]
+        dims = sorted(draw(st.sets(st.integers(1, r - 1)))) + [r] if r > 1 else [r]
+        weights = sorted(draw(st.sets(st.integers(-5, 5), min_size=len(dims), max_size=len(dims))), reverse=True)
+        flags.append(WeightedFlag(tuple(z[:, :k] for k in dims), tuple(weights)))
+    return {
+        "representation": (rep, doc.encode_representation, doc.decode_representation),
+        "local-connection": (conn, doc.encode_connection, doc.decode_connection),
+        "fuchsian-system": (system, doc.encode_system, doc.decode_system),
+        "weighted-bundle": (WeightedFlatBundle(rep, tuple(flags)), doc.encode_bundle, doc.decode_bundle),
+    }
+
+
+def _projectors(flag):
+    return np.array([s @ s.conj().T for s in flag.subspaces])
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_matrix_and_series())
-def test_documents_round_trip_bit_for_bit(drawn):
+@given(_matrix_and_series(), _payload_objects())
+def test_documents_round_trip_bit_for_bit(drawn, objects):
     m, coeffs = drawn
     payload = {"m": doc.encode_matrix(m), "series": doc.encode_series(MatrixSeries(coeffs))}
     text = doc.canonical_dumps(doc.wrap("report", payload))
@@ -51,6 +85,24 @@ def test_documents_round_trip_bit_for_bit(drawn):
     # int64 views compare bits, so the sign of zero counts
     assert np.array_equal(_bits(doc.decode_matrix(back["m"])), _bits(m))
     assert np.array_equal(_bits(doc.decode_series(back["series"]).coeffs), _bits(coeffs))
+    # every payload kind: encode, write, read, decode and encode again gives the same text
+    for kind, (obj, encode, decode) in objects.items():
+        text = doc.canonical_dumps(doc.wrap(kind, encode(obj)))
+        back = decode(doc.parse_document(text, kind)["payload"])
+        again = doc.canonical_dumps(doc.wrap(kind, encode(back)))
+        if kind != "weighted-bundle":
+            assert again == text
+            continue
+        # a weighted bundle's flags are rebuilt on decode (WeightedFlag takes
+        # an orthonormal basis of each step increment from eigh), so only its
+        # representation and weights come back as the same text, and each
+        # step as the same subspace to rounding
+        first, second = (json.loads(t)["payload"] for t in (text, again))
+        assert doc.canonical_dumps(second["representation"]) == doc.canonical_dumps(first["representation"])
+        assert [f["weights"] for f in second["flags"]] == [f["weights"] for f in first["flags"]]
+        for f, g in zip(obj.flags, back.flags):
+            assert f.dims == g.dims
+            assert np.max(np.abs(_projectors(f) - _projectors(g))) < 1e-13
 
 
 def test_canonical_format_is_pinned():

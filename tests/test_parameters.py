@@ -64,3 +64,19 @@ def test_every_tolerance_and_seed_parameter_has_a_caller_that_sets_it():
     assert found - EXPECTED.keys() == set(), "parameters no caller sets: make them fixed values"
     assert EXPECTED.keys() - found == set(), "expected parameters missing from the walk"
 
+
+
+def test_all_lists_every_public_function_and_class():
+    # the walk above reads __all__, so a public name missing from it
+    # would escape the table
+    for mod_name in MODULES:
+        module = importlib.import_module(f"logconn.{mod_name}")
+        public = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert public - set(module.__all__) == set(), f"{mod_name}: public names missing from __all__"
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], f"{mod_name}: unresolved"

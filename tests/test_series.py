@@ -12,7 +12,7 @@ from logconn import (
     bq_frame,
     twist,
 )
-from logconn.series import ShapeMismatchError, SingularLeadingCoefficientError
+from logconn.series import ShapeMismatchError
 
 
 def rand_series(rng, order, dout, din=None):
@@ -42,9 +42,6 @@ def test_order_mixing_truncates_and_flags(rng):
     b = rand_series(rng, 3, 2)
     out = a * b
     assert out.order == 3
-    assert out.truncated
-    same = a * rand_series(rng, 5, 2)
-    assert not same.truncated
 
 
 def test_ring_laws_coefficientwise(rng):
@@ -54,49 +51,6 @@ def test_ring_laws_coefficientwise(rng):
         assert ((a * b) * c).allclose(a * (b * c), atol=1e-10)
         assert (a * (b + c)).allclose(a * b + a * c, atol=1e-10)
         assert ((a + b) * c).allclose(a * c + b * c, atol=1e-10)
-
-
-def test_inverse_identity_and_geometric():
-    ident = MatrixSeries.identity(3, 5)
-    assert ident.inverse().allclose(ident)
-    e = np.array([[0.0, 1.0], [0.5, 0.0]])
-    s = MatrixSeries(np.array([np.eye(2), e, np.zeros((2, 2)), np.zeros((2, 2))]))
-    inv = s.inverse()
-    # geometric series: I - zE + z^2 E^2 - z^3 E^3
-    for j in range(4):
-        assert np.allclose(inv.coeffs[j], (-1) ** j * np.linalg.matrix_power(e, j))
-
-
-def test_inverse_multiplies_back(rng):
-    # oracle: the defining property, checked coefficientwise
-    s = MatrixSeries(
-        np.concatenate([[np.diag([2.0, 4.0]).astype(complex)], np.ones((3, 2, 2), dtype=complex)])
-    )
-    inv = s.inverse()
-    prod = s * inv
-    assert np.allclose(prod.coeffs[0], np.eye(2), atol=1e-12)
-    assert np.max(np.abs(prod.coeffs[1:])) < 1e-12
-    prod2 = inv * s
-    assert np.allclose(prod2.coeffs[0], np.eye(2), atol=1e-12)
-    assert np.max(np.abs(prod2.coeffs[1:])) < 1e-12
-
-
-def test_inverse_two_sided_random(rng):
-    for _ in range(20):
-        n = int(rng.integers(0, 8))
-        s = rand_series(rng, n, int(rng.integers(1, 5)))
-        s = s + MatrixSeries.constant(3 * np.eye(s.dim_out), n)  # keep leading term tame
-        inv = s.inverse()
-        prod = s * inv
-        assert np.allclose(prod.coeffs[0], np.eye(s.dim_out), atol=1e-12)
-        if n:
-            assert np.max(np.abs(prod.coeffs[1:])) < 1e-12
-
-
-def test_inverse_singular_leading():
-    s = MatrixSeries.constant(np.array([[1.0, 1.0], [1.0, 1.0]]), 2)
-    with pytest.raises(SingularLeadingCoefficientError):
-        s.inverse()
 
 
 def test_shape_mismatch():
@@ -222,9 +176,9 @@ def _twist_loop(s, po, pi, ztol=series.ZERO_TOL):
             f"twist produced poles at entries {[(i, m) for i, m, _ in poles]}", min_valuation, poles
         )
     if out_order is None:
-        return MatrixSeries(s.coeffs.copy(), truncated=s.truncated), 0
+        return MatrixSeries(s.coeffs.copy()), 0
     out_order = max(out_order, 0)
-    return MatrixSeries(_twist_reference(s.coeffs, shifts, out_order), truncated=s.truncated), min_valuation
+    return MatrixSeries(_twist_reference(s.coeffs, shifts, out_order)), min_valuation
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -246,7 +200,7 @@ def test_twist_matches_the_entrywise_scan(order, dout, din, zeros, seed):
         coeffs[np.arange(order + 1)[:, None, None] < lead] = series.ZERO_TOL * rng.uniform(0.0, 1.0)
     elif zeros == "all":
         coeffs[:] = 0.0
-    s = MatrixSeries(coeffs, truncated=bool(rng.integers(2)))
+    s = MatrixSeries(coeffs)
     po = rng.integers(-3, 4, size=dout).tolist()
     pi = rng.integers(-3, 4, size=din).tolist()  # shifts of both signs
     try:
@@ -261,7 +215,6 @@ def test_twist_matches_the_entrywise_scan(order, dout, din, zeros, seed):
         return
     got, val = twist(s, po, pi)
     assert val == expected_val and type(val) is int
-    assert got.truncated == expected.truncated
     assert np.array_equal(got.coeffs, expected.coeffs)
 
 
@@ -269,7 +222,7 @@ def _mul_full_einsum(a, b):
     """The Cauchy product as one einsum per degree over every coefficient pair."""
     n = min(a.order, b.order)
     out = np.array([np.einsum("kab,kbc->ac", a.coeffs[: j + 1], b.coeffs[j::-1]) for j in range(n + 1)])
-    return MatrixSeries(out, truncated=a.order != b.order or a.truncated or b.truncated)
+    return MatrixSeries(out)
 
 
 def _zero_tail(rng, order, shape, tail):
@@ -284,19 +237,17 @@ def _zero_tail(rng, order, shape, tail):
     orders=st.tuples(st.integers(0, 9), st.integers(0, 9)),
     dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
     tails=st.tuples(st.integers(0, 10), st.integers(0, 10)),
-    flags=st.tuples(st.booleans(), st.booleans()),
 )
-def test_mul_skips_zero_tails_bit_for_bit(seed, orders, dims, tails, flags):
+def test_mul_skips_zero_tails_bit_for_bit(seed, orders, dims, tails):
     # summing each degree only up to each operand's last nonzero
     # coefficient drops exactly zero products, which leave the sum's bits
     # unchanged; a tail index past the order keeps every coefficient
     rng = np.random.default_rng(seed)
     p, q, s = dims
-    a = MatrixSeries(_zero_tail(rng, orders[0], (p, q), tails[0]), truncated=flags[0])
-    b = MatrixSeries(_zero_tail(rng, orders[1], (q, s), tails[1]), truncated=flags[1])
+    a = MatrixSeries(_zero_tail(rng, orders[0], (p, q), tails[0]))
+    b = MatrixSeries(_zero_tail(rng, orders[1], (q, s), tails[1]))
     out, ref = a * b, _mul_full_einsum(a, b)
     assert out.order == min(orders)
-    assert out.truncated == ref.truncated
     assert np.array_equal(out.coeffs.view(np.int64), ref.coeffs.view(np.int64))
     assert series.last_nonzero(a.coeffs) == min(tails[0], orders[0] + 1) - 1
 

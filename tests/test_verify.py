@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -22,6 +23,8 @@ from logconn import (
     standard_loops,
 )
 import logconn.verify as verify
+from logconn import documents as doc
+from logconn.cli import main
 from logconn.verify import IntegrationError, LoopPath
 
 from conftest import random_invertible, sorted_punctures
@@ -286,6 +289,23 @@ def test_growth_exponent_unreliable_flag():
     conn = LocalLogConnection(MatrixSeries.constant(np.array([[-1.5]]), 0))
     est = growth_exponent(conn, [1.0], radii)
     assert not est.reliable
+
+
+@pytest.mark.parametrize(
+    "radii, flags, distinct",
+    [([0.5], ["--num-radii", "1"], 1), ([0.5] * 10, ["--decades", "0"], 1), ([], ["--num-radii", "0"], 0)],
+)
+def test_growth_exponent_refuses_fewer_than_two_distinct_radii(tmp_path, capsys, radii, flags, distinct):
+    # one radius leaves no slope to fit: the API refuses before transporting,
+    # and the CLI exits 2 with the same message
+    conn = LocalLogConnection(MatrixSeries.constant(np.array([[1.0, 0.0], [0.0, 0.5]]), 0))
+    message = f"the slope fit needs at least 2 distinct radii, got {distinct}"
+    with pytest.raises(ValueError, match=message):
+        growth_exponent(conn, [1.0, 0.0], radii)
+    path = tmp_path / "conn.json"
+    path.write_text(doc.canonical_dumps(doc.wrap("local-connection", doc.encode_connection(conn))))
+    assert main(["growth", str(path), "--vector", "[[1, 0], [0, 0]]", *flags]) == 2
+    assert json.loads(capsys.readouterr().err) == {"message": message, "reason": "ValueError"}
 
 
 def test_clearance_guard():
