@@ -18,7 +18,6 @@ from .eigen import (
     SingularMatrixError,
     SpectralSplit,
     cluster_expm,
-    commuting_log_check,
     eigenvalues,
     floor_snap,
     norm_log,
@@ -34,25 +33,19 @@ from .localforms import (
     fundamental_check,
     gauge_residual,
     integer_weights,
-    morphism_weight_check,
     normal_form,
 )
 from .bundles import (
     InvariantSubspaces,
     Representation,
     Semistability,
-    SplitExtension,
-    SubBundle,
     WeightedFlag,
     WeightedFlatBundle,
     degree,
-    induce_weights_split_extension,
-    induced_subbundle,
     invariant_subspaces,
     local_extension,
     semistable,
     slope,
-    weight_of,
 )
 from .synth import (
     BqFrame,
@@ -70,7 +63,6 @@ from .synth import (
     double_rank_embedding,
     jordan_block_count,
     rank3_decide,
-    regauge_given_splitting,
     shift_weights,
     solve_weights_parabolic,
     splitting_bound_check,

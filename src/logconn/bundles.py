@@ -27,7 +27,6 @@ and the Schur forms of the restricted loop matrices, and builds no
 sub-bundle (see :func:`_subbundle_slope`).
 """
 
-import math
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -49,22 +48,18 @@ __all__ = [
     "Representation",
     "WeightedFlag",
     "WeightedFlatBundle",
-    "SubBundle",
-    "weight_of",
     "degree",
     "slope",
     "InvariantSubspaces",
     "invariant_subspaces",
     "Semistability",
     "semistable",
-    "induced_subbundle",
     "intersect_spans",
-    "SplitExtension",
-    "induce_weights_split_extension",
     "local_extension",
 ]
 
 RANK_TOL = 1e-9
+_CHECK_TOL = 1e-8  # residual per unit scale that counts as zero in the invariance checks
 
 
 class InvalidRepresentationError(ValueError):
@@ -325,15 +320,15 @@ class WeightedFlag:
         subs = tuple(basis[:, : k + 1] for k in range(r))
         return cls(subs, tuple(weights))
 
-    def invariant_under(self, g, tol=1e-8, scale=None):
-        """Whether g maps every step into itself, to tol times scale = max(1, ||g||_2).
+    def invariant_under(self, g, scale=None):
+        """Whether g maps every step into itself, to _CHECK_TOL times scale = max(1, ||g||_2).
 
         Callers that hold the scale, as a Representation does in `scales`, pass it.
         """
         g = as_matrix(g, square=True)
         if scale is None:
             scale = max(1.0, np.linalg.norm(g, 2))
-        return all(_invariant_steps(self, g[None], (scale,), tol))
+        return all(_invariant_steps(self, g[None], (scale,), _CHECK_TOL))
 
 
 def _invariant_steps(flag, mats, scales, tol):
@@ -348,30 +343,12 @@ def _invariant_steps(flag, mats, scales, tol):
     return [bool(np.max(worst[k:, :k]) <= tol) for k in flag.dims[:-1]]
 
 
-def weight_of(flag, v):
-    """Weight of a vector: psi of the first flag subspace containing it.
-
-    One product c = Q^* v with the flag's unitary basis gives every
-    residual: the part of v outside step m has norm |c[k_m:]|, and v
-    lies in the step when that is at most RANK_TOL max(1, |v|).  The
-    last step (k_l = r) leaves no residual.  Vectors of norm at most
-    RANK_TOL have weight +infinity.
-    """
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    nv = np.linalg.norm(v)
-    if nv <= RANK_TOL:
-        return math.inf
-    c = flag.basis.conj().T @ v
-    return next(w for k, w in zip(flag.dims, flag.weights) if np.linalg.norm(c[k:]) <= RANK_TOL * max(1.0, nv))
-
-
 @dataclass(frozen=True)
 class WeightedFlatBundle:
     """A representation with one invariant weighted flag per puncture."""
 
     rep: Representation
     flags: tuple
-    check_tol: float = 1e-8
 
     def __post_init__(self):
         flags = tuple(self.flags)
@@ -380,7 +357,7 @@ class WeightedFlatBundle:
         for j, (g, c, f) in enumerate(zip(self.rep.matrices, self.rep.scales, flags)):
             if f.rank != self.rep.rank:
                 raise FlagError(f"flag {j} has wrong ambient rank")
-            if not f.invariant_under(g, self.check_tol, c):
+            if not f.invariant_under(g, scale=c):
                 raise FlagError(f"flag {j} is not invariant under its loop matrix")
         object.__setattr__(self, "flags", flags)
 
@@ -389,7 +366,7 @@ class WeightedFlatBundle:
         return self.rep.rank
 
     def with_flags(self, flags):
-        return WeightedFlatBundle(self.rep, tuple(flags), self.check_tol)
+        return WeightedFlatBundle(self.rep, tuple(flags))
 
 
 def degree(wfb):
@@ -430,7 +407,6 @@ def slope(wfb):
 
 
 _SPAN_TOL = 1e-10  # relative rank tolerance of the algebra span
-_CHECK_TOL = 1e-8  # residual per unit scale that counts as zero in the invariance and splitting checks
 _PROBES = 8  # random algebra elements tried for a simple spectrum
 
 
@@ -626,67 +602,6 @@ class Semistability(Enum):
     UNDETERMINED = "Undetermined"
 
 
-def induced_subbundle(wfb, w_basis):
-    """Restrict a weighted flat bundle to the invariant subspace W = span(w_basis).
-
-    The result is :meth:`SubBundle.of`'s bundle: it is written in the
-    orthonormal basis of W that :func:`_span_basis` picks, not in the
-    columns of w_basis.
-    """
-    return SubBundle.of(wfb, w_basis).bundle
-
-
-@dataclass(frozen=True)
-class SubBundle:
-    """An invariant subspace W with its induced weighted bundle, in the coordinates of `basis`.
-
-    `basis` is the orthonormal basis of W that :func:`_span_basis` picks
-    from the spanning set given to :meth:`of`.  The loop matrices and the
-    flags of `bundle` are written in it: coordinates c are the ambient
-    vector basis @ c.
-    """
-
-    basis: np.ndarray
-    bundle: WeightedFlatBundle
-
-    @property
-    def rank(self):
-        return self.basis.shape[1]
-
-    @classmethod
-    def of(cls, wfb, basis):
-        """Restrict wfb to W = span(basis), which must be invariant (FlagError otherwise).
-
-        The loop matrices restrict to W^* G_j W in the orthonormal basis
-        W of :func:`_span_basis`.  Each flag restricts by intersection, in
-        W-coordinates; induced weights are read off where the
-        intersection dimensions jump.  The intersections with every step
-        of every flag come from one batched SVD
-        (:func:`_intersection_coords`): a step contains the directions of
-        W whose principal angle theta to it has sin theta <= 2 RANK_TOL.
-        Those coordinates are the induced flag's steps.
-        """
-        u, k = _span_basis(basis)
-        w = u[:, :k]
-        mats = np.array(wfb.rep.matrices)
-        if not _maps_into(w, mats, wfb.rep.scales, 1e-7):
-            raise FlagError("subspace is not invariant under the representation")
-        rep = Representation(wfb.rep.punctures, tuple(w.conj().T @ mats @ w), wfb.rep.basepoint, tol=1e-6)
-        coords = _intersection_coords(w, [(f.basis, f.dims) for f in wfb.flags])
-        flags = []
-        start = 0
-        for f in wfb.flags:
-            steps = []
-            weights = []
-            for c, wt in zip(coords[start:], f.weights):
-                if c.shape[1] > (steps[-1].shape[1] if steps else 0):
-                    steps.append(c)
-                    weights.append(wt)
-            start += len(f.weights)
-            flags.append(WeightedFlag(tuple(steps), tuple(weights)))
-        return cls(basis=w, bundle=WeightedFlatBundle(rep, tuple(flags), check_tol=1e-6))
-
-
 def _is_scalar_family(mats):
     for g in mats:
         d = g[0, 0]
@@ -716,7 +631,11 @@ def _induced_weight_trace(flags, counts, k):
 
 
 def _subbundle_slope(wfb, w, mats):
-    """Slope of the sub-bundle :func:`induced_subbundle` builds on span(W), with no objects built.
+    """Slope of the sub-bundle induced on span(W), with no objects built.
+
+    The induced bundle restricts each loop matrix to W and each flag to
+    its intersections with W, with the weights of the steps where the
+    intersection dimension grows.
 
     W has orthonormal columns, as every candidate of :func:`semistable`
     has.  The induced weight trace comes from the intersection
@@ -773,119 +692,6 @@ def semistable(wfb, seed=0):
         # every subspace is invariant with the same induced slope
         return Semistability.SEMISTABLE
     return Semistability.UNDETERMINED
-
-
-# --------------------------------------------------------------------------
-# extensions
-
-
-@dataclass(frozen=True)
-class SplitExtension:
-    """Extension data: total matrices [[G'_j, C_j], [0, G''_j]] plus a
-    right inverse alpha of the projection at puncture k that intertwines
-    the loop matrices there."""
-
-    coupling: tuple
-    k: int
-    alpha: np.ndarray
-
-
-def induce_weights_split_extension(sub, quot, split):
-    """Weights on the total space of an extension, split at one puncture.
-
-    Away from puncture k the flag stacks the sub flag below the
-    preimages of the quotient flag, which needs every sub weight to
-    exceed every quot weight there (arrange with weight shifts first).
-    At k the weighted filtration is the direct sum of the sub flag and
-    the alpha-image of the quotient flag.
-    """
-    if sub.rep.punctures != quot.rep.punctures:
-        raise InvalidRepresentationError("sub and quotient live over different punctures")
-    rs, rq = sub.rank, quot.rank
-    r = rs + rq
-    n = sub.rep.n
-    kdx = int(split.k)
-    if not 0 <= kdx < n:
-        raise ValueError("puncture index out of range")
-    coupling = tuple(as_matrix(c) for c in split.coupling)
-    if len(coupling) != n or any(c.shape != (rs, rq) for c in coupling):
-        raise ValueError("need one r' x r'' coupling block per puncture")
-    mats = []
-    for gs, gq, c in zip(sub.rep.matrices, quot.rep.matrices, coupling):
-        g = np.zeros((r, r), dtype=np.complex128)
-        g[:rs, :rs] = gs
-        g[:rs, rs:] = c
-        g[rs:, rs:] = gq
-        mats.append(g)
-    rep = Representation(sub.rep.punctures, tuple(mats), sub.rep.basepoint)
-
-    alpha = as_matrix(split.alpha)
-    if alpha.shape != (r, rq):
-        raise ValueError("alpha must map the quotient into the total space")
-    proj = np.hstack([np.zeros((rq, rs)), np.eye(rq)])
-    if np.linalg.norm(proj @ alpha - np.eye(rq), 2) > _CHECK_TOL:
-        raise ValueError("alpha is not a right inverse of the projection")
-    gk = mats[kdx]
-    if np.linalg.norm(gk @ alpha - alpha @ quot.rep.matrices[kdx], 2) > _CHECK_TOL * max(
-        1.0, np.linalg.norm(gk, 2)
-    ):
-        raise ValueError("alpha does not intertwine the loop matrices at k")
-
-    def up(basis):
-        return np.vstack([basis, np.zeros((rq, basis.shape[1]))])
-
-    def preimage(basis):
-        lift = np.vstack([np.zeros((rs, basis.shape[1])), basis])
-        return np.hstack([up(np.eye(rs)), lift])
-
-    flags = []
-    for j in range(n):
-        fs, fq = sub.flags[j], quot.flags[j]
-        if j != kdx:
-            if min(fs.weights) <= max(fq.weights):
-                raise ValueError(
-                    f"at puncture {j} every sub weight must exceed every quot weight "
-                    "(apply weight shifts first)"
-                )
-            steps = [up(s) for s in fs.subspaces] + [preimage(s) for s in fq.subspaces]
-            weights = list(fs.weights) + list(fq.weights)
-        else:
-            thresholds = sorted(set(fs.weights) | set(fq.weights), reverse=True)
-            steps = []
-            weights = []
-            for t in thresholds:
-                cols = [np.zeros((r, 0))]
-                top_s = None
-                for s, wt in zip(fs.subspaces, fs.weights):
-                    if wt >= t:
-                        top_s = s
-                if top_s is not None:
-                    cols.append(up(top_s))
-                top_q = None
-                for s, wt in zip(fq.subspaces, fq.weights):
-                    if wt >= t:
-                        top_q = s
-                if top_q is not None:
-                    cols.append(alpha @ top_q)
-                steps.append(np.hstack(cols))
-                weights.append(t)
-        flags.append(WeightedFlag(tuple(steps), tuple(weights)))
-    total = WeightedFlatBundle(rep, tuple(flags))
-
-    # injection and surjection witnesses on the graded directions
-    rng = np.random.default_rng(0)
-    for j in range(n):
-        fs, fq = sub.flags[j], quot.flags[j]
-        for s, wt in zip(fs.subspaces, fs.weights):
-            v = s @ (rng.normal(size=s.shape[1]) + 1j * rng.normal(size=s.shape[1]))
-            if weight_of(fs, v) != weight_of(total.flags[j], np.concatenate([v, np.zeros(rq)])):
-                raise AssertionError("inclusion failed to preserve a weight")
-        for s, wt in zip(fq.subspaces, fq.weights):
-            v = s @ (rng.normal(size=s.shape[1]) + 1j * rng.normal(size=s.shape[1]))
-            lift = alpha @ v if j == kdx else np.concatenate([np.zeros(rs), v])
-            if weight_of(fq, v) != weight_of(total.flags[j], lift):
-                raise AssertionError("projection lost a surjection witness")
-    return total
 
 
 def local_extension(g, flag):

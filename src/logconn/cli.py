@@ -30,7 +30,6 @@ from .eigen import NonConvergenceError, SingularMatrixError, norm_log
 from .series import NegativeValuationError, ShapeMismatchError
 from .synth import (
     BqFrameError,
-    DisorderedWeightsError,
     Infeasible,
     InconsistentRepresentationError,
     NonCommutingError,
@@ -57,7 +56,6 @@ _VALIDATION_ERRORS = (
     NegativeValuationError,
     InconsistentRepresentationError,
     NonCommutingError,
-    DisorderedWeightsError,
     ValueError,
 )
 _NUMERIC_ERRORS = (

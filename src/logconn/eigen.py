@@ -48,7 +48,6 @@ __all__ = [
     "floor_snap",
     "norm_log_scalar",
     "log_branches",
-    "commuting_log_check",
 ]
 
 # Snapping tolerance: a value within CLUSTER_TOL of an integer (floor_snap)
@@ -420,22 +419,3 @@ _INTEGER_TOL = 1e-6  # a degree or exponent sum whose _integer_defect exceeds th
 def _integer_defect(z):
     """Distance of complex z (or each entry of an array) from the integers: max(|Im z|, |Re z - round(Re z)|)."""
     return np.maximum(np.abs(z.imag), np.abs(z.real - np.round(z.real)))
-
-
-def commuting_log_check(g, g2, c):
-    """Whether norm_log(G) C = C norm_log(G') given G C = C G'.
-
-    Diagnostic for the intertwining property of normalized logarithms;
-    K C = C K' holds to 1e-8 max(1, ||K|| ||C||); never raises on a false
-    outcome, but a precondition residual above 1e-6 ||G|| ||C|| raises.
-    """
-    g = as_matrix(g, square=True)
-    g2 = as_matrix(g2, square=True)
-    c = as_matrix(c)
-    scale = max(np.linalg.norm(g, 2) * np.linalg.norm(c, 2), 1e-30)
-    if np.linalg.norm(g @ c - c @ g2, 2) > 1e-6 * scale:
-        raise ValueError("precondition G C = C G' fails beyond tolerance")
-    k = norm_log(g).k
-    k2 = norm_log(g2).k
-    kscale = max(np.linalg.norm(k, 2) * np.linalg.norm(c, 2), 1.0)
-    return np.linalg.norm(k @ c - c @ k2, 2) <= 1e-8 * kscale

@@ -40,7 +40,6 @@ __all__ = [
     "fundamental_check",
     "ConvergenceReport",
     "convergence_diagnostic",
-    "morphism_weight_check",
 ]
 
 _RESONANCE_SVAL = 1e-8  # a block operator with sigma_min <= this max(1, sigma_max) is near-resonant
@@ -381,24 +380,3 @@ def convergence_diagnostic(conn, nf, delta):
         in_range=bool(in_range),
         checks=tuple(checks),
     )
-
-
-def morphism_weight_check(m, phi_source, phi_target):
-    """Whether a gauge intertwiner respects weights.
-
-    True iff every block M_{i,m} with source weight psi'^m greater than
-    target weight psi^i vanishes to the stored order (entries at most 1e-9
-    max(1, max_j ||M_j||)): the block-triangular form of 'weights never decrease'.
-    """
-    if m.dim_in != phi_source.dim or m.dim_out != phi_target.dim:
-        raise ShapeMismatchError("weight shapes do not match the intertwiner")
-    scale = max(m.max_coeff_norm(), 1.0)
-    src_slices = phi_source.block_slices
-    tgt_slices = phi_target.block_slices
-    for i, (psi_t, sl_t) in enumerate(zip(phi_target.values, tgt_slices)):
-        for mm, (psi_s, sl_s) in enumerate(zip(phi_source.values, src_slices)):
-            if psi_s > psi_t:
-                block = m.coeffs[:, sl_t, sl_s]
-                if np.max(np.abs(block)) > 1e-9 * scale:
-                    return False
-    return True

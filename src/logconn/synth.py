@@ -4,10 +4,10 @@ Implements the constructive side of the Riemann-Hilbert machinery at
 desk scale: explicit residues for commuting monodromy (the negated
 normalized logarithms, with the first closing the sum), the
 frame/permutation solver producing the triangular polynomial gauge b
-with its divisibility certificate, weight-shift and regauge steps for
-given splitting types, the upper-triangular integer-weight solvers for
-rank up to four, the cyclic-vector weight plan, the double-rank
-embedding, and the partial rank-three decision.
+with its divisibility certificate, weight shifts, the
+upper-triangular integer-weight solvers for rank up to four, the
+cyclic-vector weight plan, the double-rank embedding, and the partial
+rank-three decision.
 
 All weight arithmetic is exact over the integers.
 """
@@ -29,7 +29,7 @@ from .bundles import (
     _span_closure,
 )
 from .eigen import _INTEGER_TOL, CLUSTER_TOL, _chain, _integer_defect, clustered_schur, eigenvalues, norm_log, norm_log_scalar, schur
-from .series import MatrixSeries, WeightDiagonal, as_matrix
+from .series import MatrixSeries, as_matrix
 
 __all__ = [
     "FuchsianSystem",
@@ -41,10 +41,7 @@ __all__ = [
     "BqFrame",
     "BqFrameError",
     "bq_frame",
-    "permutation_matrix",
     "shift_weights",
-    "DisorderedWeightsError",
-    "regauge_given_splitting",
     "BoundReport",
     "splitting_bound_check",
     "Infeasible",
@@ -210,14 +207,6 @@ class BqFrame:
     residual: float
 
 
-def permutation_matrix(perm):
-    r = len(perm)
-    p = np.zeros((r, r), dtype=np.complex128)
-    for pos, src in enumerate(perm):
-        p[pos, src] = 1.0
-    return p
-
-
 def _choose_permutation(q0, tol):
     """Column order making every bottom-right minor of Q0[:, perm] nonsingular.
 
@@ -317,7 +306,7 @@ def bq_frame(c, qk, tol=1e-9):
 
 
 # --------------------------------------------------------------------------
-# weight shifts, regauge, and splitting bounds
+# weight shifts and splitting bounds
 
 
 def shift_weights(wfb, lambdas):
@@ -336,35 +325,6 @@ def shift_weights(wfb, lambdas):
     if after != expected:
         raise AssertionError(f"degree moved to {after}, expected {expected}")
     return shifted
-
-
-class DisorderedWeightsError(ValueError):
-    pass
-
-
-def regauge_given_splitting(phi_k, c, perm):
-    """The regauged weights Phi_k - P^{-1} C P for a known splitting type.
-
-    Sufficient for ordered output: every gap of Phi_k at least the
-    splitting spread (the plan constructions arrange gaps of
-    (r-1)(n-2), which dominates by the splitting bound).  Raises if the
-    result fails to be non-increasing.
-    """
-    if not isinstance(c, SplittingType):
-        c = SplittingType(tuple(c))
-    entries = phi_k.entries if isinstance(phi_k, WeightDiagonal) else tuple(int(x) for x in phi_k)
-    r = len(entries)
-    if c.rank != r or len(perm) != r:
-        raise ValueError("rank mismatch between weights, splitting type and permutation")
-    # diag(P^T C P) for P = permutation_matrix(perm) is c[argsort(perm)]
-    conj = np.array(c.entries)[np.argsort(perm)]
-    new = tuple(int(e - x) for e, x in zip(entries, conj))
-    if any(a < b for a, b in zip(new, new[1:])):
-        raise DisorderedWeightsError(
-            f"regauged weights {new} are not non-increasing; "
-            f"weight gaps must dominate the splitting spread {c.spread}"
-        )
-    return WeightDiagonal(new)
 
 
 @dataclass(frozen=True)

@@ -105,30 +105,6 @@ class LoopPath:
         points = np.asarray(points, dtype=np.complex128)
         return min(float(np.min(_piece_distance(piece, points), initial=math.inf)) for piece in self.pieces)
 
-    def winding_number(self, a):
-        """Winding of the closed path around a (integer).
-
-        Each piece adds its change of arg(z - a) in closed form.  A segment,
-        and an arc about c when a lies outside its circle, see a within an
-        angle below pi: the principal argument of (z1 - a)/(z0 - a).  Inside
-        the circle, arg(z - a) = t + arg((z - a)/(z - c)) on the arc, where
-        the last term stays in (-pi/2, pi/2), so the change is t1 - t0 plus
-        the change of that term between the ends.
-        """
-        total = 0.0
-        for piece in self.pieces:
-            if piece[0] == "line":
-                _, z0, z1 = piece
-                total += np.angle((z1 - a) / (z0 - a))
-            else:
-                _, c, r, t0, t1 = piece
-                z0, z1 = c + r * np.exp(1j * t0), c + r * np.exp(1j * t1)
-                if abs(a - c) < r:
-                    total += t1 - t0 + np.angle((z1 - a) / (z1 - c)) - np.angle((z0 - a) / (z0 - c))
-                else:
-                    total += np.angle((z1 - a) / (z0 - a))
-        return int(round(total / (2.0 * np.pi)))
-
 
 def circle_loop(center, radius, start_angle=0.0):
     """Anticlockwise circle as a closed loop."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from logconn import (
     SingularMatrixError,
     cluster_expm,
-    commuting_log_check,
     floor_snap,
     norm_log,
     norm_log_scalar,
@@ -315,23 +314,6 @@ def test_cluster_expm_defective_large_nilpotent():
     direct = cluster_expm(k * c)
     split_product = cluster_expm(k * np.log(0.5)) @ cluster_expm(k * TWO_PI_I)
     assert np.linalg.norm(direct - split_product) < 1e-10 * np.linalg.norm(direct)
-
-
-def test_commuting_log_check_identity_conjugation(rng):
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert commuting_log_check(g, g, np.eye(3))
-    for _ in range(10):
-        c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        if np.linalg.cond(c) > 1e4:
-            continue
-        g2 = np.linalg.inv(c) @ g @ c  # G C = C G' exactly by construction
-        assert commuting_log_check(g, g2, c)
-
-
-def test_commuting_log_check_with_power(rng):
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    g2 = g.copy()
-    assert commuting_log_check(g, g2, g @ g)  # C in the commutant
 
 
 def test_floor_snap():

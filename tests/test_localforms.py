@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from logconn import (
     LocalLogConnection,
     MatrixSeries,
-    WeightDiagonal,
     conjugacy_compare,
     convergence_diagnostic,
     fundamental_check,
     gauge_residual,
     integer_weights,
-    morphism_weight_check,
     normal_form,
 )
 import logconn.localforms as localforms
@@ -175,27 +173,6 @@ def test_convergence_diagnostic(rng):
     # far outside the certified range
     rep = convergence_diagnostic(conn, nf, 10.0 * probe.eps0)
     assert not rep.in_range
-
-
-def test_morphism_weight_check():
-    phi = WeightDiagonal((1, 0))
-    ident = MatrixSeries.identity(2, 2)
-    assert morphism_weight_check(ident, phi, phi)
-    # a constant block at source weight above target weight must fail
-    bad = MatrixSeries.constant(np.array([[0.0, 0.0], [1.0, 0.0]]), 2)
-    assert not morphism_weight_check(bad, phi, phi)
-
-
-def test_morphism_weight_check_from_intertwiner(rng):
-    # an injection of weighted local systems: embed a line of weight 1
-    # into a plane with weights (1, 0); the intertwiner is the inclusion
-    phi_src = WeightDiagonal((1,))
-    phi_tgt = WeightDiagonal((1, 0))
-    inclusion = MatrixSeries.constant(np.array([[1.0], [0.0]]), 3)
-    assert morphism_weight_check(inclusion, phi_src, phi_tgt)
-    # the same inclusion into the weight-0 slot decreases weights
-    bad = MatrixSeries.constant(np.array([[0.0], [1.0]]), 3)
-    assert not morphism_weight_check(bad, phi_src, phi_tgt)
 
 
 def test_gauge_relation_definition(rng):

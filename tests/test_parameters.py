@@ -20,9 +20,7 @@ EXPECTED = {
     ("eigen", "floor_snap", "tol"): "normal_form passes its tol; growth_exponent a derived one",
     ("localforms", "normal_form", "tol"): "CLI normal-form --tol",
     ("localforms", "fundamental_check", "tol"): "tests at 1e-13 (to be derived, ROADMAP item 4)",
-    ("bundles", "Representation.__init__", "tol"): "decode_representation; SubBundle.of sets 1e-6",
-    ("bundles", "WeightedFlag.invariant_under", "tol"): "WeightedFlatBundle passes its check_tol",
-    ("bundles", "WeightedFlatBundle.__init__", "check_tol"): "SubBundle.of sets 1e-6",
+    ("bundles", "Representation.__init__", "tol"): "decode_representation",
     ("bundles", "invariant_subspaces", "seed"): "semistable and rank3_decide pass their seed",
     ("bundles", "semistable", "seed"): "CLI semistable --seed",
     ("synth", "commutative_fuchsian", "tol"): "CLI synth-commutative --tol",

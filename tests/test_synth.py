@@ -12,7 +12,6 @@ from logconn import (
     Representation,
     Semistability,
     SplittingType,
-    WeightDiagonal,
     bq_frame,
     bt_obstruction,
     commutative_fuchsian,
@@ -21,7 +20,6 @@ from logconn import (
     jordan_block_count,
     monodromy_report,
     rank3_decide,
-    regauge_given_splitting,
     shift_weights,
     solve_weights_parabolic,
     splitting_bound_check,
@@ -30,14 +28,12 @@ from logconn import (
 from logconn.bundles import WeightedFlag, WeightedFlatBundle, degree
 from logconn.eigen import norm_log, norm_log_scalar, spectral_split
 from logconn.synth import (
-    DisorderedWeightsError,
     InconsistentRepresentationError,
     NonCommutingError,
     NotCyclicError,
     NotEigenvectorError,
     _module_rank,
     _smith_solve,
-    permutation_matrix,
 )
 from conftest import (
     random_commuting_representation,
@@ -333,23 +329,6 @@ def test_bq_frame_order_precondition():
         bq_frame(SplittingType((3, 0)), q)
 
 
-def test_permutation_matrix_inverse():
-    perm = (2, 0, 1)
-    p = permutation_matrix(perm)
-    assert np.allclose(p @ p.T, np.eye(3))
-
-
-def test_regauge_matches_the_permutation_matrix_form(rng):
-    for _ in range(40):
-        r = int(rng.integers(1, 8))
-        perm = tuple(int(x) for x in rng.permutation(r))
-        c = SplittingType(tuple(sorted(rng.integers(-3, 4, size=r).tolist(), reverse=True)))
-        phi = WeightDiagonal(tuple(10 * (r - i) for i in range(r)))
-        p = permutation_matrix(perm).real
-        expected = np.array(phi.entries) - np.diag(p.T @ np.diag(c.entries) @ p)
-        assert regauge_given_splitting(phi, c, perm).entries == tuple(int(x) for x in expected)
-
-
 # ----------------------------------------------------------------------
 # weight shifts and bounds
 
@@ -371,24 +350,6 @@ def test_shift_weights_examples(rng):
     assert degree(balanced) == before
     up = shift_weights(wfb, [1, 0, 0])
     assert degree(up) == before + 2
-
-
-def test_regauge_examples():
-    phi = WeightDiagonal((10, 0))
-    out = regauge_given_splitting(phi, SplittingType((0, 0)), (0, 1))
-    assert out.entries == (10, 0)
-    out = regauge_given_splitting(phi, SplittingType((1, -1)), (0, 1))
-    assert out.entries == (9, 1)
-    # boundary: weight gaps exactly (r-1)(n-2) against a splitting type
-    # saturating the semistable gap bound n-2
-    r, n = 3, 4
-    gap = (r - 1) * (n - 2)
-    phi = WeightDiagonal((2 * gap, gap, 0))
-    c = SplittingType((2, 0, -2))  # gaps n-2 = 2, spread 4 <= gap
-    out = regauge_given_splitting(phi, c, (0, 1, 2))
-    assert out.entries == (2 * gap - 2, gap, 2)
-    with pytest.raises(DisorderedWeightsError):
-        regauge_given_splitting(WeightDiagonal((1, 0)), SplittingType((3, 1)), (0, 1))
 
 
 def test_splitting_bound_check():
