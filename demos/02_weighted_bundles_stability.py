@@ -22,7 +22,7 @@ from logconn import (
 
 rng = np.random.default_rng(7)
 
-# --- irreducible: stable, certified by the full matrix algebra
+# --- irreducible: stable, certified by the simple-spectrum closure (no proper set closed)
 g1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 g2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 rep = Representation([0.0, 1.0, 2.0], [g1, g2, np.linalg.inv(g1 @ g2)])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .bundles import (
     Representation,
@@ -26,7 +27,6 @@ from .bundles import (
     invariant_subspaces,
     semistable,
     _span_basis,
-    _span_closure,
 )
 from .eigen import _INTEGER_TOL, CLUSTER_TOL, _chain, _integer_defect, clustered_schur, eigenvalues, norm_log, norm_log_scalar, schur
 from .series import MatrixSeries, as_matrix
@@ -691,8 +691,57 @@ class NotCyclicError(ValueError):
     pass
 
 
+_SPAN_TOL = 1e-10  # residual of an image, per unit norm, that leaves the span unchanged
+
+
+def _span_closure(v, images):
+    """Vectors, as rows, spanning the smallest space that holds v and is
+    closed under `images`, a linear map from a stack of row vectors to
+    the stack of their images under every generator (the spin-up of v).
+
+    Level k + 1 maps the rows level k added; images of older rows add
+    nothing else, so each level grows the span or ends the search,
+    which therefore stops within as many levels as a row has entries.
+    A level is decided as one batch.  Its images, each scaled by
+    1 / max(1, |image|), are projected in two block passes off the
+    orthonormal basis of the span so far (the second restores the
+    orthogonality the first loses to cancellation).  One pivoted QR of
+    the residuals then takes the largest remaining residual first and
+    stops once every residual left is at most _SPAN_TOL: the images it
+    took are kept, and every image it left lies within _SPAN_TOL of the
+    span.  The kept residuals' orthonormal basis is projected off the
+    old basis once more and re-orthonormalized before it joins it
+    (block Gram-Schmidt with reorthogonalization), so the basis stays
+    orthonormal to rounding however small the kept residuals are.
+
+    A kept row is stored as its image scaled to unit norm, not as its
+    orthonormalized residual: the residual carries the cancellation
+    error of its projection, which images under an ill-conditioned
+    generator would lift above _SPAN_TOL.  Kept rows follow v in the
+    level's order.
+    """
+    rows = frontier = v.reshape(1, -1)
+    basis = rows.T / np.linalg.norm(v)
+    while len(frontier) and len(rows) < v.size:
+        level = images(frontier)
+        norms = np.linalg.norm(level, axis=1)
+        x = level.T / np.maximum(1.0, norms)
+        x = x - basis @ (basis.conj().T @ x)
+        x = x - basis @ (basis.conj().T @ x)
+        if np.max(np.linalg.norm(x, axis=0)) <= _SPAN_TOL:
+            break  # no residual to keep: the span is closed
+        q, rr, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+        rank = int(np.sum(np.cumprod(np.abs(np.diag(rr)) > _SPAN_TOL)))
+        new = q[:, :rank] - basis @ (basis.conj().T @ q[:, :rank])
+        basis = np.hstack([basis, np.linalg.qr(new)[0]])
+        kept = np.sort(piv[:rank])
+        frontier = level[kept] / norms[kept, None]
+        rows = np.concatenate([rows, frontier])
+    return rows
+
+
 def _module_rank(matrices, v):
-    """Rank of the module the matrices generate from v: span{v} closed under them (bundles._span_closure)."""
+    """Dimension of the module the matrices generate from v: the span of its spin-up (:func:`_span_closure`)."""
     mats, seed = np.asarray(matrices), np.asarray(v, dtype=np.complex128)
     return len(_span_closure(seed, lambda u: np.swapaxes(mats @ u.T, 1, 2).reshape(-1, len(seed))))
 
