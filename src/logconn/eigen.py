@@ -17,10 +17,11 @@ exp(2*pi*i*K) = G whose eigenvalues all have real part in [0, 1).
 :func:`norm_log` and :func:`cluster_expm` share one blocked
 Schur-Parlett evaluation (Davies & Higham, SIMAX 2003): the Schur
 diagonal is grouped into well-separated blocks, each diagonal block is
-a scalar plus one convergent power series, and the off-diagonal blocks
-follow from the Parlett recurrence, solved as triangular Sylvester
-equations.  No non-orthogonal basis is ever inverted, so both stay
-accurate on defective and nearly defective inputs.
+a scalar plus one convergent power series, evaluated in one stack per
+block size, and the off-diagonal blocks follow from the Parlett
+recurrence, solved as triangular Sylvester equations.  No
+non-orthogonal basis is ever inverted, so both stay accurate on
+defective and nearly defective inputs.
 """
 
 import math
@@ -194,7 +195,7 @@ def _cluster_means(t, q):
     p = min(size_i, size_j).  Every cluster therefore lies in one class
     of the reachability closure of those links; each class is split
     top down along its minimum spanning tree, cut at its longest edges
-    until every part passes.  The means come from the labels by np.bincount.
+    until every part passes.  The means come from the labels by :func:`_label_means`.
 
     Limit: rho(B) of a group that joins two defective blocks reads the
     coupling between them as one Jordan chain, so such blocks are merged
@@ -239,7 +240,12 @@ def _cluster_means(t, q):
     labels = np.empty(r, dtype=int)
     for g, idx in enumerate(g for group in _groups(_closure(links)) for g in split(group)):
         labels[idx] = g
-    return ((np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)) / np.bincount(labels))[labels]
+    return _label_means(labels, vals)[labels]
+
+
+def _label_means(labels, vals):
+    """The mean of the complex `vals` of each label 0, 1, ..., by np.bincount."""
+    return (np.bincount(labels, vals.real) + 1j * np.bincount(labels, vals.imag)) / np.bincount(labels)
 
 
 def clustered_schur(a):
@@ -256,6 +262,8 @@ def _group_schur(t, q, labels):
     """Reorder (t, q) so that the diagonal positions of each label are contiguous,
     labels ascending; the positions of one label keep their order."""
     labels = np.asarray(labels)
+    if (labels[1:] >= labels[:-1]).all():
+        return t, q
     for g in range(labels.max()):
         lead = labels <= g
         if not lead[: np.count_nonzero(lead)].all():
@@ -289,20 +297,20 @@ def spectral_split(g):
 
 
 def _power_series(x, coeff):
-    """sum_k coeff(k) x^k for a triangular Schur block x of small spectral radius.
+    """sum_k coeff(k) x^k over a stack x (g, m, m) of triangular blocks of small spectral radius.
 
-    Terms up to the block size carry the nilpotent part of x; past it
-    they decay geometrically, and the sum stops at the first such term
-    below eps relative to the sum.
+    Terms up to the block size m carry the nilpotent parts; past it they
+    decay geometrically, and the sum stops at the first term below eps
+    relative to the sum in every block of the stack.
     """
-    m = x.shape[0]
-    acc = coeff(0) * np.eye(m, dtype=np.complex128)
+    m = x.shape[-1]
     power = np.eye(m, dtype=np.complex128)
+    acc = coeff(0) * power
     for k in range(1, _MAX_SERIES_TERMS + 1):
         power = power @ x
         term = coeff(k) * power
-        acc += term
-        if k >= m and np.max(np.abs(term)) <= _EPS * np.max(np.abs(acc)):
+        acc = acc + term
+        if k >= m and (np.abs(term) <= _EPS * np.abs(acc).max(axis=(1, 2), keepdims=True)).all():
             return acc
     raise NonConvergenceError("block power series did not converge", _MAX_SERIES_TERMS)
 
@@ -313,27 +321,32 @@ def _schur_parlett(t, q, key, block):
     `key` holds, per diagonal position of t, the point f is expanded
     around; positions whose keys chain within _BLOCK_SEP form one
     diagonal block, made contiguous by :func:`_group_schur`.
-    `block(T_ii, mu)` evaluates f on a diagonal block around its mean
-    key mu.  The off-diagonal blocks of F follow from T F = F T: block
-    column j solves T[:s, :s] X - X T_jj = F[:s, :s] T[:s, j] -
+    `block(stack, mu)` evaluates f on the stack (g, m, m) of all diagonal
+    blocks of size m around their mean keys mu (g,), gathered by one
+    fancy index: one call per block size, one on r 1x1 blocks for a
+    generic matrix.  The off-diagonal blocks of F follow from T F = F T:
+    block column j solves T[:s, :s] X - X T_jj = F[:s, :s] T[:s, j] -
     T[:s, j] F_jj, one triangular Sylvester equation (the Parlett
     recurrence) per block.
     """
-    groups = _chain(key, _BLOCK_SEP)
     labels = np.empty(len(key), dtype=int)
-    for g, idx in enumerate(groups):
+    for g, idx in enumerate(_chain(key, _BLOCK_SEP)):
         labels[idx] = g
     t, q = _group_schur(t, q, labels)
+    sizes = np.bincount(labels)
+    means = _label_means(labels, key)
+    ends = sizes.cumsum()
+    starts = ends - sizes
     f = np.zeros_like(t)
-    s = 0
-    for idx in groups:
-        e = s + len(idx)
-        f[s:e, s:e] = block(t[s:e, s:e], np.mean(key[idx]))
-        if s:
-            rhs = f[:s, :s] @ t[:s, s:e] - t[:s, s:e] @ f[s:e, s:e]
-            x, scale, _ = lapack.ztrsyl(t[:s, :s], t[s:e, s:e], rhs, isgn=-1)
-            f[:s, s:e] = x / scale
-        s = e
+    for m in set(sizes.tolist()):
+        sel = sizes == m
+        base, span = starts[sel, None, None], np.arange(m)
+        rows, cols = base + span[:, None], base + span
+        f[rows, cols] = block(t[rows, cols], means[sel])
+    for s, e in zip(starts[1:].tolist(), ends[1:].tolist()):
+        rhs = f[:s, :s] @ t[:s, s:e] - t[:s, s:e] @ f[s:e, s:e]
+        x, scale, _ = lapack.ztrsyl(t[:s, :s], t[s:e, s:e], rhs, isgn=-1)
+        f[:s, s:e] = x / scale
     return q @ f @ q.conj().T
 
 
@@ -377,9 +390,10 @@ def norm_log(g, tol=CLUSTER_TOL):
     t, q, means = clustered_schur(g)
 
     def block(t, mu):
-        eye = np.eye(t.shape[0])
+        mu, eye = mu[:, None, None], np.eye(t.shape[-1])
         z = t * np.exp(-mu)
-        y = scipy.linalg.solve_triangular(z + eye, z - eye)
+        # z + I is triangular with its spectrum within 0.75 of 2, so LU does not pivot
+        y = np.linalg.solve(z + eye, z - eye)
         return mu * eye + 2.0 * y @ _power_series(y @ y, lambda j: 1.0 / (2 * j + 1))
 
     return NormalizedLog(_schur_parlett(t, q, 2j * np.pi * log_branches(means, tol), block) / (2j * np.pi))
@@ -396,7 +410,8 @@ def cluster_expm(m):
     t, q = schur(m)
 
     def block(t, mu):
-        return np.exp(mu) * _power_series(t - mu * np.eye(t.shape[0]), lambda k: 1.0 / math.factorial(k))
+        mu = mu[:, None, None]
+        return np.exp(mu) * _power_series(t - mu * np.eye(t.shape[-1]), lambda k: 1.0 / math.factorial(k))
 
     return _schur_parlett(t, q, np.diag(t), block)
 

@@ -307,9 +307,8 @@ def fundamental_check(nf, tol=1e-7, conn=None, radius=0.5):
     truncating polynomial, so the circle radius should sit inside the
     series' accuracy disc.
     """
-    phi_m = nf.phi.matrix()
-    z0 = complex(radius)
-    y0 = cluster_expm(phi_m * math.log(radius)) @ cluster_expm(nf.k * math.log(radius))
+    z0, log_r = complex(radius), math.log(radius)
+    y0 = np.diag(np.exp(np.asarray(nf.phi.entries, dtype=float) * log_r)) @ cluster_expm(nf.k * log_r)
     loop = circle_loop(0.0, radius)
     if conn is None:
         series = nf.b

@@ -15,7 +15,8 @@ from logconn import (
     schur,
     spectral_split,
 )
-from logconn.eigen import _chain, reorder_schur
+from logconn import eigen
+from logconn.eigen import _BLOCK_SEP, NonConvergenceError, _chain, _power_series, reorder_schur
 
 from conftest import random_connection
 
@@ -314,6 +315,63 @@ def test_cluster_expm_defective_large_nilpotent():
     direct = cluster_expm(k * c)
     split_product = cluster_expm(k * np.log(0.5)) @ cluster_expm(k * TWO_PI_I)
     assert np.linalg.norm(direct - split_product) < 1e-10 * np.linalg.norm(direct)
+
+
+# Jordan blocks of sizes 1, 2, 3, 1, 2, 3 at six eigenvalues, whose positions
+# interleave on the diagonal of the triangular form; the second set straddles
+# the branch cut of the normalized logarithm (the positive real axis).
+_MIXED_EIGENVALUES = {
+    "circle": [1.3 ** (k % 2) * np.exp(2j * np.pi * (k + 0.5) / 6) for k in range(6)],
+    "branch-cut": [1.5 * np.exp(0.25j), np.exp(0.35j), 0.8, 1.5 * np.exp(-0.25j), np.exp(-0.35j), 1.3],
+}
+_MIXED_ORDER = [0, 1, 2, 1, 3, 2, 4, 5, 2, 4, 5, 5]
+
+
+def _mixed_jordan(vals, frame, spread, rng):
+    """(S T S^-1, cond S) for T triangular with diagonal vals[_MIXED_ORDER] and
+    a unit coupling from each position to the next one of its eigenvalue, so
+    that eigenvalue k has one Jordan block.  A unit upper triangular S keeps
+    the matrix triangular, which LAPACK's Schur form leaves in this
+    interleaved order; a dense S is the generic frame."""
+    r = len(_MIXED_ORDER)
+    t = np.diag(np.array(vals)[_MIXED_ORDER])
+    for i, k in enumerate(_MIXED_ORDER):
+        if k in _MIXED_ORDER[i + 1 :]:
+            t[i, _MIXED_ORDER.index(k, i + 1)] = 1.0
+    gauss = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    s = np.eye(r) + spread * (np.triu(gauss, 1) if frame == "triangular" else gauss) / np.sqrt(2 * r)
+    return s @ t @ np.linalg.inv(s), np.linalg.cond(s)
+
+
+@pytest.mark.parametrize("frame, spread", [("triangular", 1.5), ("dense", 0.75)])
+@pytest.mark.parametrize("case", sorted(_MIXED_EIGENVALUES))
+def test_mixed_block_sizes_one_stacked_evaluation_per_size(case, frame, spread, monkeypatch):
+    g, kappa = _mixed_jordan(_MIXED_EIGENVALUES[case], frame, spread, np.random.default_rng(0))
+    assert kappa <= 10
+    if frame == "triangular":
+        # the Schur order interleaves the blocks, so _group_schur must reorder
+        labels = np.empty(len(g), dtype=int)
+        for label, idx in enumerate(_chain(np.diag(schur(g)[0]), _BLOCK_SEP)):
+            labels[idx] = label
+        assert labels.tolist() == _MIXED_ORDER
+    shapes = []
+    series = eigen._power_series
+    monkeypatch.setattr(eigen, "_power_series", lambda x, coeff: shapes.append(x.shape) or series(x, coeff))
+    assert _rel(cluster_expm(g), _mp_expm(g)) <= 1e-13
+    k = norm_log(g).k
+    assert _rel(_mp_expm(TWO_PI_I * k), g) <= 1e-13
+    # one block evaluation per block size and function, each on both blocks of that size
+    assert sorted(shapes) == 2 * [(2, 1, 1)] + 2 * [(2, 2, 2)] + 2 * [(2, 3, 3)]
+
+
+def test_power_series_raises_when_one_block_of_the_stack_diverges():
+    # sum_k x^k = (I - x)^-1 converges for the first and last block; the middle
+    # one has spectral radius 1.5, so the stack must raise, not return a partial sum
+    x = np.array([[[0.5, 1.0], [0.0, -0.3]], [[1.5, 0.2], [0.0, 0.1]], [[0.2j, 0.0], [0.0, 0.0]]], dtype=complex)
+    converging = _power_series(x[[0, 2]], lambda k: 1.0)
+    assert np.allclose(converging, np.linalg.inv(np.eye(2) - x[[0, 2]]), rtol=1e-14, atol=0.0)
+    with pytest.raises(NonConvergenceError):
+        _power_series(x, lambda k: 1.0)
 
 
 def test_floor_snap():
