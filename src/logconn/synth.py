@@ -86,12 +86,10 @@ class FuchsianSystem:
         r = residues[0].shape[0]
         if any(b.shape[0] != r for b in residues):
             raise ValueError("residues must share one size")
-        total = sum(residues)
-        scale = max(1.0, max(np.linalg.norm(b, 2) for b in residues))
-        if np.linalg.norm(total, 2) > 1e-8 * scale:
-            raise ValueError(
-                f"residues sum to {np.linalg.norm(total, 2):.3e}; system not smooth at infinity"
-            )
+        total = np.linalg.norm(sum(residues), 2)
+        scale = max(1.0, float(np.linalg.norm(np.array(residues), 2, axis=(1, 2)).max()))
+        if total > 1e-8 * scale:
+            raise ValueError(f"residues sum to {total:.3e}; system not smooth at infinity")
         object.__setattr__(self, "punctures", punctures)
         object.__setattr__(self, "residues", residues)
 
@@ -164,15 +162,14 @@ def commutative_fuchsian(rep, tol=1e-8):
     K_1 + ... + K_n is not an integer (the loop product is broken).
     """
     mats = list(rep.matrices)
-    n = len(mats)
-    scale = max(np.linalg.norm(g, 2) for g in mats)
-    for a in range(n):
-        for b in range(a + 1, n):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            if np.linalg.norm(comm, 2) > tol * scale * scale:
-                raise NonCommutingError(
-                    f"matrices {a} and {b} do not commute (defect {np.linalg.norm(comm, 2):.3e})"
-                )
+    stack = np.array(mats)
+    scale = np.linalg.norm(stack, 2, axis=(1, 2)).max()
+    a, b = np.triu_indices(len(mats), 1)  # the pairs a < b, row by row
+    defects = np.linalg.norm(stack[a] @ stack[b] - stack[b] @ stack[a], 2, axis=(1, 2))
+    bad = np.flatnonzero(defects > tol * scale * scale)
+    if bad.size:
+        i = bad[0]
+        raise NonCommutingError(f"matrices {a[i]} and {b[i]} do not commute (defect {defects[i]:.3e})")
     ks = [norm_log(g).k for g in mats]
     xi = eigenvalues(sum(ks))
     defect = _integer_defect(xi)

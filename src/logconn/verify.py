@@ -6,18 +6,24 @@ continuation (van der Hoeven, "Fast evaluation of holonomic functions",
 TCS 1999; Mezzarobba, "Truncation bounds for differentially finite
 series", 2019).  Each step moves at most 0.4 rho along the path, rho
 being the distance to the nearest singular point.  The steps of a batch
-of paths (all standard loops of a system, say) are fixed from their
-geometry first and concatenated; the Taylor terms of all their
-propagators then come from one fixed-length recurrence over geometric
-accumulators that carry each step's ratios h/(z0 - a_j), so for a
-Fuchsian system every term is one matrix product over all steps.  The
-terms are summed as they arrive by a compensated sum, and each path
-applies its own steps in order as y + E_s y.  One term count serves
-the whole batch: it comes from the Cauchy majorant (1 - w/rho)^-beta at
-the largest beta and step ratio of all steps, and the majorant's
-relative tail grows with both, so every step is summed to roundoff:
-there is no step-size controller and no tolerance (see
-:func:`_transport`).
+of paths are fixed from their geometry first and concatenated; the
+Taylor terms of all their propagators then come from one fixed-length
+recurrence over geometric accumulators that carry each step's ratios
+h/(z0 - a_j), so for a Fuchsian system every term is one matrix
+product over all steps.  The terms are summed as they arrive by a
+compensated sum, and each path applies its own steps in order as
+y + E_s y.  One term count serves the whole batch: it comes from the
+Cauchy majorant (1 - w/rho)^-beta at the largest beta and step ratio
+of all steps, and the majorant's relative tail grows with both, so
+every step is summed to roundoff: there is no step-size controller and
+no tolerance (see :func:`_transport`).
+
+A loop c q c^-1 (a standard loop: connector out, circle, connector
+back) is never integrated along its return leg.  Transition matrices
+compose along a path and the reversed path has the inverse one, so its
+matrix is P_c^-1 P_q P_c from the transports P_c of the connector and
+P_q of the circle, both from I; the batch of a system is every
+connector and every circle (see :func:`integrate_fuchsian`).
 
 Conventions (one source of sign bugs, fixed here once):
 
@@ -91,19 +97,19 @@ class LoopPath:
         return _piece_point(self.pieces[-1])[0](1.0)
 
     def reversed(self):
-        rev = []
-        for piece in self.pieces[::-1]:
-            if piece[0] == "line":
-                rev.append(("line", piece[2], piece[1]))
-            else:
-                _, c, r, t0, t1 = piece
-                rev.append(("arc", c, r, t1, t0))
-        return LoopPath(tuple(rev))
+        return LoopPath(tuple(_reversed_piece(piece) for piece in self.pieces[::-1]))
 
     def clearance(self, points):
         """Minimum distance from the path to any of the given points."""
         points = np.asarray(points, dtype=np.complex128)
         return min(float(np.min(_piece_distance(piece, points), initial=math.inf)) for piece in self.pieces)
+
+
+def _reversed_piece(piece):
+    if piece[0] == "line":
+        return ("line", piece[2], piece[1])
+    _, c, r, t0, t1 = piece
+    return ("arc", c, r, t1, t0)
 
 
 def circle_loop(center, radius, start_angle=0.0):
@@ -291,7 +297,9 @@ class Transport:
 
     `frames[p]` continues the initial frame along path p; `steps[p]` is
     the number of Taylor steps of path p; `terms` is the one term count
-    that served every step of every path.
+    that served every step of every path.  From
+    :func:`integrate_fuchsian` a frame is a loop matrix and its steps
+    are those of the loop's tail and body, each integrated once.
     """
 
     frames: tuple
@@ -461,6 +469,13 @@ def _local_expansion(a_series, center):
     return np.array([center], dtype=np.complex128), expand
 
 
+def _tail(pieces):
+    """The connector c of a loop c q c^-1: its first piece when its last piece is exactly
+    that piece reversed (as :func:`standard_loops` and :meth:`LoopPath.reversed` build
+    them), else the empty tail."""
+    return pieces[:1] if len(pieces) > 1 and pieces[-1] == _reversed_piece(pieces[0]) else ()
+
+
 def integrate_fuchsian(system, loops):
     """Loop matrices G' of d + sum B_j/(z - a_j) dz with Y(start) = I.
 
@@ -469,6 +484,14 @@ def integrate_fuchsian(system, loops):
     the loop's start point.  For one :class:`LoopPath` this returns its
     matrix.  For a sequence of loops it returns a :class:`Transport`
     whose frames are the loop matrices, all taken by one recurrence.
+
+    Each loop splits into a tail c and a body q (:func:`_tail`): it is
+    c q c^-1, or q alone when the tail is empty.  Its matrix is
+    P_c^-1 P_q P_c from the transports P_c and P_q of I along c and q,
+    so the return leg is never integrated.  One :func:`_transport` call
+    takes every nonempty tail and every body; a loop's `steps` are
+    those of c plus those of q.
+
     Raises :class:`IntegrationError` when a loop passes within 1e-6 of
     a puncture.
     """
@@ -480,8 +503,15 @@ def integrate_fuchsian(system, loops):
     for i, loop in enumerate(batch):
         if loop.clearance(expansion[0]) < 1e-6:
             raise IntegrationError(f"loop {i} passes within 1e-6 of a puncture")
-    transport = _transport(expansion, [loop.pieces for loop in batch], np.eye(system.rank))
-    return transport.frames[0] if single else transport
+    tails = [_tail(loop.pieces) for loop in batch]
+    bodies = [loop.pieces[len(c) : len(loop.pieces) - len(c)] for c, loop in zip(tails, batch)]
+    tailed = [j for j, c in enumerate(tails) if c]
+    transport = _transport(expansion, [tails[j] for j in tailed] + bodies, np.eye(system.rank))
+    frames, steps = list(transport.frames[len(tailed) :]), list(transport.steps[len(tailed) :])
+    for p_c, tail_steps, j in zip(transport.frames, transport.steps, tailed):
+        frames[j] = np.linalg.solve(p_c, frames[j] @ p_c)
+        steps[j] += tail_steps
+    return frames[0] if single else Transport(tuple(frames), tuple(steps), transport.terms)
 
 
 def integrate_local(a_series, loop, y0=None):
@@ -514,12 +544,8 @@ def conjugacy_compare(mats_a, mats_b, tol=1e-8):
     stacked = np.vstack(ops)  # shape (n r^2, r^2)
     # threshold scale from the input matrices, not the stacked operator:
     # for (near-)scalar families the operator itself is (near-)zero
-    scale = max(
-        max(np.linalg.norm(a, 2) for a in mats_a),
-        max(np.linalg.norm(b, 2) for b in mats_b),
-        1e-30,
-    )
-    _, svals, vh = np.linalg.svd(stacked)
+    scale = max(float(np.linalg.norm(np.array(mats_a + mats_b), 2, axis=(1, 2)).max()), 1e-30)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)  # vh is r^2 x r^2 either way
     null_dim = int(np.sum(svals <= tol * scale))
     if null_dim == 0:
         return False, None
@@ -531,11 +557,8 @@ def conjugacy_compare(mats_a, mats_b, tol=1e-8):
         candidates.append(basis @ w)
     for vec in candidates:
         s = vec.reshape((r, r), order="F")
-        sn = np.linalg.norm(s, 2)
-        if sn == 0.0:
-            continue
-        smin = np.linalg.svd(s, compute_uv=False)[-1]
-        if smin > 1e-6 * sn:
+        sv = np.linalg.svd(s, compute_uv=False)
+        if sv[-1] > 1e-6 * sv[0]:  # false for s = 0
             det = np.linalg.det(s)
             s = s / det ** (1.0 / r)
             return True, s
@@ -549,10 +572,12 @@ class MonodromyReport:
     `order` is the puncture order in which the loop product telescopes
     to the identity; `conjugator` intertwines computed and target lists
     when a target representation was supplied.  `loop_steps` holds the
-    Taylor steps of each loop and `terms` the one term count they
-    share.  `liouville_defects` holds |det G_j exp(2 pi i tr B_j) - 1|
-    per loop: Liouville's formula makes that 0 exactly, so it measures
-    the transport error of each loop on its own.
+    Taylor steps of each loop c q c^-1, those of its connector c plus
+    those of its circle q (the return leg is not integrated), and
+    `terms` the one term count they share.  `liouville_defects` holds
+    |det G_j exp(2 pi i tr B_j) - 1| per loop: Liouville's formula
+    makes that 0 exactly, so it measures the transport error of each
+    loop on its own.
     """
 
     loop_matrices: tuple
@@ -592,10 +617,8 @@ def monodromy_report(system, target=None, tol=1e-10, basepoint=None):
     if target is not None:
         ok, conj = conjugacy_compare(mats, list(target.matrices), tol=max(1e-8, 10 * tol))
         if ok:
-            residuals = tuple(
-                float(np.linalg.norm(a @ conj - conj @ b, 2))
-                for a, b in zip(mats, target.matrices)
-            )
+            defects = np.array(mats) @ conj - conj @ np.array(target.matrices)
+            residuals = tuple(float(x) for x in np.linalg.norm(defects, 2, axis=(1, 2)))
         else:
             residuals = tuple(math.inf for _ in mats)
     return MonodromyReport(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,7 +83,10 @@ def test_commutative_rejects_noncommuting(rng):
     if np.linalg.norm(g1 @ g2 - g2 @ g1) < 1e-6:
         pytest.skip("random pair accidentally commutes")
     rep = Representation([0.0, 1.0, 2.0], [g1, g2, np.linalg.inv(g1 @ g2)])
-    with pytest.raises(NonCommutingError):
+    # the message names the first pair and the defect that decided it
+    a, b = rep.matrices[:2]
+    defect = np.linalg.norm(a @ b - b @ a, 2)
+    with pytest.raises(NonCommutingError, match=re.escape(f"matrices 0 and 1 do not commute (defect {defect:.3e})")):
         commutative_fuchsian(rep)
 
 

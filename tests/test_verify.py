@@ -253,12 +253,15 @@ def test_monodromy_report_fields(rng):
     assert len(report.loop_matrices) == n
     assert report.product_defect < 1e-8
     assert sorted(report.order) == list(range(n))
-    # transport counters: the steps of each loop and the one term count they share
+    # transport counters: each loop c q c^-1 counts the steps of its connector
+    # c and of its circle q, and they share one term count; the return leg
+    # c^-1 is never integrated
     loops, _ = standard_loops(system.punctures)
     expansion = verify._fuchsian_expansion(system)
-    singles = [verify._transport(expansion, [lp.pieces], np.eye(r)) for lp in loops]
-    assert report.loop_steps == tuple(s.steps[0] for s in singles)
-    assert report.terms == max(s.terms for s in singles)
+    tails = [verify._transport(expansion, [lp.pieces[:1]], np.eye(r)) for lp in loops]
+    bodies = [verify._transport(expansion, [lp.pieces[1:-1]], np.eye(r)) for lp in loops]
+    assert report.loop_steps == tuple(c.steps[0] + q.steps[0] for c, q in zip(tails, bodies))
+    assert report.terms == max(s.terms for s in tails + bodies)
     assert len(report.liouville_defects) == n
     for g, b, defect in zip(report.loop_matrices, residues, report.liouville_defects):
         assert defect == abs(np.linalg.det(g) * np.exp(2j * np.pi * np.trace(b)) - 1.0)
@@ -650,6 +653,74 @@ def test_batched_loops_keep_their_clearance_guard():
         integrate_fuchsian(system, [])
 
 
+def _connector_and_circle(expansion, loop, r):
+    """P_c and P_q of a standard loop c q c^-1: the connector and the circle, each from I."""
+    return verify._transport(expansion, [loop.pieces[:1], loop.pieces[1:-1]], np.eye(r)).frames
+
+
+def _unit_residues(data, n, r):
+    parts = data.draw(arrays(np.float64, (2, n, r, r), elements=st.floats(-1.0, 1.0)))
+    xs = 0.5 * (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    return xs - xs.mean(axis=0)  # entries of modulus <= 1
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_conjugated_loop_matrices_match_the_three_piece_reference(shape, seed, data):
+    """Each standard loop c q c^-1 and its reverse, against a reference run over all three pieces.
+
+    Error model, to first order: every transport from I, computed or
+    reference, is within e = 1e-14 relative of the exact one (what
+    `_assert_transports_agree` asserts of segments, arcs and whole
+    loops).  The computed G = P_c^-1 P_q P_c moves by
+    P_c^-1 (P_q dP_c - dP_c G) under a change dP_c and by
+    P_c^-1 dP_q P_c under a change dP_q, so by at most
+    e kappa(P_c) (2 norm(P_q) + norm(G)).  The reference carries the
+    error of each of its three pieces through the exact transport of
+    the other two, e kappa(P_c) norm(P_q) each.  The product and the
+    solve round at O(r u kappa(P_c)), far below e.  In all,
+    norm(G - G_ref) <= 5 e kappa(P_c) (norm(P_q) + norm(G_ref)).
+    """
+    n, r = shape
+    residues = _unit_residues(data, n, r)
+    punctures = sorted_punctures(np.random.default_rng(seed), n)
+    system = FuchsianSystem(punctures, list(residues))
+    loops, _ = standard_loops(punctures)
+    loops += [lp.reversed() for lp in loops]
+    expansion = verify._fuchsian_expansion(system)
+    reference = reference_fuchsian_expansion(punctures, residues)
+    for lp, g in zip(loops, integrate_fuchsian(system, loops).frames):
+        assert verify._tail(lp.pieces) == lp.pieces[:1]
+        p_c, p_q = _connector_and_circle(expansion, lp, r)
+        want = reference_transport(reference, lp.pieces, np.eye(r))
+        bound = 5e-14 * np.linalg.cond(p_c, 2) * (np.linalg.norm(p_q, 2) + np.linalg.norm(want, 2))
+        assert np.linalg.norm(g - want, 2) <= bound
+
+
+def test_loops_without_a_connector_are_transported_whole():
+    # a circle, and an arc closed by its chord, have an empty tail: the
+    # body is the whole loop, transported as one path from I
+    rng = np.random.default_rng(11)
+    punctures = np.array([0.0, 1.0, 0.4 + 0.9j])
+    xs = 0.3 * (rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+    system = FuchsianSystem(punctures, list(xs - xs.mean(axis=0)))
+    expansion = verify._fuchsian_expansion(system)
+    c, radius, t0, t1 = 0j, 0.4, 0.3, 4.0
+    arc = ("arc", c, radius, t0, t1)
+    chord = ("line", c + radius * np.exp(1j * t1), c + radius * np.exp(1j * t0))
+    for loop in (circle_loop(c, radius), LoopPath((arc, chord))):
+        assert verify._tail(loop.pieces) == ()
+        whole = verify._transport(expansion, [loop.pieces], np.eye(3))
+        assert np.array_equal(integrate_fuchsian(system, loop), whole.frames[0])
+        batch = integrate_fuchsian(system, [loop])
+        assert (batch.steps, batch.terms) == (whole.steps, whole.terms)
+        assert np.array_equal(batch.frames[0], whole.frames[0])
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
@@ -659,10 +730,20 @@ def test_batched_loops_keep_their_clearance_guard():
 def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, data):
     """Liouville's formula per loop and the telescoping product, to derived bounds.
 
-    Error model, to first order in u = eps/2: each of the S_j steps of
-    loop j sums `terms` = K Taylor terms, and every term perturbs the
-    frame it moves by at most u relative, so the computed G_j carries a
-    relative error delta_j <= S_j K u.  Then
+    Error model, to first order in u = eps/2: each of the S Taylor
+    steps of a transport from I sums `terms` = K terms, and every term
+    perturbs the frame it moves by at most u relative, so the computed
+    connector P_c and circle P_q of loop j = c q c^-1 carry relative
+    errors S_c K u and S_q K u.  The loop matrix is
+    G_j = P_c^-1 P_q P_c: a change dP_c moves it by
+    P_c^-1 (P_q dP_c - dP_c G_j) and a change dP_q by P_c^-1 dP_q P_c.
+    The product P_q P_c rounds at r u norm(P_q) norm(P_c), and the
+    solve has a backward error of about 3 r u norm(P_c) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, chapters 3
+    and 9, growth factor about 1 at r <= 6).  With S_j = S_c + S_q,
+    the report's `loop_steps`, G_j carries a relative error
+    delta_j <= kappa(P_c) (S_j K + 3 r) u (norm(P_q) + norm(G_j)) / norm(G_j).
+    Then
     * det is multiplicative and d(det G)/det G = tr(G^-1 dG), so
       |det G_j exp(2 pi i tr B_j) - 1| <= r norm(G_j^-1) norm(dG_j)
       <= r kappa(G_j) delta_j;
@@ -670,13 +751,16 @@ def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, data):
       so norm(prod G - I) <= sum_j delta_j prod_i norm(G_i).
     """
     n, r = shape
-    parts = data.draw(arrays(np.float64, (2, n, r, r), elements=st.floats(-1.0, 1.0)))
-    xs = 0.5 * (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
-    residues = xs - xs.mean(axis=0)  # entries of modulus <= 1
+    residues = _unit_residues(data, n, r)
     system = FuchsianSystem(sorted_punctures(np.random.default_rng(seed), n), list(residues))
     report = monodromy_report(system)
     u = np.finfo(float).eps / 2.0
-    delta = [steps * report.terms * u for steps in report.loop_steps]
+    expansion = verify._fuchsian_expansion(system)
+    delta = []
+    for lp, g, steps in zip(standard_loops(system.punctures)[0], report.loop_matrices, report.loop_steps):
+        p_c, p_q = _connector_and_circle(expansion, lp, r)
+        scale = np.linalg.cond(p_c, 2) * (np.linalg.norm(p_q, 2) + np.linalg.norm(g, 2)) / np.linalg.norm(g, 2)
+        delta.append(scale * (steps * report.terms + 3 * r) * u)
     for g, b, d, defect in zip(report.loop_matrices, residues, delta, report.liouville_defects):
         assert defect == abs(np.linalg.det(g) * np.exp(2j * np.pi * np.trace(b)) - 1.0)
         assert defect <= r * np.linalg.cond(g, 2) * d
