@@ -22,9 +22,10 @@ directions whose principal angle to it has sine at most 2 RANK_TOL =
 2e-9, read from one batched SVD (see :func:`_intersection_coords`).
 Invariance under a matrix compares residuals with an absolute tolerance
 times the matrix scale.  Semistability needs only the slope of each
-invariant subspace: :func:`semistable` reads it from those sine counts
-and the Schur forms of the restricted loop matrices, and builds no
-sub-bundle (see :func:`_subbundle_slope`).
+invariant subspace: :func:`semistable` takes one normalized log K_j
+per loop matrix and reads each slope from those sine counts and the
+traces Tr(W^* K_j W), with no restricted matrix factored and no
+sub-bundle built (see :func:`_subbundle_slope`).
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -378,18 +379,15 @@ def degree(wfb):
     mu + log(t_ii e^{-2 pi i mu}) / (2 pi i), where e^{2 pi i mu} = m.
     A zero eigenvalue raises SingularMatrixError.
     """
-    return _degree(wfb.rep.matrices, sum(f.weight_diagonal().trace() for f in wfb.flags))
-
-
-def _degree(mats, weight_trace):
-    """weight_trace + sum_j Tr norm log G_j over the matrices, as :func:`degree` reads it.
-
-    A sum farther than _INTEGER_TOL = 1e-6 from an integer raises NonIntegralDegreeError.
-    """
-    total = weight_trace + 0.0j
-    for g in mats:
+    total = sum(f.weight_diagonal().trace() for f in wfb.flags) + 0.0j
+    for g in wfb.rep.matrices:
         t, _, means = clustered_schur(g)
         total += np.sum(log_branches(means) + np.log(t.diagonal() / means) / (2j * np.pi))
+    return _rounded_degree(total)
+
+
+def _rounded_degree(total):
+    """The integer a degree sum must be; one farther than _INTEGER_TOL = 1e-6 from it raises NonIntegralDegreeError."""
     if _integer_defect(total) > _INTEGER_TOL:
         raise NonIntegralDegreeError(
             f"degree {total} is not an integer to tolerance {_INTEGER_TOL}; inconsistent representation"
@@ -580,7 +578,7 @@ def _induced_weight_trace(flags, counts, k):
     return trace
 
 
-def _subbundle_slope(wfb, w, mats):
+def _subbundle_slope(wfb, w, mats, ks):
     """Slope of the sub-bundle induced on span(W), with no objects built.
 
     The induced bundle restricts each loop matrix to W and each flag to
@@ -590,27 +588,32 @@ def _subbundle_slope(wfb, w, mats):
     W has orthonormal columns, as every candidate of :func:`semistable`
     has.  The induced weight trace comes from the intersection
     dimensions alone (:func:`_induced_weight_trace`), counted from the
-    singular values of :func:`_step_tails` with no coordinates formed;
-    Tr norm log of each restriction W^* G_j W comes from its Schur form
-    (:func:`_degree`).  W must be invariant (FlagError otherwise).  The
-    checks a Representation of the W^* G_j W would make hold without
-    it: their product is the restriction of G_1 ... G_n = I, and a
-    restriction of an invertible matrix to an invariant subspace is
-    invertible.  Likewise the induced flags are invariant because the
-    flags and W are.
+    singular values of :func:`_step_tails` with no coordinates formed.
+    ks stacks K_j = norm log G_j.  A primary matrix function of G_j is
+    a polynomial in G_j, so it maps the G_j-invariant span(W) into
+    itself and restricts there to the function of the restriction
+    (Higham, Functions of Matrices, 2008, Thm 1.13): Tr norm log of
+    W^* G_j W is Tr(W^* K_j W), summed over j in one einsum.  W must be
+    invariant (FlagError otherwise).  The checks a Representation of the
+    W^* G_j W would make hold without it: their product is the
+    restriction of G_1 ... G_n = I, and a restriction of an invertible
+    matrix to an invariant subspace is invertible.  Likewise the induced
+    flags are invariant because the flags and W are.
     """
     if not _maps_into(w, mats, wfb.rep.scales, 1e-7):
         raise FlagError("subspace is not invariant under the representation")
     sines = np.linalg.svd(_step_tails(w, [(f.basis, f.dims) for f in wfb.flags]), compute_uv=False)
     k = w.shape[1]
     trace = _induced_weight_trace(wfb.flags, _meet_counts(sines), k)
-    return Fraction(_degree(w.conj().T @ mats @ w, trace), k)
+    return Fraction(_rounded_degree(trace + np.einsum("ai,jab,bi->", w.conj(), ks, w)), k)
 
 
 def semistable(wfb, seed=0):
     """Semistability verdict by slope comparison over invariant subspaces.
 
-    Each candidate subspace's slope is read directly
+    K_j = norm log G_j is formed once per loop matrix; the bundle's own
+    slope is (sum_j Tr Phi_j + sum_j Tr K_j) / r, and each candidate
+    subspace's slope is read from the same K_j
     (:func:`_subbundle_slope`), without building its induced bundle.
     A destabilizing subspace is definite evidence; Stable/Semistable
     verdicts additionally require the enumeration to be certified
@@ -620,18 +623,20 @@ def semistable(wfb, seed=0):
     r = wfb.rank
     if r == 1:
         return Semistability.STABLE
-    total = slope(wfb)
+    mats = np.array(wfb.rep.matrices)
+    ks = np.array([norm_log(g).k for g in mats])
+    weight_trace = sum(f.weight_diagonal().trace() for f in wfb.flags)
+    total = Fraction(_rounded_degree(weight_trace + np.einsum("jaa->", ks)), r)
     enum = invariant_subspaces(wfb.rep, seed=seed)
     candidates = {key: w for key, w in ((_projector_key(w), w) for w in enum.subspaces)}
     # flag steps are natural destabilizer candidates
-    mats = np.array(wfb.rep.matrices)
     for f in wfb.flags:
         for s, invariant in zip(f.subspaces, _invariant_steps(f, mats, wfb.rep.scales, _CHECK_TOL)):
             if invariant:
                 candidates.setdefault(_projector_key(s), s)
     saw_equal = False
     for w in candidates.values():
-        s_slope = _subbundle_slope(wfb, w, mats)
+        s_slope = _subbundle_slope(wfb, w, mats, ks)
         if s_slope > total:
             return Semistability.UNSTABLE
         if s_slope == total:

@@ -11,7 +11,7 @@ integers.
 import numpy as np
 import pytest
 
-from logconn import LocalLogConnection, MatrixSeries, Representation
+from logconn import LocalLogConnection, MatrixSeries, Representation, WeightedFlag, WeightedFlatBundle
 
 
 def random_connection(rng, r, order, rho=0.5, resonant=False):
@@ -150,6 +150,35 @@ def upper_triangular_representation(rng, diag_columns, couple=0.3):
     mats.append(np.linalg.inv(prod))
     n = len(mats)
     return Representation(sorted_punctures(rng, n), mats, tol=1e-7)
+
+
+def conditioned(rng, r, kappa):
+    """Unitary times diag(1 .. kappa) times unitary: condition number exactly kappa."""
+    unitaries = [np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))[0] for _ in range(2)]
+    return unitaries[0] @ np.diag(np.geomspace(1.0, kappa, r)) @ unitaries[1]
+
+
+def generated_family(rng, family, r, coupling=None):
+    """Rank-r U_1, U_2 (upper triangular, diagonal, or U_2 = U_1) and the U_3 closing their product."""
+    diags = [np.exp(2j * np.pi * rng.uniform(size=r)) for _ in range(2)]
+    if coupling is None:
+        coupling = 0.0 if family == "diagonal" else 0.5 / np.sqrt(r)
+    us = [np.diag(d) + coupling * np.triu(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)), 1) for d in diags]
+    if family == "repeated":
+        us[1] = us[0]  # one generator: the algebra is commutative, every eigenvector line invariant
+    return Representation(sorted_punctures(rng, 3), [*us, np.linalg.inv(us[0] @ us[1])], tol=1e-7)
+
+
+def eigenvector_flags(rng, rep):
+    """At each puncture, a flag of eigenvector spans in a random order, coarsened at random steps."""
+    r = rep.rank
+    flags = []
+    for g in rep.matrices:
+        vecs = np.linalg.eig(g)[1][:, rng.permutation(r)]
+        dims = sorted(set(rng.integers(1, r + 1, size=int(rng.integers(1, r + 1))).tolist()) | {r})
+        weights = sorted(rng.choice(np.arange(-2 * r, 2 * r), size=len(dims), replace=False).tolist(), reverse=True)
+        flags.append(WeightedFlag(tuple(vecs[:, :d] for d in dims), tuple(weights)))
+    return WeightedFlatBundle(rep, tuple(flags))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from logconn import (
     semistable,
     slope,
 )
-from logconn import bundles
+from logconn import bundles, eigen
 from logconn.bundles import (
     RANK_TOL,
     FlagError,
@@ -32,7 +32,15 @@ from logconn.bundles import (
 from logconn.eigen import spectral_split
 from logconn.synth import _SPAN_TOL
 
-from conftest import random_invertible, random_representation, reference_orthonormalize, sorted_punctures
+from conftest import (
+    conditioned,
+    eigenvector_flags,
+    generated_family,
+    random_invertible,
+    random_representation,
+    reference_orthonormalize,
+    sorted_punctures,
+)
 
 TWO_PI_I = 2j * np.pi
 
@@ -159,6 +167,11 @@ def test_degree_integrality_random(rng):
         rep = random_representation(rng, n, r)
         wfb = WeightedFlatBundle(rep, tuple(WeightedFlag.trivial(r, int(rng.integers(-3, 4))) for _ in range(n)))
         degree(wfb)  # raises NonIntegralDegreeError on failure
+
+
+def norm_logs(rep):
+    """The (n, r, r) stack of norm_log(G_j).k that semistable hands each candidate slope."""
+    return np.array([norm_log(g).k for g in rep.matrices])
 
 
 def reference_degree(wfb, tol=1e-6):
@@ -435,18 +448,6 @@ def diagonal_family(rng, r):
     return conjugated_family(rng, [np.diag(np.exp(2j * np.pi * rng.uniform(size=r))) for _ in range(2)])
 
 
-def eigenvector_flags(rng, rep):
-    """At each puncture, a flag of eigenvector spans in a random order, coarsened at random steps."""
-    r = rep.rank
-    flags = []
-    for g in rep.matrices:
-        vecs = np.linalg.eig(g)[1][:, rng.permutation(r)]
-        dims = sorted(set(rng.integers(1, r + 1, size=int(rng.integers(1, r + 1))).tolist()) | {r})
-        weights = sorted(rng.choice(np.arange(-2 * r, 2 * r), size=len(dims), replace=False).tolist(), reverse=True)
-        flags.append(WeightedFlag(tuple(vecs[:, :d] for d in dims), tuple(weights)))
-    return WeightedFlatBundle(rep, tuple(flags))
-
-
 def reference_semistable(wfb, seed=0):
     """The earlier verdict loop: one induced sub-bundle per candidate, compared by its slope."""
     if wfb.rank == 1:
@@ -493,21 +494,44 @@ def test_candidate_slopes_and_verdict_match_the_induced_subbundles(family, r, bl
     assert degree(weighted) == reference_degree(weighted)
     enum = invariant_subspaces(rep)
     assert enum.complete and enum.subspaces
-    mats = np.array(rep.matrices)
+    mats, ks = np.array(rep.matrices), norm_logs(rep)
     for wfb in (weighted, weighted.with_flags(WeightedFlag.trivial(rep.rank) for _ in range(rep.n))):
         for w in enum.subspaces:
-            assert bundles._subbundle_slope(wfb, w, mats) == slope(reference_induced_subbundle(wfb, w))
+            assert bundles._subbundle_slope(wfb, w, mats, ks) == slope(reference_induced_subbundle(wfb, w))
         assert semistable(wfb) is reference_semistable(wfb)
+
+
+@pytest.mark.parametrize("family", ["triangular", "diagonal", "blocks"])
+def test_semistable_factors_each_loop_matrix_once(family, monkeypatch):
+    # the bundle's slope and every candidate's read one norm_log(G_j) per
+    # loop matrix: n Schur forms, whatever the number of candidates.  The
+    # degree command's Schur-diagonal reading and the trace of the same
+    # norm_log(G_j).k give one degree
+    rng = np.random.default_rng(11)
+    if family == "triangular":
+        rep = triangular_family(rng, 5)
+    elif family == "diagonal":
+        rep = diagonal_family(rng, 4)
+    else:
+        rep = block_triangular_representation(rng, (2, 1, 2))[0]
+    wfb = eigenvector_flags(rng, rep)
+    assert degree(wfb) == reference_degree(wfb)
+    assert len(invariant_subspaces(rep).subspaces) >= 3
+    calls = []
+    original = eigen.schur
+    monkeypatch.setattr(eigen, "schur", lambda a: calls.append(a.shape) or original(a))
+    semistable(wfb)
+    assert len(calls) == rep.n
 
 
 def test_candidate_slope_refuses_what_induced_subbundle_refuses():
     rep = Representation([0.0, 1.0], [np.diag([2.0, 0.5]), np.diag([0.5, 2.0])])
     wfb = WeightedFlatBundle(rep, (line_flag(1, -1), WeightedFlag.trivial(2)))
-    mats = np.array(rep.matrices)
-    assert bundles._subbundle_slope(wfb, np.eye(2)[:, :1], mats) == 1
+    mats, ks = np.array(rep.matrices), norm_logs(rep)
+    assert bundles._subbundle_slope(wfb, np.eye(2)[:, :1], mats, ks) == 1
     tilted = np.array([[1.0], [1.0]]) / np.sqrt(2)
     with pytest.raises(FlagError, match="not invariant"):
-        bundles._subbundle_slope(wfb, tilted, mats)
+        bundles._subbundle_slope(wfb, tilted, mats, ks)
     # flag (1, -1) then the trivial flag, over a 1-dimensional W: the counts of
     # each flag must grow and end at dim W
     flags = wfb.flags
@@ -527,10 +551,10 @@ def test_intersection_threshold_is_a_principal_angle(angle, inside):
     rep = Representation([0.0, 1.0], [np.eye(3), np.eye(3)])
     flag = WeightedFlag((np.eye(3)[:, :1], np.eye(3)), (1, 0))
     wfb = WeightedFlatBundle(rep, (flag, WeightedFlag.trivial(3)))
-    mats = np.array(rep.matrices)
+    mats, ks = np.array(rep.matrices), norm_logs(rep)
     tilted = np.array([np.cos(angle), np.sin(angle), 0.0])
     for w in (tilted[:, None], np.column_stack([tilted, np.eye(3)[:, 2]])):
-        assert bundles._subbundle_slope(wfb, w, mats) == Fraction(int(inside), w.shape[1])
+        assert bundles._subbundle_slope(wfb, w, mats, ks) == Fraction(int(inside), w.shape[1])
         assert intersect_spans(w, np.eye(3)[:, :1]).shape[1] == int(inside)
 
 
@@ -580,23 +604,6 @@ def reference_algebra_span(matrices):
         words = words + added
         frontier = added
     return words
-
-
-def conditioned(rng, r, kappa):
-    """Unitary times diag(1 .. kappa) times unitary: condition number exactly kappa."""
-    unitaries = [np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))[0] for _ in range(2)]
-    return unitaries[0] @ np.diag(np.geomspace(1.0, kappa, r)) @ unitaries[1]
-
-
-def generated_family(rng, family, r, coupling=None):
-    """Rank-r U_1, U_2 (upper triangular, diagonal, or U_2 = U_1) and the U_3 closing their product."""
-    diags = [np.exp(2j * np.pi * rng.uniform(size=r)) for _ in range(2)]
-    if coupling is None:
-        coupling = 0.0 if family == "diagonal" else 0.5 / np.sqrt(r)
-    us = [np.diag(d) + coupling * np.triu(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)), 1) for d in diags]
-    if family == "repeated":
-        us[1] = us[0]  # one generator: the algebra is commutative, every eigenvector line invariant
-    return Representation(sorted_punctures(rng, 3), [*us, np.linalg.inv(us[0] @ us[1])], tol=1e-7)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -9,6 +9,10 @@ triangular frame, where the copies are exact.  The eigenvalues drawn
 sit where per-copy decisions go wrong: on an integer real part (the
 resonant case of the gauge-fixing theorem), within |theta| <= 1e-3 of
 the branch cut of the normalized logarithm, or anywhere (generic).
+
+A weighted bundle and its conjugate by a frame S are one bundle too:
+degree and semistability must not depend on the frame's condition
+number.
 """
 
 import numpy as np
@@ -27,7 +31,10 @@ from logconn import (
     integer_weights,
     norm_log,
     normal_form,
+    semistable,
 )
+
+from conftest import conditioned, eigenvector_flags, generated_family
 
 # the 1e-8 snap window of norm_log_scalar on the real part of the branch,
 # as an angle: theta within a factor 2 of it is left undrawn
@@ -82,3 +89,21 @@ def test_a_conjugated_jordan_block_decides_as_the_triangular_one(kind, p, spread
     assert np.linalg.norm(cluster_expm(2j * np.pi * k) - g) <= 1e-10 * np.linalg.norm(g)
 
     assert degree(_loop_bundle(g)) == degree(_loop_bundle(j))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([0, 1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_a_conditioned_frame_keeps_degree_and_semistability(r, log_kappa, seed):
+    # upper-triangular U_j, each flagged by its eigenvectors, and the same
+    # bundle in a frame S of condition number up to 1e3: S^-1 U_j S with
+    # flag steps S^-1 V.  At 1e4 the frame's rounding leaves the loop
+    # product up to 5e-5 off I: some candidate slopes are no longer
+    # integers and some subspace lists come back incomplete
+    rng = np.random.default_rng(seed)
+    triangular = eigenvector_flags(rng, generated_family(rng, "triangular", r))
+    s = conditioned(rng, r, 10.0**log_kappa)
+    s_inv = np.linalg.inv(s)
+    flags = tuple(WeightedFlag(tuple(s_inv @ b for b in f.subspaces), f.weights) for f in triangular.flags)
+    framed = WeightedFlatBundle(triangular.rep.conjugated(s), flags)
+    assert degree(framed) == degree(triangular)
+    assert semistable(framed) is semistable(triangular)
