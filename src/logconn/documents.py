@@ -36,7 +36,6 @@ __all__ = [
     "decode_series",
     "encode_representation",
     "decode_representation",
-    "encode_connection",
     "decode_connection",
     "encode_bundle",
     "decode_bundle",
@@ -191,10 +190,6 @@ def decode_representation(obj, tol=1e-8):
         decode_complex(obj.get("basepoint", [0.0, 0.0]), "basepoint"),
         tol=tol,
     )
-
-
-def encode_connection(conn):
-    return {"series": encode_series(conn.a)}
 
 
 def decode_connection(obj):

@@ -4,6 +4,17 @@ The complex Schur form and its reordering come from LAPACK through
 scipy (``zgees`` via :func:`scipy.linalg.schur`, and ``ztrsen``).
 Dense desk scale (r <= 16) is the target.
 
+Each matrix is factored once per call chain: :func:`schur` keeps one
+record per input, keyed by the exact content of the validated
+complex128 matrix (its size and bytes), in a least-recently-used store
+of _RECORDS = 8 entries.  The record holds T and Q, and the cluster
+means of T once something asks for them, so :func:`clustered_schur`,
+:func:`eigenvalues`, :func:`spectral_split`, :func:`norm_log` and
+:func:`cluster_expm` on one matrix share one ``zgees`` and one
+clustering.  Every array a record hands out is read-only; a caller that
+updates one in place copies it first.  A failed factorization is not
+stored, so :class:`NonConvergenceError` is raised on every call.
+
 Which Schur eigenvalues are one eigenvalue is decided in one place,
 :func:`_cluster_means`, whose radius is derived from the Schur form: rounding
 splits a p-fold eigenvalue by about (eps ||T|| ||N||^(p-1))^(1/p) under
@@ -24,6 +35,7 @@ non-orthogonal basis is ever inverted, so both stay accurate on
 defective and nearly defective inputs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +94,11 @@ _BLOCK_SEP = 0.05
 _EPS = np.finfo(float).eps
 _MAX_SERIES_TERMS = 200
 
+# Schur records kept (see _schur_record): enough for the loop matrices of
+# one bundle or system and the residue of one connection, so a call chain
+# finds its matrices again and no record outlives a few problems.
+_RECORDS = 8
+
 
 class NonConvergenceError(RuntimeError):
     def __init__(self, message, iterations=None):
@@ -95,17 +112,39 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def schur(a):
-    """Complex Schur decomposition A = Q T Q^* with T upper triangular.
+def _frozen(x):
+    x.flags.writeable = False
+    return x
 
-    LAPACK's failure to converge is raised as :class:`NonConvergenceError`.
-    """
-    a = as_matrix(a, square=True)
+
+class _Schur(tuple):
+    """(t, q) of one matrix, read-only, with the cluster means of t formed on first use."""
+
+    @functools.cached_property
+    def means(self):
+        return _frozen(_cluster_means(*self))
+
+
+@functools.lru_cache(maxsize=_RECORDS)
+def _schur_record(n, data):
+    """The Schur record of the n x n complex128 matrix whose row-major bytes are `data`."""
+    a = np.frombuffer(data, dtype=np.complex128).reshape(n, n)
     try:
         t, q = scipy.linalg.schur(a, output="complex")
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"LAPACK Schur iteration failed: {exc}") from exc
-    return t, q
+    return _Schur((_frozen(t), _frozen(q)))
+
+
+def schur(a):
+    """Complex Schur decomposition A = Q T Q^* with T upper triangular.
+
+    Returns the read-only (t, q) of A's record (see the module
+    docstring).  LAPACK's failure to converge is raised as
+    :class:`NonConvergenceError`.
+    """
+    a = as_matrix(a, square=True)
+    return _schur_record(len(a), a.tobytes())
 
 
 def reorder_schur(t, q, select):
@@ -252,10 +291,11 @@ def clustered_schur(a):
     """(t, q, means): A = Q T Q^* and the mean of the cluster of each diagonal position of t.
 
     All rounded copies of one eigenvalue carry its mean (:func:`_cluster_means`),
-    so positions with equal means are one cluster.
+    so positions with equal means are one cluster.  All three are
+    read-only and are formed once per record (see the module docstring).
     """
-    t, q = schur(a)
-    return t, q, _cluster_means(t, q)
+    record = schur(a)
+    return (*record, record.means)
 
 
 def _group_schur(t, q, labels):

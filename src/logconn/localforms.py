@@ -106,6 +106,8 @@ def _arranging_gauge(a0, tol):
     weights = [floor_snap(-mu.real, tol) for mu in means]
     classes = sorted(set(weights), reverse=True)
     t_schur, q = _group_schur(t_schur, q, [classes.index(w) for w in weights])
+    # classes already in order leave q the read-only Q of a0's Schur record
+    q = q.copy()
     phi = WeightDiagonal(tuple(sorted(weights, reverse=True)))
     for sl in phi.block_slices[:-1]:
         s, e = sl.start, sl.stop

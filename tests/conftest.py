@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from logconn import LocalLogConnection, MatrixSeries, Representation, WeightedFlag, WeightedFlatBundle
+from logconn import documents
 
 
 def random_connection(rng, r, order, rho=0.5, resonant=False):
@@ -184,3 +185,8 @@ def eigenvector_flags(rng, rep):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def encode_connection(conn):
+    """The local-connection payload of `conn`, the input `documents.decode_connection` reads."""
+    return {"series": documents.encode_series(conn.a)}

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from logconn import FuchsianSystem, LocalLogConnection, MatrixSeries, Representation, WeightedFlag, WeightedFlatBundle
 from logconn import documents as doc
 
-from conftest import random_invertible
+from conftest import encode_connection, random_invertible
 
 # doubles that break a hand-written printer or parser: signed zeros,
 # subnormals, the ends of the range, integer values and values past 2^53
@@ -64,7 +64,7 @@ def _payload_objects(draw):
         flags.append(WeightedFlag(tuple(z[:, :k] for k in dims), tuple(weights)))
     return {
         "representation": (rep, doc.encode_representation, doc.decode_representation),
-        "local-connection": (conn, doc.encode_connection, doc.decode_connection),
+        "local-connection": (conn, encode_connection, doc.decode_connection),
         "fuchsian-system": (system, doc.encode_system, doc.decode_system),
         "weighted-bundle": (WeightedFlatBundle(rep, tuple(flags)), doc.encode_bundle, doc.decode_bundle),
     }

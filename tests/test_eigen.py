@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from logconn import (
     SingularMatrixError,
     cluster_expm,
+    degree,
+    eigenvalues,
     floor_snap,
     norm_log,
     norm_log_scalar,
     normal_form,
     schur,
+    semistable,
     spectral_split,
 )
 from logconn import eigen
-from logconn.eigen import _BLOCK_SEP, NonConvergenceError, _chain, _power_series, reorder_schur
+from logconn.eigen import _BLOCK_SEP, NonConvergenceError, _chain, _power_series, clustered_schur, reorder_schur
 
-from conftest import random_connection
+from conftest import eigenvector_flags, generated_family, random_connection
 
 TWO_PI_I = 2j * np.pi
 
@@ -235,8 +238,10 @@ def test_norm_log_round_trip_random(rng):
 
 
 def test_norm_log_singular():
-    with pytest.raises(SingularMatrixError):
-        norm_log(np.zeros((2, 2)))
+    # the record of a singular matrix is kept, the error is raised on every call
+    for g in 2 * [np.zeros((2, 2)), np.ones((3, 3))]:
+        with pytest.raises(SingularMatrixError):
+            norm_log(g)
 
 
 def test_norm_log_scalar_branches():
@@ -380,3 +385,102 @@ def test_floor_snap():
     assert floor_snap(2.0 - 1e-12) == 2
     assert floor_snap(2.0 + 1e-12) == 2
     assert floor_snap(1.9999) == 1
+
+
+# ----------------------------------------------------------------------
+# Schur records
+
+
+@pytest.fixture
+def zgees_calls(monkeypatch):
+    """Shapes of the LAPACK Schur factorizations eigen makes, from an empty record store."""
+    calls = []
+    factor = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur", lambda a, **kw: calls.append(a.shape) or factor(a, **kw))
+    eigen._schur_record.cache_clear()
+    return calls
+
+
+def test_one_factorization_and_one_clustering_per_matrix(rng, zgees_calls, monkeypatch):
+    clusterings = []
+    cluster_means = eigen._cluster_means
+    monkeypatch.setattr(eigen, "_cluster_means", lambda t, q: clusterings.append(t.shape) or cluster_means(t, q))
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    schur(a)
+    spectral_split(a)
+    norm_log(a)
+    cluster_expm(a)
+    eigenvalues(a.copy())
+    assert (zgees_calls, clusterings) == ([(6, 6)], [(6, 6)])
+
+
+def test_degree_then_semistable_factor_each_loop_matrix_once(zgees_calls):
+    rng = np.random.default_rng(5)
+    wfb = eigenvector_flags(rng, generated_family(rng, "triangular", 4))
+    degree(wfb)
+    semistable(wfb)
+    assert zgees_calls == [(4, 4)] * wfb.rep.n
+
+
+def test_nonconvergence_is_raised_on_every_call(zgees_calls, monkeypatch):
+    def failing(a, **kw):
+        zgees_calls.append(a.shape)
+        raise np.linalg.LinAlgError("no convergence")
+
+    a = np.diag([1.0, 2.0])
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "schur", failing)
+        for _ in range(2):
+            with pytest.raises(NonConvergenceError):
+                norm_log(a)
+    assert np.array_equal(schur(a)[0], a)
+    assert len(zgees_calls) == 3
+
+
+def test_record_arrays_refuse_writes(rng):
+    a = rng.normal(size=(4, 4))
+    t, q, means = clustered_schur(a)
+    for x in (*schur(a), t, q, means):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+    assert np.linalg.norm(q @ t @ q.conj().T - a) < 1e-13 * np.linalg.norm(a)
+
+
+_RECORD_READERS = {
+    "schur": schur,
+    "clustered_schur": clustered_schur,
+    "eigenvalues": lambda a: [eigenvalues(a)],
+    "spectral_split": lambda a: [np.array(x) for cluster in spectral_split(a).clusters for x in cluster],
+    "norm_log": lambda a: [norm_log(a).k],
+    "cluster_expm": lambda a: [cluster_expm(a)],
+}
+
+
+def _record_inputs(seed):
+    """More distinct matrices than the store holds, each real one also as complex of equal value."""
+    rng = np.random.default_rng(seed)
+    real = [rng.normal(size=(r, r)) for r in rng.integers(1, 7, size=6)]
+    jordan = np.eye(4) + np.eye(4, k=1)
+    cplx = [rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)) for r in rng.integers(1, 7, size=5)]
+    return real + [m.astype(complex) for m in real] + [jordan + 0j] + cplx
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(st.tuples(st.integers(0, 17), st.sampled_from(sorted(_RECORD_READERS))), min_size=20, max_size=40),
+)
+def test_records_give_the_bits_of_fresh_factorizations(seed, calls):
+    mats = _record_inputs(seed)
+    assert len({m.astype(complex).tobytes() for m in mats}) > eigen._RECORDS
+
+    def bits(i, name):
+        return [np.asarray(x).tobytes() for x in _RECORD_READERS[name](mats[i])]
+
+    fresh = {}
+    for i, name in calls:
+        eigen._schur_record.cache_clear()
+        fresh[i, name] = bits(i, name)
+    eigen._schur_record.cache_clear()
+    for i, name in calls:
+        assert bits(i, name) == fresh[i, name]

@@ -27,7 +27,7 @@ from logconn import documents as doc
 from logconn.cli import main
 from logconn.verify import IntegrationError, LoopPath
 
-from conftest import random_invertible, sorted_punctures
+from conftest import encode_connection, random_invertible, sorted_punctures
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_growth_exponent_refuses_fewer_than_two_distinct_radii(tmp_path, capsys,
     with pytest.raises(ValueError, match=message):
         growth_exponent(conn, [1.0, 0.0], radii)
     path = tmp_path / "conn.json"
-    path.write_text(doc.canonical_dumps(doc.wrap("local-connection", doc.encode_connection(conn))))
+    path.write_text(doc.canonical_dumps(doc.wrap("local-connection", encode_connection(conn))))
     assert main(["growth", str(path), "--vector", "[[1, 0], [0, 0]]", *flags]) == 2
     assert json.loads(capsys.readouterr().err) == {"message": message, "reason": "ValueError"}
 
