@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 _RESONANCE_SVAL = 1e-8  # a block operator with sigma_min <= this max(1, sigma_max) is near-resonant
-# Bytes of block operators one stacked SVD takes (at least one degree's).
-# At r = 16 with one weight class a degree's operator alone is 1 MiB, so
-# there each degree goes alone and memory stays that of one degree.
-_WINDOW_GROUP_BYTES = 1 << 20
 
 
 class IllConditionedBlockError(RuntimeError):
@@ -148,27 +144,30 @@ def normal_form_b_series(k, phi, order):
     return twisted.pad(max(order, gaps))
 
 
-def _window_svds(a0_arr, slices, degrees):
-    """SVDs of the block operators for each degree j in `degrees`.
+def _cleared(a0_arr, phi, n):
+    """Block pairs of phi's classes whose operators provably clear the
+    near-resonance cutoff at degrees 1..n.
 
-    The operator X -> (j I + T_ii) X - X T_mm of block pair (i, m) acts
-    on column-major vec(X) as kron(I, j I + T_ii) - kron(T_mm^T, I).
-    Every pair takes one stacked SVD over the degrees, which runs the
-    same ``zgesdd`` per matrix as one call per degree.  Returns
-    ``{j: {(i, m): (u, svals, vh)}}``.
+    Entry [j - 1, i, m] is True when a lower bound on sigma_min of the
+    operator L: X -> (j I + T_ii) X - X T_mm exceeds an upper bound of
+    its cutoff _RESONANCE_SVAL max(1, sigma_max(L)); see :func:`normal_form`.
     """
-    jj = np.asarray(degrees, dtype=float)[:, None, None]
-    out = {j: {} for j in degrees}
-    for i, si in enumerate(slices):
-        di = si.stop - si.start
-        lefts = jj * np.eye(di) + a0_arr[si, si]
-        for mm, sm in enumerate(slices):
-            dm = sm.stop - sm.start
-            ops = np.kron(np.eye(dm), lefts) - np.kron(a0_arr[sm, sm].T, np.eye(di))
-            us, svals, vhs = np.linalg.svd(ops)
-            for g, j in enumerate(degrees):
-                out[j][i, mm] = us[g], svals[g], vhs[g]
-    return out
+    slices = phi.block_slices
+    diag = np.diag(a0_arr)
+    starts = [sl.start for sl in slices]
+    norms = np.array([np.linalg.norm(a0_arr[sl, sl], 2) for sl in slices])
+    uppers = np.array([np.linalg.norm(np.triu(a0_arr[sl, sl], 1), 2) for sl in slices])
+    jj = np.arange(1.0, n + 1)[:, None, None]
+    gaps = np.abs(jj + diag[:, None] - diag[None, :])
+    gap = np.minimum.reduceat(np.minimum.reduceat(gaps, starts, axis=1), starts, axis=2)
+    span = norms[:, None] + norms[None, :]
+    powers = np.add.outer(phi.sizes, phi.sizes) - 1
+    q = np.arange(powers.max())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = ((uppers[:, None] + uppers[None, :]) / gap)[..., None]
+        neumann = gap / np.where(q < powers[..., None], ratio**q, 0.0).sum(axis=-1)
+    # fmax reads an undefined (nan) Neumann bound, at g = nu = 0, as absent
+    return np.fmax(jj - span, neumann) > _RESONANCE_SVAL * np.maximum(1.0, jj + span)
 
 
 def normal_form(conn, tol=CLUSTER_TOL):
@@ -188,28 +187,40 @@ def normal_form(conn, tol=CLUSTER_TOL):
     failure.
 
     The arranged residue A0 is block-diagonal with upper-triangular
-    blocks T_ii, so the block operator X -> (j I + T_ii) X - X T_mm is
-    j I + L with norm(L) <= norm(T_ii) + norm(T_mm) <= s = 2 norm(A0).
-    By Weyl's inequality its singular values lie in [j - s, j + s].
-    Once j - s > _RESONANCE_SVAL max(1, j + s), no block at degree j
-    has a singular value below the cutoff: none is near-resonant, none
-    has a cokernel, B^j = 0, and the blockwise minimum-norm solve is
-    the plain inverse.  As A0 is block-diagonal the blockwise equations
-    are then exactly the whole-matrix Sylvester equation
-    (j I + A0) M^j - M^j A0 = R^{j-1} with triangular coefficients,
+    blocks T_ii, so the blockwise equations of a degree are exactly the
+    whole-matrix Sylvester equation (j I + A0) M^j - M^j A0 = R^{j-1},
     which one LAPACK ``ztrsyl`` back substitution solves (Bartels &
-    Stewart, CACM 15, 1972).  Only the degrees j <= s + cutoff take the
-    SVD of every block operator, one stacked SVD per block pair for a
-    group of degrees (:func:`_window_svds`); resonance decisions,
-    cokernel corrections and warnings all come from there.
+    Stewart, CACM 15, 1972).  It gives each block pair the plain
+    inverse, which is the minimum-norm solve of a pair whose operator
+    L: X -> (j I + T_ii) X - X T_mm has no singular value at or below
+    the cutoff, so that such a pair has no cokernel, B^j = 0 there and
+    no warning.  A pair is cleared when a lower bound of sigma_min(L)
+    exceeds the upper bound _RESONANCE_SVAL max(1, j + |T_ii| + |T_mm|)
+    of its cutoff (|.| the 2-norm), taking the larger of two bounds:
+
+    - Weyl: L = j I + L0 with |L0| <= |T_ii| + |T_mm|, so
+      sigma_min(L) >= j - |T_ii| - |T_mm|.
+    - Neumann: L = D + N with D diagonal, its entries j + t_aa - t_bb
+      over the pair's diagonal entries at least g in modulus, and
+      |N| <= nu, the sum of the norms of the strictly upper parts of
+      T_ii and T_mm, so |D^-1 N| <= nu / g.  Entry (p, q) of L X reads
+      only entries (p' >= p, q) and (p, q' <= q) of X, so N strictly
+      lowers the level q - p and D^-1 N is nilpotent of index at most
+      P = d_i + d_m - 1.  Hence L^-1 = sum_{k<P} (-D^-1 N)^k D^-1 and
+      sigma_min(L) >= g / sum_{k<P} (nu / g)^k.
+
+    The other pairs are flagged (:func:`_cleared`): their right sides
+    are zeroed for the triangular solve, which as A0 is block-diagonal
+    leaves them zero and the rest untouched, and each then takes the
+    SVD of its Kronecker operator kron(I, j I + T_ii) - kron(T_mm^T, I)
+    on column-major vec(X).  Resonance decisions, cokernel corrections
+    and warnings all come from there.
     """
     r = conn.rank
     n = conn.order
     t_total, a0_arr, phi = _arranging_gauge(conn.residue, tol)
     a_arr = arranged_series(conn, t_total).coeffs
-    slices = phi.block_slices
-    values = phi.values
-    l = len(values)
+    slices, values, sizes = phi.block_slices, phi.values, phi.sizes
 
     k = np.zeros((r, r), dtype=np.complex128)
     for mdx, sl in enumerate(slices):
@@ -219,54 +230,43 @@ def normal_form(conn, tol=CLUSTER_TOL):
     m = np.zeros((n + 1, r, r), dtype=np.complex128)
     m[0] = np.eye(r)
     warnings = []
-    s = 2.0 * np.linalg.norm(a0_arr, 2)
-    window = [j for j in range(1, n + 1) if not j - s > _RESONANCE_SVAL * max(1.0, j + s)]
-    # a degree's operators hold sum_{i,m} (d_i d_m)^2 = (sum_i d_i^2)^2 entries
-    group = max(1, _WINDOW_GROUP_BYTES // (16 * sum((sl.stop - sl.start) ** 2 for sl in slices) ** 2))
-    svds = {}
+    flags = ~_cleared(a0_arr, phi, n)
 
     for j in range(1, n + 1):
         terms = m[1:j] @ b[j - 1 : 0 : -1] - a_arr[j - 1 : 0 : -1] @ m[1:j]
         rhs = np.concatenate([-a_arr[j : j + 1], terms]).sum(axis=0)
-        if j not in window:
-            x, scale, _ = scipy.linalg.lapack.ztrsyl(j * np.eye(r) + a0_arr, a0_arr, rhs, isgn=-1)
-            m[j] = x / scale
-            if not np.all(np.isfinite(m[j])):
-                raise IllConditionedBlockError("non-finite triangular solve", ("*", "*", j))
-            continue
-        if j not in svds:
-            start = window.index(j)
-            svds = _window_svds(a0_arr, slices, window[start : start + group])
-        for i in range(l):
-            for mm in range(l):
-                si, sm = slices[i], slices[mm]
-                di, dm = si.stop - si.start, sm.stop - sm.start
-                u, svals, vh = svds[j][i, mm]
-                rvec = rhs[si, sm].flatten(order="F")
-                resonant = values[i] - j == values[mm]
-                smax = svals[0] if len(svals) else 0.0
-                cutoff = _RESONANCE_SVAL * max(1.0, smax)
-                small = svals <= cutoff
-                if not resonant and np.any(small):
-                    dropped = float(
-                        np.linalg.norm((u[:, small].conj().T @ rvec))
-                    )
-                    warnings.append(
-                        f"near-resonant block (i={i}, m={mm}, j={j}): "
-                        f"smallest singular value {svals[-1]:.3e}, dropped residual {dropped:.3e}"
-                    )
-                if resonant:
-                    coker = u[:, small]
-                    bvec = -(coker @ (coker.conj().T @ rvec)) if coker.shape[1] else np.zeros_like(rvec)
-                    b[j][si, sm] = bvec.reshape((di, dm), order="F")
-                    k[si, sm] = -b[j][si, sm]
-                    rvec = rvec + bvec
-                safe = np.where(small | (svals == 0.0), 1.0, svals)
-                inv_svals = np.where(small | (svals == 0.0), 0.0, 1.0 / safe)
-                xvec = vh.conj().T @ (inv_svals * (u.conj().T @ rvec))
-                if not np.all(np.isfinite(xvec)):
-                    raise IllConditionedBlockError("non-finite block solve", (i, mm, j))
-                m[j][si, sm] = xvec.reshape((di, dm), order="F")
+        flagged = np.repeat(np.repeat(flags[j - 1], sizes, axis=0), sizes, axis=1)
+        x, scale, _ = scipy.linalg.lapack.ztrsyl(j * np.eye(r) + a0_arr, a0_arr, np.where(flagged, 0.0, rhs), isgn=-1)
+        m[j] = x / scale
+        if not np.all(np.isfinite(m[j])):
+            raise IllConditionedBlockError("non-finite triangular solve", ("*", "*", j))
+        for i, mm in np.argwhere(flags[j - 1]).tolist():
+            si, sm = slices[i], slices[mm]
+            di, dm = sizes[i], sizes[mm]
+            op = np.kron(np.eye(dm), j * np.eye(di) + a0_arr[si, si]) - np.kron(a0_arr[sm, sm].T, np.eye(di))
+            u, svals, vh = np.linalg.svd(op)
+            rvec = rhs[si, sm].flatten(order="F")
+            resonant = values[i] - j == values[mm]
+            cutoff = _RESONANCE_SVAL * max(1.0, svals[0])
+            small = svals <= cutoff
+            if not resonant and np.any(small):
+                dropped = float(np.linalg.norm((u[:, small].conj().T @ rvec)))
+                warnings.append(
+                    f"near-resonant block (i={i}, m={mm}, j={j}): "
+                    f"smallest singular value {svals[-1]:.3e}, dropped residual {dropped:.3e}"
+                )
+            if resonant:
+                coker = u[:, small]
+                bvec = -(coker @ (coker.conj().T @ rvec)) if coker.shape[1] else np.zeros_like(rvec)
+                b[j][si, sm] = bvec.reshape((di, dm), order="F")
+                k[si, sm] = -b[j][si, sm]
+                rvec = rvec + bvec
+            safe = np.where(small | (svals == 0.0), 1.0, svals)
+            inv_svals = np.where(small | (svals == 0.0), 0.0, 1.0 / safe)
+            xvec = vh.conj().T @ (inv_svals * (u.conj().T @ rvec))
+            if not np.all(np.isfinite(xvec)):
+                raise IllConditionedBlockError("non-finite block solve", (i, mm, j))
+            m[j][si, sm] = xvec.reshape((di, dm), order="F")
 
     b_series = normal_form_b_series(k, phi, n)
     return NormalForm(

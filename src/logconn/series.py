@@ -173,10 +173,6 @@ class MatrixSeries:
     def max_coeff_norm(self):
         return np.linalg.norm(self.coeffs, 2, axis=(1, 2)).max()
 
-    def allclose(self, other, atol=1e-12):
-        n = min(self.order, other.order)
-        return np.allclose(self.coeffs[: n + 1], other.coeffs[: n + 1], atol=atol, rtol=0.0)
-
 
 @dataclass(frozen=True)
 class WeightDiagonal:
@@ -195,10 +191,6 @@ class WeightDiagonal:
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
             raise ValueError(f"weights must be non-increasing, got {e}")
         object.__setattr__(self, "entries", e)
-
-    @property
-    def dim(self):
-        return len(self.entries)
 
     @property
     def values(self):

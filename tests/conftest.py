@@ -190,3 +190,9 @@ def rng():
 def encode_connection(conn):
     """The local-connection payload of `conn`, the input `documents.decode_connection` reads."""
     return {"series": documents.encode_series(conn.a)}
+
+
+def series_allclose(a, b, atol=1e-12):
+    """Coefficients of two matrix series agree to absolute `atol` up to the lower order."""
+    n = min(a.order, b.order)
+    return np.allclose(a.coeffs[: n + 1], b.coeffs[: n + 1], atol=atol, rtol=0.0)

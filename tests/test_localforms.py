@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from logconn import (
     LocalLogConnection,
     MatrixSeries,
+    WeightDiagonal,
     conjugacy_compare,
     convergence_diagnostic,
     fundamental_check,
@@ -358,9 +359,9 @@ def test_near_resonant_warning_wording():
 
 def test_no_warning_past_weyl_window(rng):
     # past the window every block operator's singular values exceed the
-    # cutoff (Weyl), which is what lets those degrees skip the SVD; near-
-    # resonant pairs at degree j (eigenvalues -(j + 1) and -(1 - 1e-9))
-    # inside random conjugated connections warn only inside it
+    # cutoff (Weyl), so no block there can be near-resonant; near-resonant
+    # pairs at degree j (eigenvalues -(j + 1) and -(1 - 1e-9)) inside
+    # random conjugated connections warn only inside it
     seen = 0
     for trial in range(12):
         j = int(rng.integers(1, 5))
@@ -393,11 +394,15 @@ def test_integrate_local_ignores_zero_padding(rng):
 
 
 # --------------------------------------------------------------------------
-# the stacked window against the per-block and per-coefficient loops
+# the screened triangular solves against the per-block and per-coefficient loops
 
 
 def _normal_form_per_block(conn, tol=CLUSTER_TOL, resonance_sval=1e-8):
-    """The recursion with one Kronecker operator and one SVD per block and degree."""
+    """The recursion with one Kronecker operator and one SVD per block and degree.
+
+    Returns the normal form and the smallest singular value kept over
+    all block operators.
+    """
     r, n = conn.rank, conn.order
     t_total, a0_arr, phi = localforms._arranging_gauge(conn.residue, tol)
     a_arr = arranged_series(conn, t_total).coeffs
@@ -410,14 +415,10 @@ def _normal_form_per_block(conn, tol=CLUSTER_TOL, resonance_sval=1e-8):
     m = np.zeros((n + 1, r, r), dtype=np.complex128)
     m[0] = np.eye(r)
     warnings = []
-    s = 2.0 * np.linalg.norm(a0_arr, 2)
+    smin = np.inf
     for j in range(1, n + 1):
         terms = m[1:j] @ b[j - 1 : 0 : -1] - a_arr[j - 1 : 0 : -1] @ m[1:j]
         rhs = np.concatenate([-a_arr[j : j + 1], terms]).sum(axis=0)
-        if j - s > resonance_sval * max(1.0, j + s):
-            x, scale, _ = scipy.linalg.lapack.ztrsyl(j * np.eye(r) + a0_arr, a0_arr, rhs, isgn=-1)
-            m[j] = x / scale
-            continue
         for i in range(l):
             for mm in range(l):
                 si, sm = slices[i], slices[mm]
@@ -429,6 +430,7 @@ def _normal_form_per_block(conn, tol=CLUSTER_TOL, resonance_sval=1e-8):
                 u, svals, vh = np.linalg.svd(op)
                 cutoff = resonance_sval * max(1.0, svals[0])
                 small = svals <= cutoff
+                smin = min([smin, *svals[~small]])
                 if not resonant and np.any(small):
                     dropped = float(np.linalg.norm((u[:, small].conj().T @ rvec)))
                     warnings.append(
@@ -446,7 +448,7 @@ def _normal_form_per_block(conn, tol=CLUSTER_TOL, resonance_sval=1e-8):
                 xvec = vh.conj().T @ (inv_svals * (u.conj().T @ rvec))
                 m[j][si, sm] = xvec.reshape((di, dm), order="F")
     b_series = localforms.normal_form_b_series(k, phi, n)
-    return localforms.NormalForm(MatrixSeries(m), k, phi, t_total, b_series, tuple(warnings))
+    return localforms.NormalForm(MatrixSeries(m), k, phi, t_total, b_series, tuple(warnings)), smin
 
 
 def _gauge_residual_per_coefficient(conn, nf):
@@ -484,13 +486,25 @@ def _same_bits(got, want):
 
 
 def _assert_same_normal_form(conn, tol=CLUSTER_TOL, delta=0.125):
-    nf, ref = normal_form(conn, tol=tol), _normal_form_per_block(conn, tol=tol)
+    nf, (ref, smin) = normal_form(conn, tol=tol), _normal_form_per_block(conn, tol=tol)
     assert nf.phi == ref.phi and nf.warnings == ref.warnings
-    for got, want in ((nf.m.coeffs, ref.m.coeffs), (nf.k, ref.k), (nf.t, ref.t), (nf.b.coeffs, ref.b.coeffs)):
-        assert _same_bits(got, want)
-    assert _same_bits(gauge_residual(conn, nf), _gauge_residual_per_coefficient(conn, ref))
+    assert _same_bits(nf.t, ref.t)
+    # both recursions start from the same T; each is within the rounding
+    # bound of test_normal_form_against_mpmath_recursion (without its
+    # cond(T), T being shared) of the exact one, so they differ by at
+    # most twice that bound
+    a_arr = arranged_series(conn, nf.t).coeffs
+    c = np.linalg.norm(a_arr, 2, axis=(1, 2)).sum() + np.linalg.norm(ref.b.coeffs, 2, axis=(1, 2)).sum()
+    mu = np.linalg.norm(ref.m.coeffs, 2, axis=(1, 2)).max()
+    bound = 2 * conn.rank * conn.order * EPS * c * mu / smin
+    assert np.linalg.norm(nf.m.coeffs - ref.m.coeffs, 2, axis=(1, 2)).max() <= bound
+    assert np.linalg.norm(nf.k - ref.k, 2) <= bound
+    assert np.linalg.norm(nf.b.coeffs - ref.b.coeffs, 2, axis=(1, 2)).max() <= bound
+    # the stacked norms of gauge_residual and convergence_diagnostic
+    # against their per-coefficient loops, on the same normal form
+    assert _same_bits(gauge_residual(conn, nf), _gauge_residual_per_coefficient(conn, nf))
     conv = convergence_diagnostic(conn, nf, delta)
-    c0, big_c, delta_max, checks = _convergence_per_coefficient(conn, ref, delta)
+    c0, big_c, delta_max, checks = _convergence_per_coefficient(conn, nf, delta)
     assert (conv.c0, conv.checks) == (c0, checks)
     assert _same_bits([conv.big_c, conv.delta_max], [big_c, delta_max])
     return nf
@@ -504,7 +518,7 @@ def _conjugated(rng, lam, order):
     return LocalLogConnection(MatrixSeries(coeffs))
 
 
-def test_stacked_window_matches_the_per_block_loops(rng, monkeypatch):
+def test_stacked_window_matches_the_per_block_loops(rng):
     conns = [random_connection(rng, r, order, resonant=True) for r, order in ((2, 10), (3, 12), (5, 20), (6, 16))]
     # unequal classes: Phi = (2, 1, 1, 0, 0, 0)
     unequal = _conjugated(rng, -np.array([2.3, 1.2, 1.6, 0.1, 0.5, 0.7]) + 0.03j, 14)
@@ -515,20 +529,81 @@ def test_stacked_window_matches_the_per_block_loops(rng, monkeypatch):
     # a near-resonant block (i = 0, m = 1) at degree 2 warns identically
     near = _conjugated(rng, [-3.0, -(1.0 - 1e-9), -0.4 + 0.2j], 12)
     assert len(_assert_same_normal_form(near, tol=1e-12).warnings) == 1
-    groups = []  # degrees per stacked SVD call
-    stacked = localforms._window_svds
-    monkeypatch.setattr(localforms, "_window_svds", lambda *args: groups.append(len(args[2])) or stacked(*args))
-    # an empty window: 2 norm(A0) < 1, so every degree is one triangular solve
+
+
+def _bench_shaped(rng, r, order, resonant):
+    """A connection drawn like the benchmark's local-normal-form inputs:
+    eigenvalue i has weight i mod 2 and a fractional part of -Re lambda
+    spread over [0, 1); a resonant draw makes eigenvalue 2i + 1 exactly
+    eigenvalue 2i minus one."""
+    fracs = (np.arange(r) + rng.uniform(0.2, 0.8, size=r)) / r
+    if resonant:
+        fracs = np.repeat(fracs[: (r + 1) // 2], 2)[:r]
+    lam = -(np.arange(r) % 2 + fracs) + 0.03j * rng.choice((-1.0, 1.0), size=r)
+    if resonant:
+        lam[1::2] = lam[0::2][: r // 2] - 1.0
+    return _conjugated(rng, lam, order), lam
+
+
+def test_svd_only_on_pairs_the_screen_flags(rng, monkeypatch):
+    shapes = []  # operator shape per np.linalg.svd call
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda op, *args, **kwargs: shapes.append(op.shape) or svd(op, *args, **kwargs))
+    # every pair clears at every degree: 2 norm(A0) < 1 (Weyl), and
+    # distinct fractional parts (Neumann)
     small = LocalLogConnection(MatrixSeries(0.5 ** np.arange(11)[:, None, None] * random_connection(rng, 4, 10).a.coeffs / 8))
     assert 2.0 * np.linalg.norm(arranged_series(small, normal_form(small).t).coeffs[0], 2) < 1.0
-    _assert_same_normal_form(small)
-    assert groups == []
-    # the window's degrees in groups of one and of two degrees' operator
-    # bytes; a window of three degrees ends on a short group
-    for conn, tol in [(conns[2], CLUSTER_TOL), (conns[3], CLUSTER_TOL), (unequal, CLUSTER_TOL), (near, 1e-12)]:
-        sizes = normal_form(conn, tol=tol).phi.sizes
-        for group in (1, 2):
-            monkeypatch.setattr(localforms, "_WINDOW_GROUP_BYTES", group * 16 * sum(d * d for d in sizes) ** 2)
-            groups.clear()
-            _assert_same_normal_form(conn, tol=tol)
-            assert max(groups) == group and len(groups) >= 2
+    for conn in (small, _bench_shaped(rng, 5, 20, resonant=False)[0]):
+        shapes.clear()
+        normal_form(conn)
+        assert shapes == []
+        _assert_same_normal_form(conn)
+    # one SVD per exactly resonant pair (classes i, m and degree j with
+    # lambda_a + j = lambda_b for eigenvalues a of class i, b of class m):
+    # one in a bench-shaped resonant draw, three in a chain of classes
+    # lambda, lambda - 1, lambda - 2
+    chain = -np.array([0.3, 1.3, 2.3, 0.7]) + np.array([0.1, 0.1, 0.1, -0.2]) * 1j
+    for conn, lam in [_bench_shaped(rng, r, 20, resonant=True) for r in (2, 5, 8)] + [(_conjugated(rng, chain, 20), chain)]:
+        r = len(lam)
+        weights = np.floor(-lam.real + CLUSTER_TOL).astype(int)
+        exact = {
+            (weights[a], weights[b], j)
+            for a, b in itertools.product(range(r), repeat=2)
+            for j in range(1, conn.order + 1)
+            if abs(lam[a] + j - lam[b]) < 1e-12
+        }
+        shapes.clear()
+        nf = normal_form(conn)
+        assert len(shapes) == len(exact) == (3 if lam is chain else 1)
+        assert nf.warnings == ()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    upper=st.floats(-2.0, 2.0),
+    gap=st.floats(-10.0, 0.0),
+    j=st.integers(1, 12),
+)
+def test_cleared_pairs_have_no_singular_value_at_the_cutoff(seed, sizes, upper, gap, j):
+    # upper-triangular class blocks with strictly upper parts of scale
+    # 10^upper; each diagonal entry of T_mm sits at distance about 10^gap
+    # from j + some diagonal entry of T_ii, so j + t_aa - t_bb comes down
+    # to 1e-10: a pair the screen clears at degree j has no singular
+    # value at or below the SVD's cutoff
+    rng = np.random.default_rng(seed)
+    di, dm = sizes
+    lam = rng.uniform(-1.0, 1.0, size=di) + 1j * rng.uniform(-1.0, 1.0, size=di)
+    shift = 10.0**gap * rng.uniform(0.5, 1.0, size=dm) * np.exp(2j * np.pi * rng.uniform(size=dm))
+    diags = (lam, j + lam[rng.integers(0, di, size=dm)] - shift)
+    blocks = [np.diag(d) + 10.0**upper * np.triu(rng.normal(size=(len(d), len(d))) + 1j * rng.normal(size=(len(d), len(d))), 1) for d in diags]
+    a0 = scipy.linalg.block_diag(*blocks)
+    phi = WeightDiagonal((1,) * di + (0,) * dm)
+    slices = phi.block_slices
+    cleared = localforms._cleared(a0, phi, j)[j - 1]
+    for (i, si), (mm, sm) in itertools.product(enumerate(slices), repeat=2):
+        if cleared[i, mm]:
+            op = np.kron(np.eye(sizes[mm]), j * np.eye(sizes[i]) + a0[si, si]) - np.kron(a0[sm, sm].T, np.eye(sizes[i]))
+            svals = np.linalg.svd(op, compute_uv=False)
+            assert svals[-1] > localforms._RESONANCE_SVAL * max(1.0, svals[0])

@@ -14,7 +14,6 @@ KNOB_NAMES = ("seed", "radius_factor", "resonance_sval", "cond_threshold")
 
 # (module, callable, parameter) -> what sets it to something other than its default
 EXPECTED = {
-    ("series", "MatrixSeries.allclose", "atol"): "the tests' series comparison helper",
     ("eigen", "norm_log", "tol"): "CLI normlog --tol",
     ("eigen", "log_branches", "tol"): "norm_log passes its tol",
     ("eigen", "floor_snap", "tol"): "normal_form passes its tol; growth_exponent a derived one",
