@@ -5,13 +5,7 @@ with degree/slope/semistability, constructive Fuchsian synthesis, and
 independent verification by loop integration.
 """
 
-from .series import (
-    MatrixSeries,
-    NegativeValuationError,
-    ShapeMismatchError,
-    WeightDiagonal,
-    twist,
-)
+from .series import MatrixSeries, ShapeMismatchError, WeightDiagonal
 from .eigen import (
     NonConvergenceError,
     NormalizedLog,

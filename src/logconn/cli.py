@@ -21,13 +21,14 @@ from . import documents as doc
 from .bundles import Semistability, degree, semistable
 from .localforms import (
     IllConditionedBlockError,
+    LocalLogConnection,
     convergence_diagnostic,
     fundamental_check,
     gauge_residual,
     normal_form,
 )
 from .eigen import NonConvergenceError, SingularMatrixError, norm_log
-from .series import NegativeValuationError, ShapeMismatchError
+from .series import ShapeMismatchError
 from .synth import (
     BqFrameError,
     Infeasible,
@@ -53,7 +54,6 @@ EXIT_UNDETERMINED = 4
 _VALIDATION_ERRORS = (
     doc.DocumentError,
     ShapeMismatchError,
-    NegativeValuationError,
     InconsistentRepresentationError,
     NonCommutingError,
     ValueError,
@@ -115,8 +115,6 @@ def _cmd_normlog(args):
 def _maybe_truncate(conn, order):
     if order is None or order >= conn.a.order:
         return conn
-    from .localforms import LocalLogConnection
-
     return LocalLogConnection(conn.a.truncate(order))
 
 

@@ -130,6 +130,9 @@ def encode_complex(z):
 
 
 def decode_complex(obj, what="complex number"):
+    # a pair read outside parse_document (a --vector entry) has had no boolean search
+    if isinstance(obj, list) and any(isinstance(x, bool) for x in obj):
+        raise DocumentError(f"{what} {json.dumps(obj)} holds a boolean where a number belongs")
     return complex(_complex_array(obj, 0, what))
 
 

@@ -25,7 +25,7 @@ import scipy.linalg
 # schur is unused here but stays bound as localforms.schur, a binding the
 # benchmark's tracer wraps and its tests check
 from .eigen import CLUSTER_TOL, _group_schur, cluster_expm, clustered_schur, floor_snap, schur  # noqa: F401
-from .series import MatrixSeries, ShapeMismatchError, WeightDiagonal, as_matrix, twist
+from .series import MatrixSeries, ShapeMismatchError, WeightDiagonal, as_matrix
 from .verify import circle_loop, integrate_local
 
 __all__ = [
@@ -136,12 +136,23 @@ class NormalForm:
 
 
 def normal_form_b_series(k, phi, order):
-    """The connection matrix z^Phi(-K-Phi)z^{-Phi} as an exact polynomial."""
+    """The connection matrix z^Phi(-K-Phi)z^{-Phi} as an exact polynomial.
+
+    The weights do not increase and K is block upper triangular for
+    their classes, so entry (i, m) of -K - Phi sits at degree
+    phi^i - phi^m >= 0, in a stack of order max(order, phi^1 - phi^r).
+    A K with a nonzero entry below its class diagonal would give B a
+    pole and is refused with ValueError.
+    """
     k = as_matrix(k, square=True)
-    gaps = max(phi.entries) - min(phi.entries)
-    base = MatrixSeries.constant(-k - phi.matrix(), order=max(order, gaps))
-    twisted, _ = twist(base, phi, phi)
-    return twisted.pad(max(order, gaps))
+    weights = np.asarray(phi.entries)
+    gaps = np.subtract.outer(weights, weights)
+    if np.any(k[gaps < 0] != 0):
+        raise ValueError("K has a nonzero entry below its class diagonal: B would have a pole")
+    rows, cols = np.nonzero(gaps >= 0)
+    b = np.zeros((max(order, int(gaps[0, -1])) + 1,) + k.shape, dtype=np.complex128)
+    b[gaps[rows, cols], rows, cols] = (-k - phi.matrix())[rows, cols]
+    return MatrixSeries(b)
 
 
 def _cleared(a0_arr, phi, n):

@@ -4,12 +4,6 @@ A series S(z) = sum_{j=0}^{N} S^j z^j is stored as a stack of complex
 coefficient matrices.  The order N means "coefficients above N are
 unknown", not zero, so arithmetic always truncates to the smallest
 order of the operands.
-
-Integer weight diagonals Phi = diag(phi^1 >= ... >= phi^r) act on
-series by the twisted conjugation z^Phi S z^{-Phi'}, implemented as
-per-entry shifts of coefficient indices.  A shift that would create a
-pole raises :class:`NegativeValuationError`; this is how weight
-violations of would-be morphisms surface.
 """
 
 from dataclasses import dataclass, field
@@ -17,31 +11,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ZERO_TOL",
     "ShapeMismatchError",
-    "NegativeValuationError",
     "as_matrix",
     "last_nonzero",
     "MatrixSeries",
     "WeightDiagonal",
-    "twist",
 ]
-
-# Absolute tolerance governing "is zero" tests in series valuations.
-ZERO_TOL = 1e-10
 
 
 class ShapeMismatchError(ValueError):
     pass
-
-
-class NegativeValuationError(ValueError):
-    """A twisted series acquired a pole: some entry has a negative-power term."""
-
-    def __init__(self, message, min_valuation, entries=()):
-        super().__init__(message)
-        self.min_valuation = min_valuation
-        self.entries = tuple(entries)
 
 
 def as_matrix(a, square=False):
@@ -221,53 +200,3 @@ class WeightDiagonal:
     def trace(self):
         return sum(self.entries)
 
-
-def _weight_entries(phi):
-    if isinstance(phi, WeightDiagonal):
-        return phi.entries
-    return tuple(int(x) for x in phi)
-
-
-def twist(series, phi_out, phi_in):
-    """Twisted conjugation z^Phi S z^{-Phi'}: entry (i,m) shifts by phi^i - phi'^m.
-
-    Shifts coefficient indices exactly (no rational functions).  Returns
-    ``(twisted, min_valuation)`` where min_valuation is the smallest z-power
-    carrying a nonzero entry of the result.  Raises
-    :class:`NegativeValuationError` if any entry acquires a pole, which
-    signals that the weights of a would-be morphism decreased.
-    """
-    po = _weight_entries(phi_out)
-    pi = _weight_entries(phi_in)
-    if len(po) != series.dim_out or len(pi) != series.dim_in:
-        raise ShapeMismatchError(
-            f"twist: weights {len(po)}x{len(pi)} vs series {series.dim_out}x{series.dim_in}"
-        )
-    n = series.order
-    shifts = np.subtract.outer(po, pi)  # (dim_out, dim_in) integer shifts
-
-    # Valuation of each scalar entry series; order+1 marks an all-zero entry.
-    nonzero = np.abs(series.coeffs) > ZERO_TOL  # (n+1, out, in)
-    val = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), n + 1)
-
-    present = val <= n  # identically zero entries put no constraint
-    if not present.any():
-        # zero series: untouched knowledge horizon
-        return MatrixSeries(series.coeffs.copy()), 0
-    twisted_val = val + shifts
-    min_valuation = int(twisted_val[present].min())
-    # row-major, as Python ints for the message and the error's entries
-    poles = [(i, m, int(twisted_val[i, m])) for i, m in np.argwhere(present & (twisted_val < 0)).tolist()]
-    if poles:
-        raise NegativeValuationError(
-            f"twist produced poles at entries {[(i, m) for i, m, _ in poles]}",
-            min_valuation,
-            poles,
-        )
-    out_order = max(n + int(shifts[present].min()), 0)  # the least known order over the entries
-    target = np.arange(n + 1)[:, None, None] + shifts  # z-power each coefficient moves to
-    out = np.zeros((out_order + 1, series.dim_out, series.dim_in), dtype=np.complex128)
-    keep = (target >= 0) & (target <= out_order)
-    _, rows, cols = np.nonzero(keep)
-    out[target[keep], rows, cols] = series.coeffs[keep]
-    return MatrixSeries(out), min_valuation

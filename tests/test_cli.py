@@ -447,6 +447,14 @@ def test_boolean_entry_in_a_representation_exits_2(tmp_path, capsys):
     assert json.loads(err) == {"message": "a representation document takes no booleans", "reason": "DocumentError"}
 
 
+def test_boolean_in_a_growth_vector_exits_2(tmp_path, capsys):
+    payload = {"series": doc.encode_series(MatrixSeries.constant(np.array([[-1.5, 0.0], [0.0, -0.5]]), 0))}
+    path = write(tmp_path, "conn.json", "local-connection", payload)
+    code, out, err = run(["growth", path, "--vector", "[[true, 0.0], [0.0, 0.0]]"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"message": "complex number [true, 0.0] holds a boolean where a number belongs", "reason": "DocumentError"}
+
+
 def test_non_finite_constant_in_a_representation_exits_2(tmp_path, capsys):
     path = tmp_path / "rep.json"
     payload = '{"matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]], "punctures": [[NaN, 0.0], [1.0, 0.0]]}'

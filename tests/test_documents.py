@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ def test_reader_refuses_booleans_where_numbers_belong():
         doc.parse_document(text)
     # a report may hold booleans
     assert doc.parse_document('{"kind": "report", "payload": {"ok": true}, "version": "1"}')["payload"] == {"ok": True}
+
+
+def test_decode_complex_refuses_a_boolean_in_its_pair():
+    for pair in ([True, 0.0], [0.0, False], [True, True]):
+        with pytest.raises(doc.DocumentError, match=re.escape(f"number {json.dumps(pair)} holds a boolean")):
+            doc.decode_complex(pair)
+    assert doc.decode_complex([1, 0.5]) == 1 + 0.5j
 
 
 def test_decoders_name_the_offending_matrix():

@@ -4,6 +4,7 @@ import re
 
 import mpmath
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -607,3 +608,30 @@ def test_cleared_pairs_have_no_singular_value_at_the_cutoff(seed, sizes, upper, 
             op = np.kron(np.eye(sizes[mm]), j * np.eye(sizes[i]) + a0[si, si]) - np.kron(a0[sm, sm].T, np.eye(sizes[i]))
             svals = np.linalg.svd(op, compute_uv=False)
             assert svals[-1] > localforms._RESONANCE_SVAL * max(1.0, svals[0])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    weights=st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    order=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normal_form_b_series_places_entries_by_weight_gap(weights, order, seed):
+    # for K block upper triangular under non-increasing weights, B is the
+    # polynomial z^Phi (-K - Phi) z^-Phi of order max(order, phi^1 - phi^r);
+    # a single nonzero entry below the class diagonal, however small, is refused
+    rng = np.random.default_rng(seed)
+    phi = WeightDiagonal(sorted(weights, reverse=True))
+    e = np.array(phi.entries)
+    below = np.less.outer(e, e)
+    k = np.where(below, 0.0, rng.normal(size=below.shape) + 1j * rng.normal(size=below.shape))
+    b = localforms.normal_form_b_series(k, phi, order)
+    assert b.order == max(order, e[0] - e[-1])
+    for z in 0.5 * np.exp(2j * np.pi * np.array([0.1, 0.45, 0.8])):
+        expected = np.diag(z**e) @ (-k - phi.matrix()) @ np.diag(z ** (-e))
+        assert np.linalg.norm(b.eval(z) - expected) <= 1e-12 * np.linalg.norm(expected)
+    if below.any():
+        pole = np.argwhere(below)[rng.integers(below.sum())]
+        k[tuple(pole)] = 10.0 ** rng.uniform(-300.0, 0.0)
+        with pytest.raises(ValueError, match="below its class diagonal"):
+            localforms.normal_form_b_series(k, phi, order)

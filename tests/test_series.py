@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logconn.series as series
-from logconn import (
-    MatrixSeries,
-    NegativeValuationError,
-    SplittingType,
-    WeightDiagonal,
-    bq_frame,
-    twist,
-)
+from logconn import MatrixSeries, SplittingType, WeightDiagonal, bq_frame
 from logconn.series import ShapeMismatchError
 
 from conftest import series_allclose
@@ -64,46 +57,6 @@ def test_shape_mismatch():
         a + b
 
 
-def test_twist_identity_fixed():
-    phi = WeightDiagonal((2, 0, -1))
-    ident = MatrixSeries.identity(3, 4)
-    out, val = twist(ident, phi, phi)
-    assert series_allclose(out, ident)
-    assert val == 0
-
-
-def test_twist_block_triangular_polynomial():
-    phi_out = WeightDiagonal((1, 0))
-    phi_in = WeightDiagonal((0, 0))
-    c = np.array([[1.0, 2.0], [0.0, 3.0]])  # zero where phi^i < phi'^m would pole
-    out, val = twist(MatrixSeries.constant(c, 2), phi_out, phi_in)
-    assert val == 0
-    assert np.allclose(out.coeffs[0], np.diag([0.0, 0.0]) + np.array([[0, 0], [0, 3.0]]))
-    assert np.allclose(out.coeffs[1], np.array([[1.0, 2.0], [0.0, 0.0]]))
-
-
-def test_twist_detects_poles():
-    c = MatrixSeries.constant(np.ones((2, 2)), 1)
-    with pytest.raises(NegativeValuationError) as err:
-        twist(c, WeightDiagonal((0, 0)), WeightDiagonal((1, 1)))
-    assert err.value.min_valuation == -1
-
-
-def test_twist_round_trip(rng):
-    s = rand_series(rng, 3, 3, 2)
-    phi_out = WeightDiagonal((1, 0, 0))
-    phi_in = WeightDiagonal((1, -1))
-    coeffs = s.coeffs.copy()
-    coeffs[:, 1:, 0] = 0.0  # entries whose shift is negative must vanish
-    s = MatrixSeries(coeffs)
-    twisted, _ = twist(s, phi_out, phi_in)
-    # undo with negated raw weight vectors; entries surviving both
-    # truncations must come back exactly
-    back, _ = twist(twisted, [-p for p in phi_out.entries], [-p for p in phi_in.entries])
-    n = min(back.order, s.order)
-    assert np.allclose(back.coeffs[: n + 1], s.coeffs[: n + 1])
-
-
 def test_weight_diagonal_blocks():
     phi = WeightDiagonal((3, 3, 1, 0, 0))
     assert phi.values == (3, 1, 0)
@@ -123,18 +76,7 @@ def _mul_reference(a, b):
     return out
 
 
-def _twist_reference(coeffs, shifts, out_order):
-    """The twisted copy entry by entry: coefficient j of entry (i, m) moves to j + shift."""
-    out = np.zeros((out_order + 1,) + coeffs.shape[1:], dtype=np.complex128)
-    for i in range(coeffs.shape[1]):
-        for m in range(coeffs.shape[2]):
-            for j in range(coeffs.shape[0]):
-                if 0 <= j + shifts[i, m] <= out_order:
-                    out[j + shifts[i, m], i, m] = coeffs[j, i, m]
-    return out
-
-
-def test_mul_and_twist_match_loop_references(rng):
+def test_mul_matches_the_loop_reference(rng):
     for _ in range(10):
         n = int(rng.integers(0, 7))
         dout, dmid, din = (int(x) for x in rng.integers(1, 5, size=3))
@@ -142,82 +84,6 @@ def test_mul_and_twist_match_loop_references(rng):
         b = rand_series(rng, int(rng.integers(0, 7)), dmid, din)
         # the einsum sums in another order: agree to a few ulps of the term sizes
         assert np.max(np.abs((a * b).coeffs - _mul_reference(a, b))) <= 1e-13 * (n + 1) * dmid
-        po = sorted(rng.integers(-2, 3, size=dout).tolist(), reverse=True)
-        pi = sorted(rng.integers(-2, 3, size=dmid).tolist(), reverse=True)
-        shifts = np.subtract.outer(po, pi)
-        coeffs = a.coeffs.copy()
-        for i, m in zip(*np.nonzero(shifts < 0)):
-            coeffs[: -shifts[i, m], i, m] = 0.0  # no poles
-        twisted, _ = twist(MatrixSeries(coeffs), po, pi)
-        assert np.array_equal(twisted.coeffs, _twist_reference(coeffs, shifts, twisted.order))
-
-
-def _twist_loop(s, po, pi, ztol=series.ZERO_TOL):
-    """The entry-by-entry valuation scan twist made before its array form, and its result."""
-    n = s.order
-    shifts = np.subtract.outer(po, pi)
-    nonzero = np.abs(s.coeffs) > ztol
-    val = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), n + 1)
-    poles = []
-    min_valuation = None
-    out_order = None
-    for i in range(s.dim_out):
-        for m in range(s.dim_in):
-            if val[i, m] > n:
-                continue
-            v = int(val[i, m] + shifts[i, m])
-            if min_valuation is None or v < min_valuation:
-                min_valuation = v
-            if v < 0:
-                poles.append((i, m, v))
-            known = n + int(shifts[i, m])
-            if out_order is None or known < out_order:
-                out_order = known
-    if poles:
-        raise NegativeValuationError(
-            f"twist produced poles at entries {[(i, m) for i, m, _ in poles]}", min_valuation, poles
-        )
-    if out_order is None:
-        return MatrixSeries(s.coeffs.copy()), 0
-    out_order = max(out_order, 0)
-    return MatrixSeries(_twist_reference(s.coeffs, shifts, out_order)), min_valuation
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(
-    order=st.integers(0, 5),
-    dout=st.integers(1, 4),
-    din=st.integers(1, 4),
-    zeros=st.sampled_from(["none", "entries", "leading", "all"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_twist_matches_the_entrywise_scan(order, dout, din, zeros, seed):
-    rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=(order + 1, dout, din)) + 1j * rng.normal(size=(order + 1, dout, din))
-    if zeros == "entries":
-        coeffs[:, rng.random((dout, din)) < 0.5] = 0.0
-    elif zeros == "leading":
-        # leading coefficients at or below ZERO_TOL: valuations 0 .. order + 1 per entry
-        lead = rng.integers(0, order + 2, size=(dout, din))
-        coeffs[np.arange(order + 1)[:, None, None] < lead] = series.ZERO_TOL * rng.uniform(0.0, 1.0)
-    elif zeros == "all":
-        coeffs[:] = 0.0
-    s = MatrixSeries(coeffs)
-    po = rng.integers(-3, 4, size=dout).tolist()
-    pi = rng.integers(-3, 4, size=din).tolist()  # shifts of both signs
-    try:
-        expected, expected_val = _twist_loop(s, po, pi)
-    except NegativeValuationError as ref:
-        with pytest.raises(NegativeValuationError) as err:
-            twist(s, po, pi)
-        assert str(err.value) == str(ref)
-        assert err.value.min_valuation == ref.min_valuation and type(err.value.min_valuation) is int
-        assert err.value.entries == ref.entries
-        assert all(type(x) is int for entry in err.value.entries for x in entry)
-        return
-    got, val = twist(s, po, pi)
-    assert val == expected_val and type(val) is int
-    assert np.array_equal(got.coeffs, expected.coeffs)
 
 
 def _mul_full_einsum(a, b):
