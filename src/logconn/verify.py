@@ -6,17 +6,20 @@ continuation (van der Hoeven, "Fast evaluation of holonomic functions",
 TCS 1999; Mezzarobba, "Truncation bounds for differentially finite
 series", 2019).  Each step moves at most 0.4 rho along the path, rho
 being the distance to the nearest singular point.  The steps of a batch
-of paths are fixed from their geometry first and concatenated; the
-Taylor terms of all their propagators then come from one fixed-length
-recurrence over geometric accumulators that carry each step's ratios
-h/(z0 - a_j), so for a Fuchsian system every term is one matrix
-product over all steps.  The terms are summed as they arrive by a
-compensated sum, and each path applies its own steps in order as
-y + E_s y.  One term count serves the whole batch: it comes from the
-Cauchy majorant (1 - w/rho)^-beta at the largest beta and step ratio
-of all steps, and the majorant's relative tail grows with both, so
-every step is summed to roundoff: there is no step-size controller and
-no tolerance (see :func:`_transport`).
+of paths are fixed from their geometry first and concatenated; each
+step is expanded at its chord midpoint, and the Taylor terms of all
+their propagators then come from one fixed-length recurrence over
+geometric accumulators that carry each step's ratios h/(z_m - a_j), so
+for a Fuchsian system every term is one matrix product over all steps.
+The odd and the even terms are summed as they arrive by two compensated
+sums, which give both ends of a step, Y(+-h) = I + Even +- Odd; every
+path then applies its steps in order as y + e_s y with
+e_s = 2 Odd Y(-h)^-1, all paths in lockstep.  One term count serves
+the whole batch: it comes from the Cauchy majorant (1 - w/rho)^-beta at
+the largest beta and half-step ratio of all midpoints, and the
+majorant's relative tail grows with both, so every step is summed to
+roundoff: there is no step-size controller and no tolerance (see
+:func:`_transport`).
 
 A loop c q c^-1 (a standard loop: connector out, circle, connector
 back) is never integrated along its return leg.  Transition matrices
@@ -260,7 +263,9 @@ def _piece_point(piece):
 def _term_count(beta, t):
     """First K with sum_{k>=K} m_k <= roundoff (1-t)^-beta, m_k = binom(beta+k-1, k) t^k.
 
-    For k >= K the ratio m_{k+1}/m_k = t (beta+k)/(k+1) is at most
+    :func:`_transport` calls it at the largest midpoint majorant beta
+    and half-step ratio t' <= 0.25.  For k >= K the ratio
+    m_{k+1}/m_k = t (beta+k)/(k+1) is at most
     q = t max(1, (beta+K)/(K+1)), so the tail is at most m_K / (1 - q).
     """
     target = _ROUNDOFF * (1.0 - t) ** -beta
@@ -274,19 +279,23 @@ def _term_count(beta, t):
 
 
 def _schedule(singular, pieces):
-    """Steps (z_s, z_{s+1}, rho_s) of one path; see :func:`_transport`."""
+    """Steps (z_s, z_{s+1}) of one path; see :func:`_transport`.
+
+    `singular` holds Python complex numbers, so the walk takes each rho
+    in scalar arithmetic, with no array reduction per step.
+    """
     steps = []
     for piece in pieces:
         point, length = _piece_point(piece)
-        t, z = 0.0, point(0.0)
+        t, z = 0.0, complex(point(0.0))
         while t < 1.0:
-            rho = float(np.abs(singular - z).min())
+            rho = min(abs(a - z) for a in singular)
             if rho > 0.0 and (1.0 - t) * length <= _STEP * rho:
                 t_next = 1.0
             elif rho == 0.0 or (t_next := t + _STEP * rho / length) <= t:
                 raise IntegrationError("path runs into a singular point")
-            z_next = point(t_next)
-            steps.append((z, z_next, rho))
+            z_next = complex(point(t_next))
+            steps.append((z, z_next))
             t, z = t_next, z_next
     return steps
 
@@ -297,7 +306,8 @@ class Transport:
 
     `frames[p]` continues the initial frame along path p; `steps[p]` is
     the number of Taylor steps of path p; `terms` is the one term count
-    that served every step of every path.  From
+    that served every centred step of every path, taken at the largest
+    midpoint majorant and half-step ratio.  From
     :func:`integrate_fuchsian` a frame is a loop matrix and its steps
     are those of the loop's tail and body, each integrated once.
     """
@@ -307,25 +317,66 @@ class Transport:
     terms: int
 
 
+def _centred_sums(expansion, z0, z1, r):
+    """Majorants, ratios, term count and the even and odd sums of the steps z0 -> z1.
+
+    Returns ``(beta, ratio, count, even, odd)``: beta and ratio = |h|/rho
+    per step at its chord midpoint, the shared :func:`_term_count`, and
+    Even = sum Psi_k over even k >= 2 and Odd = sum Psi_k over odd k,
+    each of shape (S, r, r); see :func:`_transport`.
+    """
+    singular, expand = expansion
+    zm, h = (z0 + z1) / 2.0, (z1 - z0) / 2.0
+    rho = np.abs(zm[:, None] - singular).min(axis=1)
+    beta, sigma, product = expand(zm, h, rho)
+    ratio = np.abs(h) / rho
+    count = _term_count(float(np.max(beta)), float(np.max(ratio)))
+    steps, n = sigma.shape
+    sigma = np.broadcast_to(sigma.T[:, None, :, None], (n, r, steps, r)).copy()
+    acc = sigma * np.eye(r)[:, None, :]
+    # Psi_{k+1} goes to sums[k % 2]: the odd terms to sums[0], the even ones to sums[1]
+    sums = [np.zeros((r, steps, r), dtype=np.complex128) for _ in range(2)]
+    carries = [np.zeros_like(sums[0]) for _ in range(2)]
+    spare = np.empty_like(sums[0])
+    for k in range(count - 1):
+        term = product(acc, k)
+        np.subtract(term, acc, out=acc)
+        acc *= sigma
+        total, carry = sums[k % 2], carries[k % 2]
+        term -= carry
+        np.add(total, term, out=spare)
+        np.subtract(spare, total, out=carry)
+        carry -= term
+        sums[k % 2], spare = spare, total
+    odd, even = (x.transpose(1, 0, 2) for x in sums)
+    return beta, ratio, count, even, odd
+
+
 def _transport(expansion, paths, y):
     """Continue the flat frame y analytically along each of the paths.
 
-    Schedule.  A step from z0 goes at most 0.4 rho along its piece, rho
-    being the distance from z0 to the nearest singular point, so the
-    chord h has |h| <= 0.4 rho.  The steps of every path depend only on
-    its geometry; they are fixed first (:func:`_schedule`) and
-    concatenated, so one recurrence serves every step of every path.
+    Schedule.  A step from z_s goes at most 0.4 rho_s along its piece,
+    rho_s being the distance from z_s to the nearest singular point, so
+    its chord 2h = z_{s+1} - z_s has |2h| <= 0.4 rho_s.  The steps of
+    every path depend only on its geometry; they are fixed first
+    (:func:`_schedule`) and concatenated, so one recurrence serves every
+    step of every path.  Each step is expanded at its chord midpoint
+    z_m = z_s + h.  As |z_m - z_s| <= 0.2 rho_s, the midpoint's distance
+    rho to the singular set is at least 0.8 rho_s, and the ratio
+    t' = |h|/rho at which both ends are evaluated is at most
+    0.2/0.8 = 0.25, against t = |2h|/rho_s <= 0.4 from the start point.
 
-    Recurrence.  ``expand(z0, h, rho)`` takes the S step starts, chords
-    and radii and returns ``(beta, sigma, product)``; sigma has shape
-    (S, n).  In x = w/rho the coefficients D_k = rho^{k+1} C_k of
-    Y' = C(w) Y at z0 are D_k = sum_j sum_{i<=min(k,d)} P_{j,i}
-    s_j (-s_j)^{k-i}, with s_j = rho/(z0 - a_j) and norm(D_k) <= beta.
-    The step propagator is I + sum_{k>=1} x^k Phi_k with
+    Recurrence.  ``expand(z_m, h, rho)`` takes the S midpoints, half
+    chords and radii and returns ``(beta, sigma, product)``; sigma has
+    shape (S, n).  In x = w/rho the coefficients D_k = rho^{k+1} C_k of
+    Y' = C(w) Y at z_m are D_k = sum_j sum_{i<=min(k,d)} P_{j,i}
+    s_j (-s_j)^{k-i}, with s_j = rho/(z_m - a_j) and norm(D_k) <= beta.
+    The fundamental matrix with Y(0) = I is
+    Y(w) = I + sum_{k>=1} x^k Phi_k with
     (k+1) Phi_{k+1} = sum_{i<=k} D_i Phi_{k-i} and Phi_0 = I.  Its
-    terms Psi_k = x^k Phi_k come from the accumulators
+    terms at w = h, Psi_k = (h/rho)^k Phi_k, come from the accumulators
     U_{j,q} = x^{q+1} s_j sum_{m<=q} (-s_j)^m Phi_{q-m}, which carry
-    sigma_j = x s_j = h/(z0 - a_j):
+    sigma_j = x s_j = h/(z_m - a_j):
 
         (k+1) Psi_{k+1} = sum_j sum_{i<=min(k,d)} x^i P_{j,i} U_{j,k-i},
         U_{j,0} = sigma_j I,   U_{j,k+1} = sigma_j (Psi_{k+1} - U_{j,k}),
@@ -335,74 +386,81 @@ def _transport(expansion, paths, y):
     accumulators u of shape (n, r, S, r).  When the P_{j,i} do not
     depend on the step (a Fuchsian system) that is one 2-D product of
     shape (r, n r) @ (n r, S r) per term.  The accumulators are
-    updated in place.
+    updated in place.  At w = -h the term Psi_k changes sign with k, so
+    Y(h) = I + Even + Odd and Y(-h) = I + Even - Odd from the sums of
+    the even and of the odd terms.
 
     Term count.  Since (beta/rho) / (1 - w/rho) majorizes C, Y is
-    majorized by norm(Y(z0)) (1 - w/rho)^-beta, and the relative tail
-    of that majorant at t = |h|/rho past K terms is
-    P(N >= K) = sum_{k>=K} binom(beta+k-1, k) t^k (1 - t)^beta for a
-    negative binomial N.  N is Poisson with a Gamma(beta, t/(1-t))
+    majorized by (1 - w/rho)^-beta, and the relative tail of that
+    majorant at t' = |h|/rho past K terms is
+    P(N >= K) = sum_{k>=K} binom(beta+k-1, k) t'^k (1 - t')^beta for a
+    negative binomial N.  N is Poisson with a Gamma(beta, t'/(1-t'))
     distributed mean, which is stochastically increasing in beta and
-    in t, so the tail increases in both.  One :func:`_term_count` at
-    the largest beta and t over all steps of all paths therefore sums
-    every step to roundoff: it puts the tail at that pair below
-    roundoff, and the tail of every step is no larger.  There is no
-    step controller and no tolerance.
+    in t', so the tail increases in both.  One :func:`_term_count` at
+    the largest beta and t' over all steps of all paths therefore sums
+    both ends of every step to roundoff: it puts the tail at that pair
+    below roundoff, and the tail of every step is no larger.  There is
+    no step controller and no tolerance.
 
-    Summation.  E_s = sum_{k>=1} Psi_{s,k} is summed as the terms
-    arrive, with a compensated (Kahan) sum, so no term is stored.  Its
-    computed value differs from the exact sum of the computed terms by
-    at most (2u + O(K u^2)) sum_k |Psi_{s,k}| componentwise (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, section 4.3),
-    whatever the order of the terms, where a plain sum from the largest
-    term would lose up to (K - 1) u.  The majorant bounds
-    sum_k norm(Psi_{s,k}) by (1 - t)^-beta.
+    Summation.  Even and Odd are summed as the terms arrive, each with
+    a compensated (Kahan) sum into a preallocated buffer, so no term is
+    stored.  A computed sum differs from the exact sum of the computed
+    terms by at most (2u + O(K u^2)) sum_k |Psi_{s,k}| componentwise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 4.3), whatever the order of the terms, where a plain sum
+    from the largest term would lose up to (K - 1) u.  The majorant
+    bounds sum_k norm(Psi_{s,k}) by (1 - t')^-beta.
 
-    Application.  Each path applies its own steps in order, y + E_s y.
-    That rounds once at the size of y per entry, where (I + E_s) y
-    would round at that size in every term of each inner product.
+    Solve.  The step propagator is
+    Y(h) Y(-h)^-1 = I + e_s with e_s = 2 Odd Y(-h)^-1, taken by one
+    batched LU solve of Y(-h)^T e_s^T = 2 Odd^T over all steps.  Its
+    rounding is bounded through the condition number of Y(-h).  By the
+    majorant, norm(Y(-h)) <= (1 - t')^-beta.  The inverse Z = Y^-1
+    solves Z' = -Z C with Z(0) = I, whose coefficients have the same
+    norms, so the same majorant gives norm(Y(-h)^-1) <= (1 - t')^-beta,
+    and
+
+        cond(Y(-h)) <= (1 - t')^(-2 beta).
+
+    The solve is backward stable, so it adds a relative error of about
+    r u cond(Y(-h)) to e_s (Higham, chapters 7 and 9).  The sums' errors,
+    at most 2u (1 - t')^-beta, reach e_s through
+    norm(Y(-h)^-1) <= (1 - t')^-beta.  So each step is exact to a few
+    r u times (1 - t')^(-2 beta), a factor of 1.8 at beta = 1 and
+    t' = 0.25 and of 3.2 at beta = 2, where the start-point sum's factor
+    (1 - t)^-beta is 1.7 and 2.8 at t = 0.4.
+
+    Application.  Every path applies its own steps in order,
+    y + e_s y.  That rounds once at the size of y per entry, where
+    (I + e_s) y would round at that size in every term of each inner
+    product.  All paths go in lockstep, one stacked product per step
+    index; a path that has ended takes exact zero corrections, which
+    leave its frame unchanged.
     """
-    singular, expand = expansion
+    singular = [complex(a) for a in expansion[0]]
     y = np.array(y, dtype=np.complex128)
-    schedules = [_schedule(singular, pieces) for pieces in paths]
-    z0, z1, rho = np.array([step for path in schedules for step in path]).T
-    rho = rho.real
-    h = z1 - z0
-    beta, sigma, product = expand(z0, h, rho)
-    count = _term_count(float(np.max(beta)), float(np.max(np.abs(h) / rho)))
-    lengths = [len(path) for path in schedules]
-    if count == 1:  # C vanishes on the paths, or they have no length
-        return Transport(tuple(y.copy() for _ in paths), tuple(lengths), count)
-    steps, n = sigma.shape
     r = y.shape[0]
-    sigma = np.broadcast_to(sigma.T[:, None, :, None], (n, r, steps, r)).copy()
-    acc = sigma * np.eye(r)[:, None, :]
-    total = np.zeros((r, steps, r), dtype=np.complex128)
-    carry = np.zeros_like(total)
-    for k in range(count - 1):
-        term = product(acc, k)
-        np.subtract(term, acc, out=acc)
-        acc *= sigma
-        term -= carry
-        new = total + term
-        np.subtract(new, total, out=carry)
-        carry -= term
-        total = new
-    corrections = total.transpose(1, 0, 2).copy()
-    frames, lo = [], 0
-    for length in lengths:
-        frame = y
-        for e in corrections[lo : lo + length]:
-            frame = frame + e @ frame
-        frames.append(frame)
-        lo += length
+    schedules = [_schedule(singular, pieces) for pieces in paths]
+    lengths = [len(path) for path in schedules]
+    z0, z1 = np.array([step for path in schedules for step in path]).T
+    _, _, count, even, odd = _centred_sums(expansion, z0, z1, r)
+    minus = np.eye(r) + even - odd  # Y(-h)
+    e = np.linalg.solve(minus.transpose(0, 2, 1), 2.0 * odd.transpose(0, 2, 1)).transpose(0, 2, 1)
+    # e_s of path p at [step index, p], zero past the end of the path
+    path = np.repeat(np.arange(len(paths)), lengths)
+    index = np.arange(len(path)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    corrections = np.zeros((max(lengths), len(paths), r, r), dtype=np.complex128)
+    corrections[index, path] = e
+    frames = np.broadcast_to(y, (len(paths),) + y.shape).copy()
+    for e_s in corrections:
+        frames += e_s @ frames
     return Transport(tuple(frames), tuple(lengths), count)
 
 
 def _fuchsian_expansion(system):
     """Expansion of C(z) = -sum_j B_j / (z - a_j) for :func:`_transport`.
 
-    With s_j = rho/(z0 - a_j), D_k = -sum_j B_j s_j (-s_j)^k: d = 0 and
+    With s_j = rho/(z_m - a_j), D_k = -sum_j B_j s_j (-s_j)^k: d = 0 and
     P_{j,0} = -B_j, the same at every step, so each term is the one
     product [-B_1 ... -B_n] @ U over all steps.  As |s_j| <= 1,
     beta = sum_j norm(B_j) |s_j| bounds norm(D_k).
@@ -413,9 +471,9 @@ def _fuchsian_expansion(system):
     n, r, _ = residues.shape
     lhs = -residues.transpose(1, 0, 2).reshape(r, n * r)
 
-    def expand(z0, h, rho):
-        diff = z0[:, None] - punctures
-        product = lambda u, k: (lhs / (k + 1) @ u.reshape(n * r, -1)).reshape(r, len(z0), r)
+    def expand(zm, h, rho):
+        diff = zm[:, None] - punctures
+        product = lambda u, k: (lhs / (k + 1) @ u.reshape(n * r, -1)).reshape(r, len(zm), r)
         return (rho[:, None] / np.abs(diff)) @ norms, h[:, None] / diff, product
 
     return punctures, expand
@@ -424,7 +482,7 @@ def _fuchsian_expansion(system):
 def _local_expansion(a_series, center):
     """Expansion of C(z) = -A(s)/s, s = z - center, for :func:`_transport`.
 
-    At s0 = z0 - center the Taylor shift A(s0 + rho x) = sum_i At_i x^i
+    At s0 = z_m - center the Taylor shift A(s0 + rho x) = sum_i At_i x^i
     has At_i = rho^i sum_n binom(n, i) s0^{n-i} A_n; times the geometric
     series of rho/(s0 + rho x) this gives s = rho/s0, d = the degree of
     A and P_{0,i} = -At_i, and beta = sum_i norm(At_i) bounds norm(D_k)
@@ -443,8 +501,8 @@ def _local_expansion(a_series, center):
     binom = np.array([[math.comb(j, i) if j >= i else 0 for j in n] for i in n], dtype=float)
     d1, r = a.shape[0], a.shape[1]
 
-    def expand(z0, h, rho):
-        s0 = z0 - center
+    def expand(zm, h, rho):
+        s0 = zm - center
         shift = binom * s0[:, None, None] ** gap * rho[:, None, None] ** n[:, None]
         at = (shift.reshape(-1, d1) @ a.reshape(d1, -1)).reshape(len(s0), d1, r, r)
         beta = np.linalg.norm(at, 2, axis=(2, 3)).sum(axis=1)

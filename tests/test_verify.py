@@ -484,6 +484,89 @@ def test_batched_local_transport_matches_reference(r, order, source, seed, one_c
     )
 
 
+def _step_ends(expansion, paths):
+    """Start and end points of every step of the paths, as `_transport` schedules them."""
+    singular = [complex(a) for a in expansion[0]]
+    return np.array([step for pieces in paths for step in verify._schedule(singular, pieces)]).T
+
+
+def _start_point_terms(expansion, paths):
+    """The term count the steps would need expanded at their start points, over whole chords."""
+    singular, expand = expansion
+    z0, z1 = _step_ends(expansion, paths)
+    rho = np.abs(z0[:, None] - singular).min(axis=1)
+    beta = expand(z0, z1 - z0, rho)[0]
+    return verify._term_count(float(np.max(beta)), float(np.max(np.abs(z1 - z0) / rho)))
+
+
+def _assert_centred_steps(expansion, paths, r):
+    """Every centred step obeys the `_transport` docstring, and the count is taken at the midpoints.
+
+    The computed Y(-h) is within about 3u (1 - t')^-beta of the exact one
+    (the compensated sums and the tail), which can move the computed
+    condition number above the exact bound F = (1 - t')^(-2 beta) by
+    about 6 r u F^2 at most; r u also covers the SVD behind `cond`.  The
+    step points round at u max|z|, which moves t' by at most a few
+    u max|z| / rho past 0.25.
+    """
+    u = np.finfo(float).eps / 2.0
+    singular, expand = expansion
+    z0, z1 = _step_ends(expansion, paths)
+    beta, ratio, count, even, odd = verify._centred_sums(expansion, z0, z1, r)
+    zm = (z0 + z1) / 2.0
+    rho = np.abs(zm[:, None] - singular).min(axis=1)
+    assert np.array_equal(beta, expand(zm, (z1 - z0) / 2.0, rho)[0])
+    assert np.array_equal(ratio, np.abs(z1 - z0) / 2.0 / rho)
+    # t' <= 0.25 up to the rounding of the step points, u max|z| each
+    scale = np.max(np.abs(np.concatenate([z0, z1, singular])))
+    assert np.all(ratio <= 0.25 + 8.0 * u * scale / rho)
+    bound = (1.0 - ratio) ** (-2.0 * beta)
+    assert np.all(np.linalg.cond(np.eye(r) + even - odd, 2) <= bound * (1.0 + 8.0 * r * u * bound))
+    transport = verify._transport(expansion, paths, np.eye(r))
+    assert transport.terms == count == verify._term_count(float(np.max(beta)), float(np.max(ratio)))
+    return transport
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_centred_fuchsian_steps_are_conditioned_as_the_majorant_says(shape, seed, data):
+    n, r = shape
+    residues = _unit_residues(data, n, r)
+    punctures = sorted_punctures(np.random.default_rng(seed), n)
+    expansion = verify._fuchsian_expansion(FuchsianSystem(punctures, list(residues)))
+    loops = [lp.pieces for lp in standard_loops(punctures)[0]]
+    transport = _assert_centred_steps(expansion, loops, r)
+    start = _start_point_terms(expansion, loops)
+    assert transport.terms <= start
+    if start > 2:  # residues near 0 need one or two terms either way
+        assert transport.terms < start
+    drawn = _draw_pieces(data, punctures[0], float(np.min(np.abs(punctures[1:] - punctures[0]))))
+    _assert_centred_steps(expansion, [drawn], r)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    order=st.integers(0, 30),
+    resonant=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_centred_local_steps_are_conditioned_as_the_majorant_says(r, order, resonant, seed, data):
+    from conftest import random_connection
+
+    series = random_connection(np.random.default_rng(seed), r, order, resonant=resonant).a
+    expansion = verify._local_expansion(series, 0.0)
+    circle = [circle_loop(0.0, 0.5).pieces]  # the loop of `fundamental_check`
+    transport = _assert_centred_steps(expansion, circle, r)
+    assert transport.terms < _start_point_terms(expansion, circle)
+    _assert_centred_steps(expansion, [_draw_pieces(data, 0.0, 1.0)], r)
+
+
 def test_path_into_a_singular_point_raises():
     system = FuchsianSystem([0.0, 1.0], [np.array([[0.25]]), np.array([[-0.25]])])
     with pytest.raises(IntegrationError):
@@ -725,16 +808,20 @@ def test_loops_without_a_connector_are_transported_whole():
 @given(
     shape=st.tuples(st.integers(2, 5), st.integers(1, 6)),
     seed=st.integers(0, 2**16),
+    large=st.booleans(),
     data=st.data(),
 )
-def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, data):
+def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, large, data):
     """Liouville's formula per loop and the telescoping product, to derived bounds.
 
     Error model, to first order in u = eps/2: each of the S Taylor
     steps of a transport from I sums `terms` = K terms, and every term
-    perturbs the frame it moves by at most u relative, so the computed
-    connector P_c and circle P_q of loop j = c q c^-1 carry relative
-    errors S_c K u and S_q K u.  The loop matrix is
+    perturbs the frame it moves by at most u relative.  The solve for
+    the step's correction e_s = 2 Odd Y(-h)^-1 carries those errors
+    through cond(Y(-h)) <= F = max_s (1 - t'_s)^(-2 beta_s), the factor
+    the `_transport` docstring derives, so the computed connector P_c
+    and circle P_q of loop j = c q c^-1 carry relative errors S_c K F u
+    and S_q K F u.  The loop matrix is
     G_j = P_c^-1 P_q P_c: a change dP_c moves it by
     P_c^-1 (P_q dP_c - dP_c G_j) and a change dP_q by P_c^-1 dP_q P_c.
     The product P_q P_c rounds at r u norm(P_q) norm(P_c), and the
@@ -742,25 +829,35 @@ def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, data):
     Accuracy and Stability of Numerical Algorithms, 2002, chapters 3
     and 9, growth factor about 1 at r <= 6).  With S_j = S_c + S_q,
     the report's `loop_steps`, G_j carries a relative error
-    delta_j <= kappa(P_c) (S_j K + 3 r) u (norm(P_q) + norm(G_j)) / norm(G_j).
+    delta_j <= kappa(P_c) (S_j K F + 3 r) u (norm(P_q) + norm(G_j)) / norm(G_j).
     Then
     * det is multiplicative and d(det G)/det G = tr(G^-1 dG), so
       |det G_j exp(2 pi i tr B_j) - 1| <= r norm(G_j^-1) norm(dG_j)
       <= r kappa(G_j) delta_j;
     * the exact product is I and each factor moves by delta_j norm(G_j),
       so norm(prod G - I) <= sum_j delta_j prod_i norm(G_i).
+
+    With `large`, the residues are scaled so that the largest norm(B_j)
+    lies in [1, 2], where F grows: (4/3)^(2 beta) at t' = 0.25.
     """
     n, r = shape
     residues = _unit_residues(data, n, r)
+    biggest = np.max(np.linalg.norm(residues, 2, axis=(1, 2)))
+    if large and biggest > 0.0:
+        residues *= data.draw(st.floats(1.0, 2.0)) / biggest
     system = FuchsianSystem(sorted_punctures(np.random.default_rng(seed), n), list(residues))
     report = monodromy_report(system)
     u = np.finfo(float).eps / 2.0
     expansion = verify._fuchsian_expansion(system)
+    loops = standard_loops(system.punctures)[0]
+    paths = [path for lp in loops for path in (lp.pieces[:1], lp.pieces[1:-1])]
+    beta, ratio, _, _, _ = verify._centred_sums(expansion, *_step_ends(expansion, paths), r)
+    factor = float(np.max((1.0 - ratio) ** (-2.0 * beta)))
     delta = []
-    for lp, g, steps in zip(standard_loops(system.punctures)[0], report.loop_matrices, report.loop_steps):
+    for lp, g, steps in zip(loops, report.loop_matrices, report.loop_steps):
         p_c, p_q = _connector_and_circle(expansion, lp, r)
         scale = np.linalg.cond(p_c, 2) * (np.linalg.norm(p_q, 2) + np.linalg.norm(g, 2)) / np.linalg.norm(g, 2)
-        delta.append(scale * (steps * report.terms + 3 * r) * u)
+        delta.append(scale * (steps * report.terms * factor + 3 * r) * u)
     for g, b, d, defect in zip(report.loop_matrices, residues, delta, report.liouville_defects):
         assert defect == abs(np.linalg.det(g) * np.exp(2j * np.pi * np.trace(b)) - 1.0)
         assert defect <= r * np.linalg.cond(g, 2) * d
