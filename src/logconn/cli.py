@@ -179,8 +179,7 @@ def _cmd_synth_commutative(args):
 
 
 def _cmd_bq_frame(args):
-    envelope = doc.parse_document(_read(args.input), "local-connection")
-    series = doc.decode_series(envelope["payload"]["series"])
+    series = doc.decode_connection(doc.parse_document(_read(args.input), "local-connection")["payload"]).a
     c = SplittingType(tuple(_parse_ints(args.splitting)))
     frame = bq_frame(c, series, tol=args.tol)
     _emit(

@@ -204,37 +204,29 @@ class BqFrame:
     residual: float
 
 
-def _choose_permutation(q0, tol):
+def _frame_permutation(q0, tol):
     """Column order making every bottom-right minor of Q0[:, perm] nonsingular.
 
-    Greedy from the last position inward, maximizing the smallest
-    singular value of the growing corner minor, with backtracking.
+    One pass from the last position up, each position taking the
+    remaining column whose corner minor has the largest smallest
+    singular value (ties to the larger index).  For nonsingular Q0 no
+    backtracking is needed: rows pos..r-1 have full rank, so some
+    remaining column lies outside the span of the chosen ones there.
+    A best minor at or below tol |Q0| is refused.
     """
     r = q0.shape[0]
-    scale = max(np.linalg.norm(q0, 2), 1e-300)
-
-    def search(pos, chosen):
-        if pos < 0:
-            return chosen
-        remaining = [c for c in range(r) if c not in chosen]
-        scored = []
-        for c in remaining:
-            minor = q0[np.ix_(range(pos, r), [c] + list(chosen))]
-            smin = np.linalg.svd(minor, compute_uv=False)[-1]
-            scored.append((smin, c))
-        scored.sort(reverse=True)
-        for smin, c in scored:
-            if smin <= tol * scale:
-                break
-            result = search(pos - 1, [c] + list(chosen))
-            if result is not None:
-                return result
-        return None
-
-    perm = search(r - 1, [])
-    if perm is None:
-        raise BqFrameError("no permutation yields nonsingular bottom-right minors")
-    return tuple(perm)
+    floor = tol * max(np.linalg.norm(q0, 2), 1e-300)
+    chosen = []
+    for pos in range(r - 1, -1, -1):
+        smin, col = max(
+            (np.linalg.svd(q0[np.ix_(range(pos, r), [c] + chosen)], compute_uv=False)[-1], c)
+            for c in range(r)
+            if c not in chosen
+        )
+        if smin <= floor:
+            raise BqFrameError(f"minor from row {pos}: sigma_min {smin:.3e} at or below {floor:.3e} = tol |Q(0)|")
+        chosen.insert(0, col)
+    return tuple(chosen)
 
 
 def bq_frame(c, qk, tol=1e-9):
@@ -243,7 +235,7 @@ def bq_frame(c, qk, tol=1e-9):
     Solves, row by row and degree by degree, the triangular linear
     systems making z^{c_i - c_m} divide (b Qk P^{-1})_{i,m} for i < m;
     each system's matrix is a bottom-right minor of Qk(0) P^{-1}, which
-    the permutation search made invertible.
+    the permutation made invertible.
     """
     if not isinstance(c, SplittingType):
         c = SplittingType(tuple(c))
@@ -255,50 +247,35 @@ def bq_frame(c, qk, tol=1e-9):
             f"series order {qk.order} below the splitting spread {c.spread}"
         )
     q0 = qk.coeffs[0]
-    if np.linalg.cond(q0) > 1e10:
-        raise BqFrameError("leading coefficient of the frame series is singular")
-    cs = c.entries
+    cond = np.linalg.cond(q0)
+    if cond > 1e10:
+        raise BqFrameError(f"leading coefficient of the frame series: cond(Q(0)) = {cond:.3e} above 1e10")
     if c.spread == 0:
         # constant type: the divisibility condition is vacuous
-        perm = tuple(range(r))
-        b = MatrixSeries.identity(r)
-        return BqFrame(perm=perm, b=b, residual=0.0)
+        return BqFrame(perm=tuple(range(r)), b=MatrixSeries.identity(r), residual=0.0)
 
-    perm = _choose_permutation(q0, tol)
+    perm = _frame_permutation(q0, tol)
     qp = MatrixSeries(qk.coeffs[:, :, list(perm)])
     q = qp.coeffs  # q[p, j, m]
+    gap = np.subtract.outer(c.entries, c.entries)  # gap[i, j] = c_i - c_j
 
-    # every degree p below here is at most spread - 1 < qk.order
+    # every degree p below here is at most spread - 1 < qk.order; b[p, i]
+    # is still zero when its degree-p right side is formed
     b = np.zeros((c.spread, r, r), dtype=np.complex128)
     b[0] += np.eye(r)
     for i in range(r):
-        max_p = cs[i] - cs[-1] - 1
-        for p in range(0, max_p + 1):
-            # column r - 1 admits every such p, so the first admitting column exists
-            alpha = next(j for j in range(i + 1, r) if p <= cs[i] - cs[j] - 1)
-            idx = list(range(alpha, r))
-            rhs = np.zeros(len(idx), dtype=np.complex128)
-            for mpos, m in enumerate(idx):
-                acc = q[p, i, m]
-                for t in range(0, p):
-                    for j in range(i + 1, r):
-                        if t <= cs[i] - cs[j] - 1:
-                            acc += b[t, i, j] * q[p - t, j, m]
-                rhs[mpos] = -acc
-            block = q[0][np.ix_(idx, idx)]
-            sol = np.linalg.solve(block.T, rhs)
-            for jpos, j in enumerate(idx):
-                b[p, i, j] = sol[jpos]
+        for p in range(gap[i, -1]):
+            idx = np.flatnonzero(gap[i] > p)
+            rhs = -np.einsum("tj,tjm->m", b[: p + 1, i], q[p::-1][:, :, idx])
+            b[p, i, idx] = np.linalg.solve(q[0][np.ix_(idx, idx)].T, rhs)
 
     b_series = MatrixSeries(b)
     prod = b_series.pad(qp.order) * qp
-    residual = 0.0
-    for i in range(r):
-        for m in range(i + 1, r):
-            for p in range(min(cs[i] - cs[m], prod.order + 1)):
-                residual = max(residual, float(abs(prod.coeffs[p, i, m])))
-    if residual > max(10 * tol, 1e-9) * max(1.0, qp.max_coeff_norm()):
-        raise BqFrameError(f"divisibility residual {residual:.3e} above tolerance")
+    forbidden = np.arange(prod.order + 1)[:, None, None] < gap
+    residual = float(np.max(np.abs(prod.coeffs), where=forbidden, initial=0.0))
+    bound = max(10 * tol, 1e-9) * max(1.0, qp.max_coeff_norm())
+    if residual > bound:
+        raise BqFrameError(f"divisibility residual {residual:.3e} above {bound:.3e} = max(10 tol, 1e-9) max(1, max_k |Q_k|)")
     return BqFrame(perm=perm, b=b_series, residual=residual)
 
 
@@ -393,82 +370,43 @@ def _column_classes(rho):
     ]
 
 
-def _smith_solve(a, b):
-    """One integer solution of a y = b, or None.
+def _integer_solve(a, b):
+    """One integer solution y of a y = b, or None.
 
-    Diagonalizes over the integers with tracked unimodular row/column
-    operations (Smith-style, no divisibility chain needed for solving).
+    Column Hermite reduction: row by row, Euclid's algorithm on the
+    columns not yet pivoted, by unimodular column operations tracked in
+    V, leaves one nonzero entry, the pivot; h = a V is then lower
+    echelon and h z = b is solved by forward substitution as it goes,
+    which fails exactly when a pivot does not divide its row's remainder
+    or a row without a pivot is not met.  Free entries of z are zero
+    and y = V z.
     """
-    a = [[int(x) for x in row] for row in a]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i1, i2, q):  # row i1 -= q * row i2
-        for t in range(n):
-            a[i1][t] -= q * a[i2][t]
-        for t in range(m):
-            u[i1][t] -= q * u[i2][t]
-
-    def col_op(j1, j2, q):  # col j1 -= q * col j2
-        for t in range(m):
-            a[t][j1] -= q * a[t][j2]
-        for t in range(n):
-            v[t][j1] -= q * v[t][j2]
-
-    def swap_rows(i1, i2):
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1, j2):
-        for t in range(m):
-            a[t][j1], a[t][j2] = a[t][j2], a[t][j1]
-        for t in range(n):
-            v[t][j1], v[t][j2] = v[t][j2], v[t][j1]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-
-    c = [sum(u[i][k] * int(b[k]) for k in range(m)) for i in range(m)]
-    z = [0] * n
+    m, n = len(a), len(a[0])
+    # column j of h stacked on column j of V
+    cols = [[int(x) for x in col] + [int(t == j) for t in range(n)] for j, col in enumerate(zip(*a))]
+    z = []
     for i in range(m):
-        d = a[i][i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
+        while True:
+            live = [j for j in range(len(z), n) if cols[j][i]]
+            if len(live) < 2:
+                break
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            for j in live:
+                if j != p:
+                    q = cols[j][i] // cols[p][i]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[p])]
+        rest = int(b[i]) - sum(cols[j][i] * zj for j, zj in enumerate(z))
+        if live:
+            k = len(z)
+            cols[k], cols[live[0]] = cols[live[0]], cols[k]
+            zk, rem = divmod(rest, cols[k][i])
+            if rem:
                 return None
-        else:
-            if c[i] % d != 0:
-                return None
-            z[i] = c[i] // d
-    return [sum(v[i][k] * z[k] for k in range(n)) for i in range(n)]
+            z.append(zk)
+        elif rest:
+            return None
+    z += [0] * (n - len(z))
+    return [sum(col[m + t] * zj for col, zj in zip(cols, z)) for t in range(n)]
 
 
 def _solve_equalities_lattice(classes, lam, n, rows):
@@ -477,15 +415,10 @@ def _solve_equalities_lattice(classes, lam, n, rows):
     var_index = {}
     for j in range(n):
         for i in rows:
-            key = (j, classes[j][i])
-            if key not in var_index:
-                var_index[key] = len(var_index)
-    a = [[0] * len(var_index) for _ in rows]
-    for ridx, i in enumerate(rows):
-        for j in range(n):
-            a[ridx][var_index[(j, classes[j][i])]] += 1
-    b = [lam[i] for i in rows]
-    y = _smith_solve(a, b)
+            var_index.setdefault((j, classes[j][i]), len(var_index))
+    # row i meets one variable per puncture: its own class there
+    a = [[int(classes[j][i] == cid) for j, cid in var_index] for i in rows]
+    y = _integer_solve(a, [lam[i] for i in rows])
     if y is None:
         raise Infeasible("no integer weights satisfy the equality classes and row sums")
     return {i: [y[var_index[(j, classes[j][i])]] for j in range(n)] for i in rows}
@@ -598,8 +531,16 @@ def _solve_cases(classes, lam, n, rows, relaxed):
     return {**low, **high}
 
 
+def _relaxed(mode):
+    """Whether mode asks for the per-column equalities (relaxed-a') rather than the ordering (strict-a)."""
+    if mode not in ("strict-a", "relaxed-a'"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode == "relaxed-a'"
+
+
 def validate_weight_family(rho, lam, phi, mode="strict-a"):
     """Check the ordering constraints and exact row sums of a weight family."""
+    relaxed = _relaxed(mode)
     n = len(rho)
     r = len(rho[0])
     classes = _column_classes(rho)
@@ -609,13 +550,9 @@ def validate_weight_family(rho, lam, phi, mode="strict-a"):
     for j in range(n):
         for i in range(r):
             for k in range(i + 1, r):
-                if classes[j][i] == classes[j][k]:
-                    if mode == "relaxed-a'":
-                        if phi[j][i] != phi[j][k]:
-                            return False
-                    else:
-                        if phi[j][i] < phi[j][k]:
-                            return False
+                tied = classes[j][i] == classes[j][k]
+                if tied and (phi[j][i] != phi[j][k] if relaxed else phi[j][i] < phi[j][k]):
+                    return False
     return True
 
 
@@ -631,8 +568,7 @@ def solve_weights_parabolic(rep, mode="strict-a"):
     inequalities); mode "relaxed-a'" enforces per-column equalities
     outright via an exact lattice solve, which can be Infeasible.
     """
-    if mode not in ("strict-a", "relaxed-a'"):
-        raise ValueError(f"unknown mode {mode!r}")
+    relaxed = _relaxed(mode)
     mats = list(rep.matrices)
     r = rep.rank
     n = rep.n
@@ -653,7 +589,6 @@ def solve_weights_parabolic(rep, mode="strict-a"):
             raise InconsistentRepresentationError("exponent sum must be non-positive")
         lam.append(val)
     classes = _column_classes(rho)
-    relaxed = mode == "relaxed-a'"
     if r > 4 and not relaxed:
         try:
             sol = _solve_cases(classes, lam, n, range(r), relaxed=False)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +286,44 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})
     code, out, err = run(["bq-frame", path, "--splitting", "1,0"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"matrix": [[1.0]]}], ids=["not-an-object", "no-series"])
+def test_bq_frame_malformed_payload_is_a_document_error(tmp_path, capsys, payload):
+    path = write(tmp_path, "q.json", "local-connection", payload)
+    code, out, err = run(["bq-frame", path, "--splitting", "1,0"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["reason"] == "DocumentError"
+
+
+_SINGULAR_Q0 = [[1.0, 1.0], [1.0, 1.0 + 1e-12]]
+# b_01 grows like (0.3 / 1e-5)^p over three degrees, so its rounding leaves
+# a residual far above the bound
+_GROWING_Q = [[[1.0, 0.3], [0.0, 1e-5]], [[0.2, 0.7], [0.1, 1.0]], [[0.5, 0.9], [0.3, 0.6]], [[0.4, 0.8], [0.2, 0.3]]]
+
+
+@pytest.mark.parametrize(
+    "coeffs, splitting, tol, quantity, threshold",
+    [
+        ([_SINGULAR_Q0, np.zeros((2, 2))], "1,0", 1e-8, np.linalg.cond(_SINGULAR_Q0), 1e10),
+        # the bottom row's best minor is 1e-4, at or below tol |Q(0)| = 1e-3
+        ([np.diag([1.0, 1e-4]), np.zeros((2, 2))], "1,0", 1e-3, 1e-4, 1e-3),
+        (_GROWING_Q, "3,0", 1e-8, None, 1e-7 * np.linalg.norm(_GROWING_Q, 2, axis=(1, 2)).max()),
+    ],
+    ids=["condition", "minor", "residual"],
+)
+def test_bq_frame_refusals_name_quantity_and_threshold(tmp_path, capsys, coeffs, splitting, tol, quantity, threshold):
+    q = MatrixSeries(np.array(coeffs, dtype=complex))
+    path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})
+    code, out, err = run(["bq-frame", path, "--splitting", splitting, "--tol", str(tol)], capsys)
+    failure = json.loads(err)
+    assert code == 3 and failure["reason"] == "BqFrameError"
+    got_quantity, got_threshold = (float(x) for x in re.findall(r"\d\.\d{3}e[+-]\d+|1e10", failure["message"])[:2])
+    assert got_threshold == pytest.approx(threshold, rel=1e-3)
+    if quantity is None:
+        assert got_quantity > got_threshold
+    else:
+        assert got_quantity == pytest.approx(quantity, rel=1e-3)
 
 
 def test_cached_parser_matches_fresh_parser(tmp_path, capsys):

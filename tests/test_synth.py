@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logconn import (
@@ -29,12 +29,13 @@ from logconn import (
 from logconn.bundles import WeightedFlag, WeightedFlatBundle, degree
 from logconn.eigen import norm_log, norm_log_scalar, spectral_split
 from logconn.synth import (
+    BqFrameError,
     InconsistentRepresentationError,
     NonCommutingError,
     NotCyclicError,
     NotEigenvectorError,
     _module_rank,
-    _smith_solve,
+    _integer_solve,
 )
 from conftest import (
     random_commuting_representation,
@@ -327,6 +328,51 @@ def test_bq_frame_structure_and_divisibility(rng):
         assert _divisibility_oracle(frame, c, q) < 1e-9
 
 
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    r=st.integers(1, 8),
+    gaps=st.lists(st.integers(0, 3), min_size=7, max_size=7),
+    kind=st.sampled_from(["dense", "sparse", "near-permutation"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bq_frame_gauge_is_triangular_divides_and_solves_conditioned_minors(r, gaps, kind, seed):
+    rng = np.random.default_rng(seed)
+    c = SplittingType(tuple(-int(x) for x in np.cumsum([0, *gaps[: r - 1]])))
+    coeffs = rng.normal(size=(c.spread + 2, r, r)) + 1j * rng.normal(size=(c.spread + 2, r, r))
+    perm = np.eye(r)[rng.permutation(r)]
+    if kind == "sparse":
+        # about 35% nonzero, keeping a permutation's entries so Q(0) is structurally nonsingular
+        coeffs[0] *= (rng.uniform(size=(r, r)) < 0.35) | (perm > 0)
+    elif kind == "near-permutation":
+        coeffs[0] = perm + 1e-3 * coeffs[0]
+    q0 = coeffs[0]
+    assume(np.linalg.cond(q0) <= 1e6)
+    q = MatrixSeries(coeffs)
+    tol = 1e-9
+    frame = bq_frame(c, q, tol=tol)
+    # unit upper triangular with deg b_ij <= c_i - c_j - 1: b - I vanishes at every degree t >= c_i - c_j
+    b = frame.b.coeffs.copy()
+    b[0] -= np.eye(r)
+    assert not np.any(np.where(np.arange(len(b))[:, None, None] >= np.subtract.outer(c.entries, c.entries), b, 0))
+    bound = max(10 * tol, 1e-9) * max(1.0, q.max_coeff_norm())
+    assert frame.residual <= bound
+    assert _divisibility_oracle(frame, c, q) <= bound
+    # a constant type solves no minor and keeps the identity order
+    floor = tol * np.linalg.norm(q0, 2)
+    for pos in range(r if c.spread else 0):
+        assert np.linalg.svd(q0[np.ix_(range(pos, r), frame.perm[pos:])], compute_uv=False)[-1] > floor
+
+
+@pytest.mark.xfail(strict=True, raises=BqFrameError, reason="the residual bound ignores the growth of b")
+def test_bq_frame_accepts_a_well_conditioned_frame_of_large_spread():
+    # cond(Q(0)) = 44, but b reaches 7e8 over the 18 degrees of c, so the
+    # residual's rounding, about u max|b| max|Q_k| = 1e-7, exceeds the bound
+    # 1e-8 max(1, max_k |Q_k|), which does not scale with b
+    rng = np.random.default_rng(3)
+    c = SplittingType((0, 0, -3, -6, -9, -12, -15, -18))
+    bq_frame(c, MatrixSeries(rng.normal(size=(20, 8, 8)) + 1j * rng.normal(size=(20, 8, 8))))
+
+
 def test_bq_frame_order_precondition():
     q = MatrixSeries.constant(np.eye(2), 0)
     with pytest.raises(ValueError):
@@ -469,12 +515,42 @@ def test_weights_fuzz_all_ranks(rng):
     assert solved > 150
 
 
-def test_smith_solver():
+def test_validate_weight_family_refuses_an_unknown_mode():
+    rho, lam, phi = [[1, 1], [2, 2]], [1, -1], [[1, 0], [0, -1]]
+    assert validate_weight_family(rho, lam, phi, mode="strict-a")
+    assert not validate_weight_family(rho, lam, phi, mode="relaxed-a'")
+    with pytest.raises(ValueError, match="unknown mode 'relaxed'"):
+        validate_weight_family(rho, lam, phi, mode="relaxed")
+
+
+_SMALL_INTS = st.integers(-5, 5)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    a=st.integers(1, 6).flatmap(lambda m: st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(_SMALL_INTS, min_size=n, max_size=n), min_size=m, max_size=m))),
+    data=st.data(),
+)
+def test_integer_solve_finds_a_solution_exactly_when_one_exists(a, data):
+    m, n = len(a), len(a[0])
+    x = data.draw(st.lists(_SMALL_INTS, min_size=n, max_size=n))
+    b = [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+    y = _integer_solve(a, b)
+    assert y is not None and all(type(v) is int for v in y)
+    assert [sum(aij * yj for aij, yj in zip(row, y)) for row in a] == b
+    # 2 a' y = b has no integer solution once some entry of b is odd
+    odd = data.draw(st.integers(0, m - 1))
+    b[odd] = 2 * b[odd] + 1
+    assert _integer_solve([[2 * v for v in row] for row in a], b) is None
+
+
+def test_integer_solver():
     # 2x + 2y = 3 has no integer solution; = 4 has
-    assert _smith_solve([[2, 2]], [3]) is None
-    sol = _smith_solve([[2, 2]], [4])
+    assert _integer_solve([[2, 2]], [3]) is None
+    sol = _integer_solve([[2, 2]], [4])
     assert sol is not None and 2 * sol[0] + 2 * sol[1] == 4
-    sol = _smith_solve([[1, 1, 0], [0, 1, 1]], [5, -1])
+    sol = _integer_solve([[1, 1, 0], [0, 1, 1]], [5, -1])
     assert sol is not None
     assert sol[0] + sol[1] == 5 and sol[1] + sol[2] == -1
 
