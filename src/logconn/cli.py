@@ -11,7 +11,6 @@ with a machine-readable "reason" field on stderr.
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -279,10 +278,13 @@ def _cmd_growth(args):
         center = 0.0 + 0.0j
     elif envelope["kind"] == "fuchsian-system":
         source = doc.decode_system(envelope["payload"])
+        n = len(source.punctures)
+        if not 0 <= args.puncture < n:
+            raise ValueError(f"--puncture {args.puncture} is out of range: the system has {n} punctures, 0..{n - 1}")
         center = source.punctures[args.puncture]
     else:
         raise doc.DocumentError("growth expects a local-connection or fuchsian-system")
-    vector = [doc.decode_complex(x) for x in json.loads(args.vector)]
+    vector = doc.parse_vector(args.vector, source.rank)
     radii = np.geomspace(args.r0, args.r0 * 10.0 ** (-args.decades), args.num_radii)
     est = growth_exponent(source, vector, radii, center=center)
     _emit(

@@ -6,17 +6,25 @@ representation, local-connection, weighted-bundle, fuchsian-system or
 report.  Complex numbers are two-element arrays [re, im]; matrices are
 row-major nested arrays; series are {"order": N, "coeffs": [...]}.
 
-Serialization is canonical: the stdlib's C encoder with keys sorted and
-no whitespace, floats printed as Python's repr (the shortest string that
-reads back to the same double), so canonical documents round-trip
-byte-identically.  Matrices are encoded and decoded as whole arrays; the
-reader refuses null, NaN, Infinity, string and boolean entries, and
-payloads of the wrong JSON type.
+This module is the one place that reads and writes JSON, and orjson's C
+codec does both.  Serialization is canonical: keys sorted and no
+whitespace, each float printed with the shortest digits that read back
+to the same double (Ryu; the digits of Python's repr), so canonical
+documents round-trip byte-identically.  The exponent is spelled without
+a plus sign or leading zeros, and a float of magnitude in [1e-5, 1e16)
+is written out positionally: 1e-05 as 0.00001, 1.5e-07 as 1.5e-7 and
+1e+16 as 1e16.  orjson writes NaN and Infinity as null, so a text that
+holds "null" is searched for a non-finite float, which is refused;
+texts without one pay no search.  Matrices are encoded and decoded as
+whole arrays; the reader refuses null, NaN, Infinity, string and
+boolean entries, and payloads of the wrong JSON type.
 """
 
 import json
+import math
 
 import numpy as np
+import orjson
 
 from .bundles import Representation, WeightedFlag, WeightedFlatBundle
 from .localforms import LocalLogConnection
@@ -28,6 +36,7 @@ __all__ = [
     "canonical_dumps",
     "wrap",
     "parse_document",
+    "parse_vector",
     "encode_complex",
     "decode_complex",
     "encode_matrix",
@@ -61,13 +70,29 @@ def _plain_scalar(obj):
     raise DocumentError(f"unserializable value of type {type(obj).__name__}")
 
 
+def _any_leaf(obj, test):
+    """Whether `test` holds for a leaf of the nested dicts, lists and tuples `obj`."""
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return test(obj)
+    return any(_any_leaf(x, test) for x in obj)
+
+
+def _non_finite(x):
+    return isinstance(x, (float, np.floating)) and not math.isfinite(x)
+
+
 def canonical_dumps(obj):
     try:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain_scalar)
-    except DocumentError:
-        raise
-    except ValueError as exc:
-        raise DocumentError("non-finite number in document") from exc
+        text = orjson.dumps(obj, default=_plain_scalar, option=orjson.OPT_SORT_KEYS).decode()
+    except orjson.JSONEncodeError as exc:
+        if isinstance(exc.__cause__, DocumentError):
+            raise exc.__cause__ from None
+        raise DocumentError(f"unserializable value: {exc}") from exc
+    # orjson writes a non-finite float as null; only a text with a null can hold one
+    if "null" in text and _any_leaf(obj, _non_finite):
+        raise DocumentError("non-finite number in document")
     return text + "\n"
 
 
@@ -77,20 +102,18 @@ def wrap(kind, payload):
     return {"kind": kind, "payload": payload, "version": "1"}
 
 
-def _refuse_constant(name):
-    raise DocumentError(f"non-finite number {name} in document")
-
-
-def _has_boolean(obj):
-    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
-    return isinstance(obj, bool) or any(map(_has_boolean, items))
+def _loads(text):
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        for name in ("NaN", "Infinity", "-Infinity"):
+            if text.startswith(name, exc.pos):
+                raise DocumentError(f"non-finite number {name} in document") from exc
+        raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
 def parse_document(text, expected_kind=None):
-    try:
-        doc = json.loads(text, parse_constant=_refuse_constant)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+    doc = _loads(text)
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise DocumentError("document must be an envelope with kind and payload")
     if doc.get("version") != "1":
@@ -101,9 +124,18 @@ def parse_document(text, expected_kind=None):
         raise DocumentError(f"expected a {expected_kind} document, got {doc['kind']}")
     # no input kind has a boolean field, and numpy reads one among numbers as 0 or 1;
     # the exact search runs only on texts that hold one, so clean documents pay no scan
-    if doc["kind"] != "report" and ("true" in text or "false" in text) and _has_boolean(doc):
+    if doc["kind"] != "report" and ("true" in text or "false" in text) and _any_leaf(doc, lambda x: isinstance(x, bool)):
         raise DocumentError(f"a {doc['kind']} document takes no booleans")
     return doc
+
+
+def parse_vector(text, rank):
+    """The JSON text `text`, an array of `rank` [re, im] pairs, as a list of complex numbers."""
+    entries = _loads(text)
+    if not isinstance(entries, list) or len(entries) != rank:
+        got = f"an array of {len(entries)}" if isinstance(entries, list) else text.strip()
+        raise DocumentError(f"vector must be an array of {rank} [re, im] pairs, got {got}")
+    return [decode_complex(x) for x in entries]
 
 
 def _complex_array(obj, ndim, what):

@@ -494,6 +494,35 @@ def test_boolean_in_a_growth_vector_exits_2(tmp_path, capsys):
     assert json.loads(err) == {"message": "complex number [true, 0.0] holds a boolean where a number belongs", "reason": "DocumentError"}
 
 
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ("5", "vector must be an array of 2 [re, im] pairs, got 5"),
+        ("null", "vector must be an array of 2 [re, im] pairs, got null"),
+        ("[[1, 0]]", "vector must be an array of 2 [re, im] pairs, got an array of 1"),
+        ("[[NaN, 0.0], [0.0, 0.0]]", "non-finite number NaN in document"),
+    ],
+)
+def test_growth_vector_of_the_wrong_shape_exits_2(tmp_path, capsys, vector, message):
+    payload = {"series": doc.encode_series(MatrixSeries.constant(np.array([[-1.5, 0.0], [0.0, -0.5]]), 0))}
+    path = write(tmp_path, "conn.json", "local-connection", payload)
+    code, out, err = run(["growth", path, "--vector", vector], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"message": message, "reason": "DocumentError"}
+
+
+@pytest.mark.parametrize("puncture", ["2", "5", "-1"])
+def test_growth_puncture_out_of_range_exits_2(tmp_path, capsys, puncture):
+    from logconn import FuchsianSystem
+
+    system = FuchsianSystem([0.0, 3.0], [np.array([[-1.5]]), np.array([[1.5]])])
+    path = write(tmp_path, "sys.json", "fuchsian-system", doc.encode_system(system))
+    code, out, err = run(["growth", path, "--vector", "[[1.0, 0.0]]", "--puncture", puncture], capsys)
+    assert code == 2 and out == ""
+    message = f"--puncture {puncture} is out of range: the system has 2 punctures, 0..1"
+    assert json.loads(err) == {"message": message, "reason": "ValueError"}
+
+
 def test_non_finite_constant_in_a_representation_exits_2(tmp_path, capsys):
     path = tmp_path / "rep.json"
     payload = '{"matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]], "punctures": [[NaN, 0.0], [1.0, 0.0]]}'

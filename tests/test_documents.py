@@ -1,10 +1,13 @@
 """Canonical documents: the writer, the reader and their round trip."""
 
+import decimal
 import functools
 import json
+import math
 import re
 
 import numpy as np
+import orjson
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
@@ -108,8 +111,58 @@ def test_documents_round_trip_bit_for_bit(drawn, objects):
 
 def test_canonical_format_is_pinned():
     # a float32 widens exactly: 0.1f is 0.100000001490116119384765625
-    obj = {"b": [0.1, 1.0, -0.0, 1e-05, 3, np.float64(2.5), np.int64(-2), np.float32(0.1), np.bool_(True)], "A": None}
-    assert doc.canonical_dumps(obj) == '{"A":null,"b":[0.1,1.0,-0.0,1e-05,3,2.5,-2,0.10000000149011612,true]}\n'
+    # the exponent has no plus sign or leading zero, and [1e-5, 1e16) is positional
+    floats = [0.1, 1.0, -0.0, 1e-05, 1e16, 1.5e-07, 5e-324]
+    obj = {"b": [*floats, 3, np.float64(2.5), np.int64(-2), np.float32(0.1), np.bool_(True)], "A": None}
+    pinned = '{"A":null,"b":[0.1,1.0,-0.0,0.00001,1e16,1.5e-7,5e-324,3,2.5,-2,0.10000000149011612,true]}\n'
+    assert doc.canonical_dumps(obj) == pinned
+
+
+def _digits(token):
+    """The sign, digits and exponent of a decimal numeral, trailing zeros dropped."""
+    return decimal.Decimal(token).normalize(decimal.Context(prec=800)).as_tuple()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=20))
+def test_canonical_floats_have_the_digits_of_repr(xs):
+    text = doc.canonical_dumps(xs)
+    assert [_digits(t) for t in text.strip()[1:-1].split(",")] == [_digits(repr(x)) for x in xs]
+    # every reader gets the same bits back, the stdlib's included
+    for loads in (orjson.loads, json.loads):
+        assert np.array_equal(np.array(loads(text), dtype=np.float64).view(np.int64), np.array(xs).view(np.int64))
+
+
+def _halfway(x, side):
+    """Decimal numerals exactly at, just below and just above the midpoint of x and its neighbour."""
+    y = math.nextafter(x, side)
+    if not math.isfinite(y):
+        return []
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        mid = (decimal.Decimal(x) + decimal.Decimal(y)) / 2
+        nudge = abs(decimal.Decimal(y) - decimal.Decimal(x)) * decimal.Decimal("1e-30")
+        return [f"{v:e}" for v in (mid, mid - nudge, mid + nudge)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_FLOATS)
+def test_reader_rounds_foreign_numerals_as_float_does(x):
+    # numerals as other writers spell them: %.17g, exact and long decimal
+    # expansions, and decimals at and next to a halfway case
+    tokens = ["%.17g" % x, "%.25e" % x, f"{decimal.Decimal(x):e}", *_halfway(x, math.inf), *_halfway(x, -math.inf)]
+    text = f'{{"kind":"report","payload":[{",".join(tokens)}],"version":"1"}}'
+    back = np.array(doc.parse_document(text)["payload"], dtype=np.float64)
+    # an integer numeral reads as an integer, here and in the stdlib, so "-0" is +0.0
+    expected = [float(int(t)) if re.fullmatch(r"-?\d+", t) else float(t) for t in tokens]
+    assert np.array_equal(back.view(np.int64), np.array(expected).view(np.int64))
+
+
+def test_null_prefilter_refuses_only_a_non_finite_float():
+    clean = {"a": None, "b": "null and more null", "c": [1.0, [None, 2.5]]}
+    assert doc.canonical_dumps(clean) == '{"a":null,"b":"null and more null","c":[1.0,[null,2.5]]}\n'
+    for bad in (float("nan"), np.float32("inf"), np.float64("-inf")):
+        with pytest.raises(doc.DocumentError, match="non-finite number in document"):
+            doc.canonical_dumps({**clean, "c": [1.0, [None, bad]]})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float32("-inf")])
@@ -118,7 +171,7 @@ def test_writer_refuses_non_finite_numbers(value):
         doc.canonical_dumps({"x": [value]})
 
 
-@pytest.mark.parametrize("value", [1j, np.zeros(2), object()])
+@pytest.mark.parametrize("value", [1j, np.zeros(2), object(), 2**64, {1: 2.0}])
 def test_writer_refuses_unserializable_values(value):
     with pytest.raises(doc.DocumentError, match="unserializable"):
         doc.canonical_dumps({"x": value})
