@@ -11,6 +11,7 @@ with a machine-readable "reason" field on stderr.
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 
@@ -305,6 +306,17 @@ def _cmd_growth(args):
 # parser
 
 
+def _tolerance(text):
+    """A --tol value: a finite positive float (nan, inf, 0 or below would switch comparisons off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; parsing keeps no state in it."""
@@ -316,7 +328,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--tol": dict(type=float, default=1e-8, help="numeric tolerance"),
+        "--tol": dict(type=_tolerance, default=1e-8, help="numeric tolerance"),
         "--order": dict(type=int, default=None, help="truncate input series to this order"),
         "--seed": dict(type=int, default=0, help="seed for randomized searches"),
         "--strict": dict(action="store_true", help="exit 4 on Undetermined verdicts"),

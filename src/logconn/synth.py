@@ -5,18 +5,20 @@ desk scale: explicit residues for commuting monodromy (the negated
 normalized logarithms, with the first closing the sum), the
 frame/permutation solver producing the triangular polynomial gauge b
 with its divisibility certificate, weight shifts, the
-upper-triangular integer-weight solvers for rank up to four, the
-cyclic-vector weight plan, the double-rank embedding, and the partial
-rank-three decision.
+upper-triangular integer-weight solvers (a case analysis for the
+ordering form, complete through rank four, and one exact lattice solve
+for the per-column equalities), the cyclic-vector weight plan, the
+double-rank embedding, and the partial rank-three decision.
 
-All weight arithmetic is exact over the integers.
+All weight arithmetic is exact over the integers.  Whether a vector is
+cyclic is read from the rank of spans by the package's one rank rule
+(bundles._span_basis).
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .bundles import (
     Representation,
@@ -424,14 +426,13 @@ def _solve_equalities_lattice(classes, lam, n, rows):
     return {i: [y[var_index[(j, classes[j][i])]] for j in range(n)] for i in rows}
 
 
-def _solve_cases(classes, lam, n, rows, relaxed):
-    """Recursive case analysis for the equality-constrained weight system.
+def _solve_cases(classes, lam, n, rows):
+    """Recursive case analysis for the ordering form (strict-a) of the weight system.
 
     Returns {row index: [phi_j]} satisfying the inequality constraints
-    and exact row sums.  In relaxed mode the rank-four two-block case is
-    replaced by the exact lattice solve, so the per-column equalities
-    hold outright; otherwise the large-shift construction is used and
-    only the inequality form is guaranteed.
+    and exact row sums.  The rank-four two-block case takes the
+    large-shift construction, so only the inequality form is
+    guaranteed there.
     """
     rows = sorted(rows)
     m = len(rows)
@@ -451,7 +452,7 @@ def _solve_cases(classes, lam, n, rows, relaxed):
         for k in rows:
             if all(not same(j, k, t) for t in rows if t != k):
                 rest = [t for t in rows if t != k]
-                sol = _solve_cases(classes, lam, n, rest, relaxed)
+                sol = _solve_cases(classes, lam, n, rest)
                 phik = [0] * n
                 for j2 in range(n):
                     if j2 == j:
@@ -485,8 +486,6 @@ def _solve_cases(classes, lam, n, rows, relaxed):
         return {i: list(out) for i in rows}
 
     if m != 4:
-        if relaxed:
-            return _solve_equalities_lattice(classes, lam, n, rows)
         raise SolverIncompleteError(
             f"no unique diagonal entry and {m} coupled rows: outside the rank-4 case analysis"
         )
@@ -505,16 +504,13 @@ def _solve_cases(classes, lam, n, rows, relaxed):
             raise InconsistentRepresentationError(
                 "coincidence pattern violates the exponent-sum identity"
             )
-        sol = _solve_cases(classes, lam, n, [p1, p2, p3], relaxed)
+        sol = _solve_cases(classes, lam, n, [p1, p2, p3])
         sol[p4] = [sol[p1][j] + sol[p2][j] - sol[p3][j] for j in range(n)]
         return sol
 
-    if relaxed:
-        return _solve_equalities_lattice(classes, lam, n, rows)
-
     mcol = two_block[0]
-    low = _solve_cases(classes, lam, n, [p1, p2], relaxed)
-    high = _solve_cases(classes, lam, n, [p3, p4], relaxed)
+    low = _solve_cases(classes, lam, n, [p1, p2])
+    high = _solve_cases(classes, lam, n, [p3, p4])
     shift = 0
     for j in range(n):
         if j == mcol:
@@ -561,12 +557,14 @@ def solve_weights_parabolic(rep, mode="strict-a"):
 
     Computes the exponent sums Lambda^i from the diagonal entries,
     verifies they are non-positive integers, and solves the feasibility
-    system by the rank-by-rank case analysis: the reduction claim when a
-    diagonal entry is unique in its column, equal rows when all
-    coincide, and the two rank-four coincidence patterns.  Complete for
-    rank <= 4 in mode "strict-a" (output satisfies the ordering
-    inequalities); mode "relaxed-a'" enforces per-column equalities
-    outright via an exact lattice solve, which can be Infeasible.
+    system.  Mode "strict-a" (the ordering inequalities) takes the
+    rank-by-rank case analysis: the reduction claim when a diagonal
+    entry is unique in its column, equal rows when all coincide, and the
+    two rank-four coincidence patterns; it is complete through rank
+    four, and above it a case it does not cover falls back to the
+    lattice solve, whose equalities imply the ordering.  Mode
+    "relaxed-a'" (the per-column equalities) is one exact lattice solve
+    over all rows, which decides Infeasible.
     """
     relaxed = _relaxed(mode)
     mats = list(rep.matrices)
@@ -589,9 +587,11 @@ def solve_weights_parabolic(rep, mode="strict-a"):
             raise InconsistentRepresentationError("exponent sum must be non-positive")
         lam.append(val)
     classes = _column_classes(rho)
-    if r > 4 and not relaxed:
+    if relaxed:
+        sol = _solve_equalities_lattice(classes, lam, n, range(r))
+    else:
         try:
-            sol = _solve_cases(classes, lam, n, range(r), relaxed=False)
+            sol = _solve_cases(classes, lam, n, range(r))
         except SolverIncompleteError:
             # the equality-constrained lattice solve also witnesses the
             # ordering form; its infeasibility decides nothing here
@@ -602,8 +602,6 @@ def solve_weights_parabolic(rep, mode="strict-a"):
                     "case analysis is incomplete above rank four and the "
                     "equality-constrained relaxation is infeasible"
                 ) from exc
-    else:
-        sol = _solve_cases(classes, lam, n, range(r), relaxed)
     phi = tuple(tuple(sol[i][j] for i in range(r)) for j in range(n))
     eq_ok = validate_weight_family(rho, lam, phi, mode="relaxed-a'")
     if not validate_weight_family(rho, lam, phi, mode="strict-a"):
@@ -623,59 +621,24 @@ class NotCyclicError(ValueError):
     pass
 
 
-_SPAN_TOL = 1e-10  # residual of an image, per unit norm, that leaves the span unchanged
-
-
-def _span_closure(v, images):
-    """Vectors, as rows, spanning the smallest space that holds v and is
-    closed under `images`, a linear map from a stack of row vectors to
-    the stack of their images under every generator (the spin-up of v).
-
-    Level k + 1 maps the rows level k added; images of older rows add
-    nothing else, so each level grows the span or ends the search,
-    which therefore stops within as many levels as a row has entries.
-    A level is decided as one batch.  Its images, each scaled by
-    1 / max(1, |image|), are projected in two block passes off the
-    orthonormal basis of the span so far (the second restores the
-    orthogonality the first loses to cancellation).  One pivoted QR of
-    the residuals then takes the largest remaining residual first and
-    stops once every residual left is at most _SPAN_TOL: the images it
-    took are kept, and every image it left lies within _SPAN_TOL of the
-    span.  The kept residuals' orthonormal basis is projected off the
-    old basis once more and re-orthonormalized before it joins it
-    (block Gram-Schmidt with reorthogonalization), so the basis stays
-    orthonormal to rounding however small the kept residuals are.
-
-    A kept row is stored as its image scaled to unit norm, not as its
-    orthonormalized residual: the residual carries the cancellation
-    error of its projection, which images under an ill-conditioned
-    generator would lift above _SPAN_TOL.  Kept rows follow v in the
-    level's order.
-    """
-    rows = frontier = v.reshape(1, -1)
-    basis = rows.T / np.linalg.norm(v)
-    while len(frontier) and len(rows) < v.size:
-        level = images(frontier)
-        norms = np.linalg.norm(level, axis=1)
-        x = level.T / np.maximum(1.0, norms)
-        x = x - basis @ (basis.conj().T @ x)
-        x = x - basis @ (basis.conj().T @ x)
-        if np.max(np.linalg.norm(x, axis=0)) <= _SPAN_TOL:
-            break  # no residual to keep: the span is closed
-        q, rr, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-        rank = int(np.sum(np.cumprod(np.abs(np.diag(rr)) > _SPAN_TOL)))
-        new = q[:, :rank] - basis @ (basis.conj().T @ q[:, :rank])
-        basis = np.hstack([basis, np.linalg.qr(new)[0]])
-        kept = np.sort(piv[:rank])
-        frontier = level[kept] / norms[kept, None]
-        rows = np.concatenate([rows, frontier])
-    return rows
-
-
 def _module_rank(matrices, v):
-    """Dimension of the module the matrices generate from v: the span of its spin-up (:func:`_span_closure`)."""
-    mats, seed = np.asarray(matrices), np.asarray(v, dtype=np.complex128)
-    return len(_span_closure(seed, lambda u: np.swapaxes(mats @ u.T, 1, 2).reshape(-1, len(seed))))
+    """Dimension of the module the matrices generate from v.
+
+    Starts from span(v) and adds, pass by pass, the generators' images
+    of the span's orthonormal basis, each scaled by 1 / max(1, |image|);
+    the span's rank is read by the package's rank rule
+    (:func:`bundles._span_basis`), and the module is reached when it
+    stops growing.
+    """
+    mats, v = np.asarray(matrices), np.asarray(v, dtype=np.complex128)
+    u, k = _span_basis(v[:, None] / np.linalg.norm(v))
+    while k < len(v):
+        images = np.hstack(mats @ u[:, :k])
+        u, grown = _span_basis(np.hstack([u[:, :k], images / np.maximum(1.0, np.linalg.norm(images, axis=0))]))
+        if grown == k:
+            break
+        k = grown
+    return k
 
 
 @dataclass(frozen=True)
@@ -858,13 +821,6 @@ def jordan_block_count(g):
     return _jordan_blocks(g, _distinct_means(g))
 
 
-def _exponent_obstruction(counts, means):
-    """bt_obstruction from the Jordan block count and the distinct cluster means of each loop matrix."""
-    if any(count != 1 for count in counts):
-        return False, None
-    return True, complex(sum(norm_log_scalar(m[0]) for m in means))
-
-
 def bt_obstruction(rep):
     """Exponent-sum obstruction for reducible single-block monodromy.
 
@@ -874,7 +830,9 @@ def bt_obstruction(rep):
     reducible representation of this shape.
     """
     means = [_distinct_means(g) for g in rep.matrices]
-    return _exponent_obstruction([_jordan_blocks(g, m) for g, m in zip(rep.matrices, means)], means)
+    if any(_jordan_blocks(g, m) != 1 for g, m in zip(rep.matrices, means)):
+        return False, None
+    return True, complex(sum(norm_log_scalar(m[0]) for m in means))
 
 
 class Rank3Verdict(Enum):
@@ -894,15 +852,17 @@ def rank3_decide(rep, seed=0):
     """Partial decision for rank-three realizability on the trivial bundle.
 
     Realizable on certified irreducibility or when some loop matrix has
-    several Jordan blocks; NotRealizable when a reducibility witness
-    exists, every matrix is one Jordan block, and the scalar exponent
-    sums fail to be an integer; otherwise Undetermined (the remaining
+    several Jordan blocks; otherwise Undetermined (when a reducibility
+    witness exists and every matrix is one Jordan block, the remaining
     criterion needs the canonical extension's splitting type, which is
-    not computed here).
+    not computed here).  The exponent-sum obstruction of
+    :func:`bt_obstruction` never decides at rank three: on an invariant
+    line, or on the quotient of an invariant plane, the single
+    eigenvalues multiply to 1, so their exponents sum to an integer.
 
-    Each loop matrix is factored once: its clustered Schur form gives
-    both its Jordan block count and its scalar exponent.  The clusters
-    have the radius that rounding of a defective eigenvalue needs
+    Each Jordan block count is read at the cluster means of the loop
+    matrix's clustered Schur form (:func:`jordan_block_count`).  The
+    clusters have the radius that rounding of a defective eigenvalue needs
     (eigen._cluster_means), so a conjugated Jordan block counts as one block
     in any basis, and the verdict does not depend on the frame.
     """
@@ -911,8 +871,7 @@ def rank3_decide(rep, seed=0):
     enum = invariant_subspaces(rep, seed=seed)
     if enum.complete and not enum.subspaces:
         return Rank3Decision(Rank3Verdict.REALIZABLE, "irreducible")
-    means = [_distinct_means(g) for g in rep.matrices]
-    counts = [_jordan_blocks(g, m) for g, m in zip(rep.matrices, means)]
+    counts = [jordan_block_count(g) for g in rep.matrices]
     for j, cnt in enumerate(counts):
         if cnt >= 2:
             return Rank3Decision(
@@ -920,15 +879,7 @@ def rank3_decide(rep, seed=0):
                 "multiple-jordan-blocks",
                 f"loop matrix {j} splits into {cnt} blocks",
             )
-    reducible_witness = len(enum.subspaces) > 0
-    if reducible_witness and all(c == 1 for c in counts):
-        applies, mu_sum = _exponent_obstruction(counts, means)
-        if applies and _integer_defect(mu_sum) > _INTEGER_TOL:
-            return Rank3Decision(
-                Rank3Verdict.NOT_REALIZABLE,
-                "nonintegral-exponent-sum",
-                f"sum of scalar exponents {mu_sum}",
-            )
+    if enum.subspaces and all(c == 1 for c in counts):
         return Rank3Decision(
             Rank3Verdict.UNDETERMINED,
             "splitting-type-needed",

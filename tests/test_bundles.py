@@ -30,7 +30,6 @@ from logconn.bundles import (
     intersect_spans,
 )
 from logconn.eigen import spectral_split
-from logconn.synth import _SPAN_TOL
 
 from conftest import (
     conditioned,
@@ -586,8 +585,11 @@ def test_intersect_spans_matches_reference_on_the_partial_search(patterns):
     assert 0 < max(dims) and min(dims) == 0
 
 
+_ALGEBRA_SPAN_TOL = 1e-10  # residual of a word, per unit norm, that leaves the oracle's span unchanged
+
+
 def reference_algebra_span(matrices):
-    """Words spanning the algebra the matrices generate, one at a time, each kept when its residual exceeds _SPAN_TOL.
+    """Words spanning the algebra the matrices generate, one at a time, each kept when its residual exceeds _ALGEBRA_SPAN_TOL.
 
     Burnside oracle: the family is irreducible exactly when there are r^2.
     """
@@ -598,7 +600,7 @@ def reference_algebra_span(matrices):
         added = []
         for word in (w @ g for w in frontier for g in matrices):
             k = basis.shape[1]
-            basis = reference_orthonormalize(word.reshape(-1, 1), _SPAN_TOL, basis)
+            basis = reference_orthonormalize(word.reshape(-1, 1), _ALGEBRA_SPAN_TOL, basis)
             if basis.shape[1] > k:
                 added.append(word / np.linalg.norm(word))
         words = words + added

@@ -164,6 +164,21 @@ def test_verify_exit_3_names_the_defect_and_the_threshold(tmp_path, capsys, monk
     assert parse_out(out)["payload"]["product_defect"] == 4.1e-7
 
 
+@pytest.mark.parametrize("command", ["verify", "synth-commutative"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_refuses_a_value_that_would_switch_checks_off(tmp_path, capsys, command, tol):
+    # every comparison against nan is false, and none against inf or a
+    # non-positive bound decides anything: such a --tol is a usage error
+    rep = Representation([0.0, 1.0], [np.diag([2.0, 1.0]), np.diag([0.5, 1.0])])
+    rep_path = write(tmp_path, "rep.json", "representation", doc.encode_representation(rep))
+    sys_path = str(tmp_path / "sys.json")
+    assert run(["synth-commutative", rep_path, "--out", sys_path], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, {"verify": sys_path, "synth-commutative": rep_path}[command], "--tol", tol])
+    assert exc.value.code == 2
+    assert f"argument --tol: tolerance must be finite and positive, got '{tol}'" in capsys.readouterr().err
+
+
 def test_bq_frame_cli(tmp_path, capsys, rng):
     q = MatrixSeries(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
     path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})

@@ -34,10 +34,14 @@ from logconn.synth import (
     NonCommutingError,
     NotCyclicError,
     NotEigenvectorError,
+    SolverIncompleteError,
+    _column_classes,
     _module_rank,
     _integer_solve,
+    _solve_cases,
 )
 from conftest import (
+    conditioned,
     random_commuting_representation,
     random_invertible,
     random_representation,
@@ -515,6 +519,26 @@ def test_weights_fuzz_all_ranks(rng):
     assert solved > 150
 
 
+def test_strict_weights_above_rank_four_fall_back_to_the_lattice_solve(rng):
+    # rows 0, 2, 5 tie at every puncture, and so do rows 1 and 3; row 4 is
+    # unique and reduces away, which leaves five coupled rows outside the
+    # rank-four case analysis, so strict-a takes the lattice solve
+    a, b, c, d, e = (np.exp(1j * x) for x in (0.31, 1.7, 2.6, -0.8, -2.1))
+    rep = upper_triangular_representation(rng, [[a, b, a, b, c, a], [d, d, d, d, e, d]], couple=0.1)
+    rho = [[g[i, i] for i in range(6)] for g in rep.matrices]
+    lam = [-round(sum(norm_log_scalar(row[i]) for row in rho).real) for i in range(6)]
+    with pytest.raises(SolverIncompleteError, match="5 coupled rows"):
+        _solve_cases(_column_classes(rho), lam, 3, range(6))
+    strict = solve_weights_parabolic(rep, mode="strict-a")
+    assert [sum(row[i] for row in strict.phi) for i in range(6)] == lam
+    for mode in ("strict-a", "relaxed-a'"):
+        assert validate_weight_family(rho, lam, [list(x) for x in strict.phi], mode=mode)
+    assert strict.satisfies_equalities
+    relaxed = solve_weights_parabolic(rep, mode="relaxed-a'")
+    assert validate_weight_family(rho, lam, [list(x) for x in relaxed.phi], mode="relaxed-a'")
+    assert relaxed.phi == strict.phi  # the fallback is the relaxed solve
+
+
 def test_validate_weight_family_refuses_an_unknown_mode():
     rho, lam, phi = [[1, 1], [2, 2]], [1, -1], [[1, 0], [0, -1]]
     assert validate_weight_family(rho, lam, phi, mode="strict-a")
@@ -618,6 +642,23 @@ def test_module_rank_matches_the_columnwise_krylov_span(r, n, inside, spread, se
     rank = _module_rank(mats, v)
     assert rank == reference_krylov_span(list(mats), v).shape[1]
     assert rank == m
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**16), log_kappa=st.floats(0.0, 4.0))
+@example(seed=18, log_kappa=4.0)  # r = 7, two generators, v in an invariant plane: a spin-up at a fixed residual threshold counted 3
+def test_module_rank_in_frames_of_condition_number_up_to_1e4(seed, log_kappa):
+    # the family above, moved by a frame of condition number 10^log_kappa
+    rng = np.random.default_rng(seed)
+    r, n = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+    k, inside = int(rng.integers(1, r)), bool(rng.integers(2))
+    mats = rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
+    mats[:, k:, :k] = 0.0
+    s = conditioned(rng, r, 10.0**log_kappa)
+    mats = s @ mats @ np.linalg.inv(s)
+    m = k if inside else r
+    v = s @ np.concatenate([rng.normal(size=m) + 1j * rng.normal(size=m), np.zeros(r - m)])
+    assert _module_rank(mats, v) == m
 
 
 def test_double_rank_embedding(rng):
