@@ -5,7 +5,7 @@ with degree/slope/semistability, constructive Fuchsian synthesis, and
 independent verification by loop integration.
 """
 
-from .series import MatrixSeries, ShapeMismatchError, WeightDiagonal
+from .series import MatrixSeries, NumericFailure, ShapeMismatchError, WeightDiagonal
 from .eigen import (
     NonConvergenceError,
     NormalizedLog,

@@ -4,9 +4,13 @@ Every subcommand reads JSON document envelopes (path or '-' for stdin),
 writes one canonical JSON document (stdout or --out), and is
 deterministic for fixed inputs and flags.
 
-Exit status: 0 success, 2 validation error, 3 numeric failure, 4 an
-Undetermined verdict under --strict.  Errors print a single JSON object
-with a machine-readable "reason" field on stderr.
+Exit status: 0 success; 2 a usage error or any other ValueError, such
+as a malformed document (--tol, --delta and --r0 must be finite and
+positive); 3 an exception derived from logconn.series.NumericFailure
+(NonConvergenceError, SingularMatrixError, IllConditionedBlockError,
+IntegrationError, BqFrameError, SolverIncompleteError) or a verify
+defect above its threshold; 4 an Undetermined verdict under --strict.
+Errors print one JSON object with a machine-readable "reason" on stderr.
 """
 
 import argparse
@@ -20,22 +24,17 @@ import numpy as np
 from . import documents as doc
 from .bundles import Semistability, degree, semistable
 from .localforms import (
-    IllConditionedBlockError,
     LocalLogConnection,
     convergence_diagnostic,
     fundamental_check,
     gauge_residual,
     normal_form,
 )
-from .eigen import NonConvergenceError, SingularMatrixError, norm_log
-from .series import ShapeMismatchError
+from .eigen import norm_log
+from .series import NumericFailure
 from .synth import (
-    BqFrameError,
     Infeasible,
-    InconsistentRepresentationError,
-    NonCommutingError,
     Rank3Verdict,
-    SolverIncompleteError,
     SplittingType,
     bq_frame,
     commutative_fuchsian,
@@ -44,28 +43,12 @@ from .synth import (
     shift_weights,
     solve_weights_parabolic,
 )
-from .verify import IntegrationError, growth_exponent, monodromy_report
+from .verify import growth_exponent, monodromy_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_UNDETERMINED = 4
-
-_VALIDATION_ERRORS = (
-    doc.DocumentError,
-    ShapeMismatchError,
-    InconsistentRepresentationError,
-    NonCommutingError,
-    ValueError,
-)
-_NUMERIC_ERRORS = (
-    NonConvergenceError,
-    SingularMatrixError,
-    IllConditionedBlockError,
-    IntegrationError,
-    BqFrameError,
-    SolverIncompleteError,
-)
 
 
 def _read(path):
@@ -98,29 +81,22 @@ def _parse_ints(text):
 
 
 def _cmd_normlog(args):
-    envelope = doc.parse_document(_read(args.input))
+    envelope = doc.parse_document(_read(args.input), "representation", "local-connection")
     if envelope["kind"] == "representation":
         rep = doc.decode_representation(envelope["payload"])
         ks = [doc.encode_matrix(norm_log(g, args.tol).k) for g in rep.matrices]
         _emit(args, "report", {"command": "normlog", "ks": ks})
-    elif envelope["kind"] == "local-connection":
+    else:
         conn = doc.decode_connection(envelope["payload"])
         k = norm_log(conn.a.coeffs[0], args.tol).k
         _emit(args, "report", {"command": "normlog", "k": doc.encode_matrix(k)})
-    else:
-        raise doc.DocumentError("normlog expects a representation or local-connection")
     return EXIT_OK
-
-
-def _maybe_truncate(conn, order):
-    if order is None or order >= conn.a.order:
-        return conn
-    return LocalLogConnection(conn.a.truncate(order))
 
 
 def _cmd_normal_form(args):
     conn = doc.decode_connection(doc.parse_document(_read(args.input), "local-connection")["payload"])
-    conn = _maybe_truncate(conn, args.order)
+    if args.order is not None:
+        conn = LocalLogConnection(conn.a.truncate(args.order))
     nf = normal_form(conn, tol=args.tol)
     residual = gauge_residual(conn, nf)
     fs_ok = fundamental_check(nf, tol=1e-7)
@@ -273,18 +249,16 @@ def _cmd_verify(args):
 
 
 def _cmd_growth(args):
-    envelope = doc.parse_document(_read(args.input))
+    envelope = doc.parse_document(_read(args.input), "local-connection", "fuchsian-system")
     if envelope["kind"] == "local-connection":
         source = doc.decode_connection(envelope["payload"])
         center = 0.0 + 0.0j
-    elif envelope["kind"] == "fuchsian-system":
+    else:
         source = doc.decode_system(envelope["payload"])
         n = len(source.punctures)
         if not 0 <= args.puncture < n:
             raise ValueError(f"--puncture {args.puncture} is out of range: the system has {n} punctures, 0..{n - 1}")
         center = source.punctures[args.puncture]
-    else:
-        raise doc.DocumentError("growth expects a local-connection or fuchsian-system")
     vector = doc.parse_vector(args.vector, source.rank)
     radii = np.geomspace(args.r0, args.r0 * 10.0 ** (-args.decades), args.num_radii)
     est = growth_exponent(source, vector, radii, center=center)
@@ -306,14 +280,14 @@ def _cmd_growth(args):
 # parser
 
 
-def _tolerance(text):
-    """A --tol value: a finite positive float (nan, inf, 0 or below would switch comparisons off)."""
+def _finite_positive(text):
+    """A tolerance or radius: a finite positive float (nan, inf, 0 or below would switch checks off or name no radius)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
 
 
@@ -328,70 +302,55 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--tol": dict(type=_tolerance, default=1e-8, help="numeric tolerance"),
+        "--tol": dict(type=_finite_positive, default=1e-8, help="numeric tolerance"),
         "--order": dict(type=int, default=None, help="truncate input series to this order"),
         "--seed": dict(type=int, default=0, help="seed for randomized searches"),
         "--strict": dict(action="store_true", help="exit 4 on Undetermined verdicts"),
     }
 
-    def common(p, *names, inputs=("input",)):
-        """Register the input arguments, the named shared flags and --out."""
+    def common(p, run, *names, inputs=("input",)):
+        """Register the input arguments, the named shared flags, --out and the body `run`."""
         for name in inputs:
             p.add_argument(name, help="input document path, or - for stdin")
         for name in names:
             p.add_argument(name, **flags[name])
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(run=run)
         return p
 
-    common(sub.add_parser("normlog", help="normalized logarithm of a matrix or representation"), "--tol")
-    p = common(sub.add_parser("normal-form", help="gauge-fix a local logarithmic connection"), "--tol", "--order")
-    p.add_argument("--delta", type=float, default=None, help="also run the convergence diagnostic at this radius")
-    common(sub.add_parser("degree", help="degree and slope of a weighted bundle"))
-    common(sub.add_parser("semistable", help="semistability verdict of a weighted bundle"), "--seed", "--strict")
-    common(sub.add_parser("synth-commutative", help="Fuchsian system for commuting monodromy"), "--tol")
-    p = common(sub.add_parser("bq-frame", help="frame permutation and triangular gauge"), "--tol")
+    common(sub.add_parser("normlog", help="normalized logarithm of a matrix or representation"), _cmd_normlog, "--tol")
+    p = common(sub.add_parser("normal-form", help="gauge-fix a local logarithmic connection"), _cmd_normal_form, "--tol", "--order")
+    p.add_argument("--delta", type=_finite_positive, default=None, help="also run the convergence diagnostic at this radius")
+    common(sub.add_parser("degree", help="degree and slope of a weighted bundle"), _cmd_degree)
+    common(sub.add_parser("semistable", help="semistability verdict of a weighted bundle"), _cmd_semistable, "--seed", "--strict")
+    common(sub.add_parser("synth-commutative", help="Fuchsian system for commuting monodromy"), _cmd_synth_commutative, "--tol")
+    p = common(sub.add_parser("bq-frame", help="frame permutation and triangular gauge"), _cmd_bq_frame, "--tol")
     p.add_argument("--splitting", required=True, help="comma-separated non-increasing integers")
-    p = common(sub.add_parser("solve-weights", help="integer weights for upper-triangular monodromy"))
+    p = common(sub.add_parser("solve-weights", help="integer weights for upper-triangular monodromy"), _cmd_solve_weights)
     p.add_argument("--mode", choices=["strict-a", "relaxed-a'"], default="strict-a")
-    p = common(sub.add_parser("shift-weights", help="shift all weights at each puncture"))
+    p = common(sub.add_parser("shift-weights", help="shift all weights at each puncture"), _cmd_shift_weights)
     p.add_argument("--lambdas", required=True, help="comma-separated shifts, one per puncture")
-    common(sub.add_parser("embed-double", help="double-rank embedding with a cyclic eigenvector"))
-    common(sub.add_parser("decide-rank3", help="partial rank-three realizability decision"), "--seed", "--strict")
-    p = common(sub.add_parser("verify", help="integrate loops and compare monodromy"), "--tol", inputs=("system",))
+    common(sub.add_parser("embed-double", help="double-rank embedding with a cyclic eigenvector"), _cmd_embed_double)
+    common(sub.add_parser("decide-rank3", help="partial rank-three realizability decision"), _cmd_decide_rank3, "--seed", "--strict")
+    p = common(sub.add_parser("verify", help="integrate loops and compare monodromy"), _cmd_verify, "--tol", inputs=("system",))
     p.add_argument("--target", default=None, help="representation document to compare against")
-    p = common(sub.add_parser("growth", help="asymptotic growth exponent of a flat section"))
+    p = common(sub.add_parser("growth", help="asymptotic growth exponent of a flat section"), _cmd_growth)
     p.add_argument("--vector", required=True, help="JSON list of [re, im] pairs")
-    p.add_argument("--r0", type=float, default=0.5, help="largest radius")
+    p.add_argument("--r0", type=_finite_positive, default=0.5, help="largest radius")
     p.add_argument("--decades", type=float, default=3.5, help="radial span in decades")
     p.add_argument("--num-radii", type=int, default=10, help="number of radii")
     p.add_argument("--puncture", type=int, default=0, help="puncture index for system inputs")
     return parser
 
 
-_COMMANDS = {
-    "normlog": _cmd_normlog,
-    "normal-form": _cmd_normal_form,
-    "degree": _cmd_degree,
-    "semistable": _cmd_semistable,
-    "synth-commutative": _cmd_synth_commutative,
-    "bq-frame": _cmd_bq_frame,
-    "solve-weights": _cmd_solve_weights,
-    "shift-weights": _cmd_shift_weights,
-    "embed-double": _cmd_embed_double,
-    "decide-rank3": _cmd_decide_rank3,
-    "verify": _cmd_verify,
-    "growth": _cmd_growth,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except _NUMERIC_ERRORS as exc:
+        return args.run(args)
+    except NumericFailure as exc:
         return _fail(type(exc).__name__, str(exc), EXIT_NUMERIC)
-    except _VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         return _fail(type(exc).__name__, str(exc), EXIT_VALIDATION)
     except OSError as exc:
         return _fail("io-error", str(exc), EXIT_VALIDATION)

@@ -112,7 +112,8 @@ def _loads(text):
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
-def parse_document(text, expected_kind=None):
+def parse_document(text, *kinds):
+    """The envelope in `text`, refused unless its kind is one of `kinds` (any kind when none are given)."""
     doc = _loads(text)
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise DocumentError("document must be an envelope with kind and payload")
@@ -120,8 +121,8 @@ def parse_document(text, expected_kind=None):
         raise DocumentError(f"unsupported document version {doc.get('version')!r}")
     if doc["kind"] not in KINDS:
         raise DocumentError(f"unknown document kind {doc['kind']!r}")
-    if expected_kind is not None and doc["kind"] != expected_kind:
-        raise DocumentError(f"expected a {expected_kind} document, got {doc['kind']}")
+    if kinds and doc["kind"] not in kinds:
+        raise DocumentError(f"expected a {' or '.join(kinds)} document, got {doc['kind']}")
     # no input kind has a boolean field, and numpy reads one among numbers as 0 or 1;
     # the exact search runs only on texts that hold one, so clean documents pay no scan
     if doc["kind"] != "report" and ("true" in text or "false" in text) and _any_leaf(doc, lambda x: isinstance(x, bool)):

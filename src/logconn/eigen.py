@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .series import as_matrix
+from .series import NumericFailure, as_matrix
 
 __all__ = [
     "CLUSTER_TOL",
@@ -100,7 +100,7 @@ _MAX_SERIES_TERMS = 200
 _RECORDS = 8
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(NumericFailure, RuntimeError):
     def __init__(self, message, iterations=None):
         if iterations is not None:
             message = f"{message} (after {iterations} iterations)"
@@ -108,7 +108,7 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(NumericFailure, ValueError):
     pass
 
 

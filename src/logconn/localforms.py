@@ -25,7 +25,7 @@ import scipy.linalg
 # schur is unused here but stays bound as localforms.schur, a binding the
 # benchmark's tracer wraps and its tests check
 from .eigen import CLUSTER_TOL, _group_schur, cluster_expm, clustered_schur, floor_snap, schur  # noqa: F401
-from .series import MatrixSeries, ShapeMismatchError, WeightDiagonal, as_matrix
+from .series import MatrixSeries, NumericFailure, ShapeMismatchError, WeightDiagonal, as_matrix
 from .verify import circle_loop, integrate_local
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 _RESONANCE_SVAL = 1e-8  # a block operator with sigma_min <= this max(1, sigma_max) is near-resonant
 
 
-class IllConditionedBlockError(RuntimeError):
+class IllConditionedBlockError(NumericFailure, RuntimeError):
     def __init__(self, message, location):
         super().__init__(f"{message} at block {location}")
         self.location = location

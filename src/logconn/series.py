@@ -11,12 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "NumericFailure",
     "ShapeMismatchError",
     "as_matrix",
     "last_nonzero",
     "MatrixSeries",
     "WeightDiagonal",
 ]
+
+
+class NumericFailure(Exception):
+    """Marker base of the refusals where a computation, not its input, fails."""
 
 
 class ShapeMismatchError(ValueError):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import floor_snap
-from .series import as_matrix, last_nonzero
+from .series import NumericFailure, as_matrix, last_nonzero
 
 __all__ = [
     "IntegrationError",
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericFailure, RuntimeError):
     pass
 
 
@@ -720,8 +720,8 @@ def growth_exponent(source, v, radii, center=0.0 + 0.0j, angle=0.0):
     leave no slope to fit and raise ValueError.
     """
     radii = np.asarray(sorted((float(r) for r in radii), reverse=True), dtype=float)
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError("radii must be finite and positive")
     if (distinct := np.unique(radii).size) < 2:
         raise ValueError(f"the slope fit needs at least 2 distinct radii, got {distinct}")
     direction = np.exp(1j * angle)

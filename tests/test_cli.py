@@ -176,7 +176,29 @@ def test_tol_refuses_a_value_that_would_switch_checks_off(tmp_path, capsys, comm
     with pytest.raises(SystemExit) as exc:
         main([command, {"verify": sys_path, "synth-commutative": rep_path}[command], "--tol", tol])
     assert exc.value.code == 2
-    assert f"argument --tol: tolerance must be finite and positive, got '{tol}'" in capsys.readouterr().err
+    assert f"argument --tol: must be finite and positive, got '{tol}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--r0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_radius_flags_refuse_a_value_that_is_not_finite_and_positive(tmp_path, capsys, flag, value):
+    # a convergence report or a growth fit at a radius that does not exist
+    # is a usage error, as --tol is
+    payload = {"series": doc.encode_series(MatrixSeries.constant(np.array([[-1.0, 1.0], [0.0, 0.0]]), 1))}
+    path = write(tmp_path, "conn.json", "local-connection", payload)
+    argv = {"--delta": ["normal-form", path], "--r0": ["growth", path, "--vector", "[[1.0, 0.0], [0.0, 0.0]]"]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be finite and positive, got '{value}'" in capsys.readouterr().err
+
+
+def test_growth_refuses_non_finite_radii(tmp_path, capsys):
+    payload = {"series": doc.encode_series(MatrixSeries.constant(np.array([[-1.5]]), 0))}
+    path = write(tmp_path, "conn.json", "local-connection", payload)
+    code, out, err = run(["growth", path, "--vector", "[[1.0, 0.0]]", "--decades", "nan"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"message": "radii must be finite and positive", "reason": "ValueError"}
 
 
 def test_bq_frame_cli(tmp_path, capsys, rng):
@@ -246,6 +268,24 @@ def test_embed_double_cli(tmp_path, capsys, rng):
     assert len(payload["matrices"][0]) == 4
 
 
+def test_embed_double_accepts_a_loop_product_within_the_representation_bound(tmp_path, capsys):
+    # G1 G2 G3 misses I by 3e-9, inside Representation's 1e-8 max(1, |G_j|)^n
+    rng = np.random.default_rng(1)
+    r = 2
+    g1 = np.eye(r) + 0.3 * rng.standard_normal((r, r))
+    g2 = np.eye(r) + 0.3 * rng.standard_normal((r, r))
+    e12 = np.zeros((r, r))
+    e12[0, 1] = 1.0
+    g3 = np.linalg.inv(g1 @ g2) @ (np.eye(r) + 3e-9 * e12)
+    rep = Representation([0.0, 1.0, 2.0], [g1, g2, g3])
+    assert np.linalg.norm(g1 @ g2 @ g3 - np.eye(r), 2) > 1e-9
+    path = write(tmp_path, "rep.json", "representation", doc.encode_representation(rep))
+    code, out, _ = run(["embed-double", path], capsys)
+    assert code == 0
+    doubled = doc.decode_representation(doc.parse_document(out, "representation")["payload"])
+    assert doubled.rank == 2 * r
+
+
 def test_decide_rank3_cli(tmp_path, capsys, rng):
     rep = random_representation(rng, 3, 3)
     path = write(tmp_path, "rep.json", "representation", doc.encode_representation(rep))
@@ -293,6 +333,73 @@ def test_wrong_kind_exit_code(tmp_path, capsys):
     code, out, err = run(["degree", path], capsys)
     assert code == 2
     assert json.loads(err)["reason"] == "DocumentError"
+
+
+@pytest.mark.parametrize(
+    "kind, argv, accepted",
+    [
+        ("weighted-bundle", ["normlog"], "representation or local-connection"),
+        ("representation", ["growth", "--vector", "[[1.0, 0.0]]"], "local-connection or fuchsian-system"),
+    ],
+)
+def test_wrong_kind_names_every_accepted_kind(tmp_path, capsys, kind, argv, accepted):
+    code, out, err = run([*argv, write(tmp_path, "doc.json", kind, {})], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"message": f"expected a {accepted} document, got {kind}", "reason": "DocumentError"}
+
+
+def _package_exceptions():
+    """Every exception class the package defines, from each module's __all__."""
+    import importlib
+    import inspect
+
+    found = {}
+    for layer in ("series", "eigen", "localforms", "bundles", "synth", "verify", "documents"):
+        module = importlib.import_module(f"logconn.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                found[name] = obj
+    return found
+
+
+_EXCEPTIONS = _package_exceptions()
+
+# the numeric refusals exit 3; every other ValueError is a validation error
+_EXIT_3 = {
+    "NumericFailure",
+    "NonConvergenceError",
+    "SingularMatrixError",
+    "IllConditionedBlockError",
+    "IntegrationError",
+    "BqFrameError",
+    "SolverIncompleteError",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXCEPTIONS))
+def test_every_package_exception_has_one_exit_rule(tmp_path, capsys, monkeypatch, name):
+    import logconn.cli as cli
+
+    cls = _EXCEPTIONS[name]
+    exc = cls("refused for the test", 3) if name == "IllConditionedBlockError" else cls("refused for the test")
+
+    def refuse(wfb):
+        raise exc
+
+    monkeypatch.setattr(cli, "degree", refuse)
+    rep = Representation([0.0, 1.0], [np.eye(2), np.eye(2)])
+    path = write(tmp_path, "wfb.json", "weighted-bundle", doc.encode_bundle(WeightedFlatBundle(rep, (WeightedFlag.trivial(2),) * 2)))
+    if name == "Infeasible":
+        # only solve-weights turns an infeasible weight system into a verdict
+        with pytest.raises(cls):
+            main(["degree", path])
+        return
+    assert _EXIT_3 <= set(_EXCEPTIONS)
+    assert name in _EXIT_3 or issubclass(cls, ValueError), f"{name} has no exit rule"
+    code, out, err = run(["degree", path], capsys)
+    assert (code, out) == (3 if name in _EXIT_3 else 2, "")
+    assert json.loads(err) == {"message": str(exc), "reason": name}
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):
