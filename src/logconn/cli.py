@@ -260,7 +260,11 @@ def _cmd_growth(args):
             raise ValueError(f"--puncture {args.puncture} is out of range: the system has {n} punctures, 0..{n - 1}")
         center = source.punctures[args.puncture]
     vector = doc.parse_vector(args.vector, source.rank)
-    radii = np.geomspace(args.r0, args.r0 * 10.0 ** (-args.decades), args.num_radii)
+    with np.errstate(over="ignore", under="ignore"):
+        r1 = args.r0 * np.float64(10.0) ** -args.decades
+    if r1 == 0.0 or r1 == math.inf:
+        raise ValueError(f"--decades {args.decades:g} takes the radii from --r0 {args.r0:g} to {r1:g}, out of the floating-point range")
+    radii = np.geomspace(args.r0, r1, args.num_radii)
     est = growth_exponent(source, vector, radii, center=center)
     _emit(
         args,

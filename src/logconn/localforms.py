@@ -189,8 +189,11 @@ def normal_form(conn, tol=CLUSTER_TOL):
     recursion (j + A0_ii) M^j_im - M^j_im A0_mm - B^j_im = R^{j-1}_im
     blockwise, with B^j allowed nonzero only on resonant blocks
     (psi^i - j = psi^m).  The right side R^{j-1} = -A_j +
-    sum_{0<k<j} (M^k B^{j-k} - A_{j-k} M^k) is one stacked product per
-    degree.  Resonant blocks take the canonical choice: B picks up the
+    sum_{0<k<j} (M^k B^{j-k} - A_{j-k} M^k) takes one matrix product per
+    sum, [A_{j-1} ... A_1] [M^1; ...; M^{j-1}] and
+    [M^1 ... M^{j-1}] [B^{j-1}; ...; B^1]; the second is exactly zero,
+    and skipped, until a resonant correction has set some B^k.
+    Resonant blocks take the canonical choice: B picks up the
     cokernel component of the right side, M the minimum-norm solution.
     Near-resonant non-resonant blocks (smallest singular value of the
     block operator below _RESONANCE_SVAL = 1e-8 times max(1, largest)) are
@@ -237,21 +240,33 @@ def normal_form(conn, tol=CLUSTER_TOL):
     for mdx, sl in enumerate(slices):
         k[sl, sl] = -a0_arr[sl, sl] - values[mdx] * np.eye(sl.stop - sl.start)
 
-    b = np.zeros((n + 1, r, r), dtype=np.complex128)
+    eye = np.eye(r)
     m = np.zeros((n + 1, r, r), dtype=np.complex128)
-    m[0] = np.eye(r)
+    m[0] = eye
+    # [A_n ... A_0], [M^1 ... M^n] side by side and [B^n; ...; B^1]
+    # stacked: degree j reads blocks A_{j-1} ... A_1 of the first, the
+    # first j - 1 blocks of the second and the last j - 1 of the third
+    a_wide = np.concatenate(a_arr[::-1], axis=1)
+    m_wide = np.zeros((r, n * r), dtype=np.complex128)
+    b_tall = np.zeros((n * r, r), dtype=np.complex128)
+    coupled = False  # sum M^k B^{j-k} is exactly zero until some B^j is set
     warnings = []
     flags = ~_cleared(a0_arr, phi, n)
+    flagged = np.repeat(np.repeat(flags, sizes, axis=1), sizes, axis=2)
+    pairs = [[] for _ in range(n + 1)]
+    for d, i, mm in np.argwhere(flags).tolist():
+        pairs[d + 1].append((i, mm))
 
     for j in range(1, n + 1):
-        terms = m[1:j] @ b[j - 1 : 0 : -1] - a_arr[j - 1 : 0 : -1] @ m[1:j]
-        rhs = np.concatenate([-a_arr[j : j + 1], terms]).sum(axis=0)
-        flagged = np.repeat(np.repeat(flags[j - 1], sizes, axis=0), sizes, axis=1)
-        x, scale, _ = scipy.linalg.lapack.ztrsyl(j * np.eye(r) + a0_arr, a0_arr, np.where(flagged, 0.0, rhs), isgn=-1)
+        rhs = -a_arr[j] - a_wide[:, (n - j + 1) * r : n * r] @ m[1:j].reshape(-1, r)
+        if coupled:
+            rhs += m_wide[:, : (j - 1) * r] @ b_tall[(n - j + 1) * r :]
+        x, scale, _ = scipy.linalg.lapack.ztrsyl(j * eye + a0_arr, a0_arr, np.where(flagged[j - 1], 0.0, rhs), isgn=-1)
         m[j] = x / scale
         if not np.all(np.isfinite(m[j])):
             raise IllConditionedBlockError("non-finite triangular solve", ("*", "*", j))
-        for i, mm in np.argwhere(flags[j - 1]).tolist():
+        b_j = b_tall[(n - j) * r : (n - j + 1) * r]
+        for i, mm in pairs[j]:
             si, sm = slices[i], slices[mm]
             di, dm = sizes[i], sizes[mm]
             op = np.kron(np.eye(dm), j * np.eye(di) + a0_arr[si, si]) - np.kron(a0_arr[sm, sm].T, np.eye(di))
@@ -269,15 +284,17 @@ def normal_form(conn, tol=CLUSTER_TOL):
             if resonant:
                 coker = u[:, small]
                 bvec = -(coker @ (coker.conj().T @ rvec)) if coker.shape[1] else np.zeros_like(rvec)
-                b[j][si, sm] = bvec.reshape((di, dm), order="F")
-                k[si, sm] = -b[j][si, sm]
+                b_j[si, sm] = bvec.reshape((di, dm), order="F")
+                k[si, sm] = -b_j[si, sm]
                 rvec = rvec + bvec
+                coupled = True
             safe = np.where(small | (svals == 0.0), 1.0, svals)
             inv_svals = np.where(small | (svals == 0.0), 0.0, 1.0 / safe)
             xvec = vh.conj().T @ (inv_svals * (u.conj().T @ rvec))
             if not np.all(np.isfinite(xvec)):
                 raise IllConditionedBlockError("non-finite block solve", (i, mm, j))
             m[j][si, sm] = xvec.reshape((di, dm), order="F")
+        m_wide[:, (j - 1) * r : j * r] = m[j]
 
     b_series = normal_form_b_series(k, phi, n)
     return NormalForm(

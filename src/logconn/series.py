@@ -124,22 +124,26 @@ class MatrixSeries:
         return MatrixSeries(-self.coeffs)
 
     def __mul__(self, other):
-        """Truncated Cauchy product."""
+        """Truncated Cauchy product, one matrix product per degree.
+
+        Degree j is [A^0 ... A^j] [B^j; ...; B^0]: the left factor's
+        coefficients side by side and the right factor's stacked in
+        reverse, each formed once per product, of which degree j reads
+        the first and the last j + 1 blocks.  Every degree runs over all
+        its j + 1 pairs, zero coefficients included, so its rounding
+        does not depend on where a factor's nonzero coefficients end.
+        """
         if not isinstance(other, MatrixSeries):
             return NotImplemented
         if self.dim_in != other.dim_out:
             raise ShapeMismatchError(
                 f"mul: inner dims {self.dim_in} vs {other.dim_out}"
             )
-        n = min(self.order, other.order)
-        # a product with an exactly zero factor adds nothing to the sum, so
-        # each degree runs only over the coefficients up to each operand's
-        # last nonzero one (a padded polynomial such as a normal form's B)
-        da, db = last_nonzero(self.coeffs[: n + 1]), last_nonzero(other.coeffs[: n + 1])
-        out = np.zeros((n + 1, self.dim_out, other.dim_in), dtype=np.complex128)
-        for j in range(min(n, da + db) + 1):
-            lo, hi = max(0, j - db), min(j, da)
-            out[j] = np.einsum("kab,kbc->ac", self.coeffs[lo : hi + 1], other.coeffs[j - hi : j - lo + 1][::-1])
+        n, q = min(self.order, other.order), self.dim_in
+        wide, tall = np.concatenate(self.coeffs[: n + 1], axis=1), np.concatenate(other.coeffs[n::-1])
+        out = np.empty((n + 1, self.dim_out, other.dim_in), dtype=np.complex128)
+        for j in range(n + 1):
+            np.matmul(wide[:, : (j + 1) * q], tall[(n - j) * q :], out=out[j])
         return MatrixSeries(out)
 
     def z_derivative(self):

@@ -42,6 +42,7 @@ Conventions (one source of sign bugs, fixed here once):
   actually used.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -88,6 +89,10 @@ class LoopPath:
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("empty path")
+        for piece in self.pieces:
+            for x in piece[1:]:
+                if not cmath.isfinite(x):
+                    raise ValueError(f"non-finite value {x!r} in path piece {piece!r}")
         if abs(self.start - self.end) > 1e-9 * max(1.0, abs(self.start)):
             raise ValueError("path is not closed")
 

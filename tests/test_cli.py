@@ -201,6 +201,17 @@ def test_growth_refuses_non_finite_radii(tmp_path, capsys):
     assert json.loads(err) == {"message": "radii must be finite and positive", "reason": "ValueError"}
 
 
+@pytest.mark.parametrize("decades, r1", [("-400", "inf"), ("400", "0")])
+def test_growth_refuses_decades_that_leave_the_float_range(tmp_path, capsys, decades, r1):
+    # 0.5 * 10^400 overflows and 0.5 * 10^-400 underflows to zero
+    payload = {"series": doc.encode_series(MatrixSeries.constant(np.array([[-1.5]]), 0))}
+    path = write(tmp_path, "conn.json", "local-connection", payload)
+    code, out, err = run(["growth", path, "--vector", "[[1.0, 0.0]]", "--decades", decades, "--r0", "0.5"], capsys)
+    assert code == 2 and out == ""
+    message = f"--decades {decades} takes the radii from --r0 0.5 to {r1}, out of the floating-point range"
+    assert json.loads(err) == {"message": message, "reason": "ValueError"}
+
+
 def test_bq_frame_cli(tmp_path, capsys, rng):
     q = MatrixSeries(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
     path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})

@@ -532,6 +532,19 @@ def test_stacked_window_matches_the_per_block_loops(rng):
     assert len(_assert_same_normal_form(near, tol=1e-12).warnings) == 1
 
 
+def test_resonant_chains_match_the_per_block_loops_once_b_turns_nonzero(rng):
+    # classes lambda, lambda - 1, lambda - 2 set B^1 and B^2; classes
+    # lambda, lambda - 3 set B first at degree 3.  The recursion leaves
+    # out sum M^k B^{j-k} while every B^k is still zero and adds it from
+    # the next degree on; the per-block loops add it at every degree
+    chain = -np.array([0.3, 1.3, 2.3, 0.7]) + np.array([0.1, 0.1, 0.1, -0.2]) * 1j
+    late = -np.array([0.3, 3.3, 0.6]) + np.array([0.1, 0.1, -0.2]) * 1j
+    for lam, degrees in ((chain, [1, 2]), (late, [3])):
+        nf = _assert_same_normal_form(_conjugated(rng, lam, 20))
+        assert (np.flatnonzero(np.any(nf.b.coeffs != 0, axis=(1, 2)))[1:] == degrees).all()
+        assert np.min(np.abs(nf.b.coeffs[degrees]).max(axis=(1, 2))) > 1e-3
+
+
 def _bench_shaped(rng, r, order, resonant):
     """A connection drawn like the benchmark's local-normal-form inputs:
     eigenvalue i has weight i mod 2 and a fractional part of -Re lambda

@@ -1,10 +1,13 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logconn.series as series
-from logconn import MatrixSeries, SplittingType, WeightDiagonal, bq_frame
+from logconn import MatrixSeries, WeightDiagonal
 from logconn.series import ShapeMismatchError
 
 from conftest import series_allclose
@@ -82,15 +85,15 @@ def test_mul_matches_the_loop_reference(rng):
         dout, dmid, din = (int(x) for x in rng.integers(1, 5, size=3))
         a = rand_series(rng, n, dout, dmid)
         b = rand_series(rng, int(rng.integers(0, 7)), dmid, din)
-        # the einsum sums in another order: agree to a few ulps of the term sizes
+        # the product sums in another order: agree to a few ulps of the term sizes
         assert np.max(np.abs((a * b).coeffs - _mul_reference(a, b))) <= 1e-13 * (n + 1) * dmid
 
 
-def _mul_full_einsum(a, b):
-    """The Cauchy product as one einsum per degree over every coefficient pair."""
+def _mul_per_degree_blocks(a, b):
+    """The Cauchy product with degree j as one product [A^0 ... A^j] [B^j; ...; B^0],
+    both blocks built for that degree alone."""
     n = min(a.order, b.order)
-    out = np.array([np.einsum("kab,kbc->ac", a.coeffs[: j + 1], b.coeffs[j::-1]) for j in range(n + 1)])
-    return MatrixSeries(out)
+    return np.array([np.hstack(a.coeffs[: j + 1]) @ np.vstack(b.coeffs[j::-1]) for j in range(n + 1)])
 
 
 def _zero_tail(rng, order, shape, tail):
@@ -106,31 +109,68 @@ def _zero_tail(rng, order, shape, tail):
     dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
     tails=st.tuples(st.integers(0, 10), st.integers(0, 10)),
 )
-def test_mul_skips_zero_tails_bit_for_bit(seed, orders, dims, tails):
-    # summing each degree only up to each operand's last nonzero
-    # coefficient drops exactly zero products, which leave the sum's bits
-    # unchanged; a tail index past the order keeps every coefficient
+def test_mul_is_one_matrix_product_per_degree_bit_for_bit(seed, orders, dims, tails):
+    # every degree runs over all its coefficient pairs, exact zeros
+    # included, so its bits are those of its own two blocks wherever the
+    # operands' nonzero coefficients end; a tail index past the order
+    # keeps every coefficient
     rng = np.random.default_rng(seed)
     p, q, s = dims
     a = MatrixSeries(_zero_tail(rng, orders[0], (p, q), tails[0]))
     b = MatrixSeries(_zero_tail(rng, orders[1], (q, s), tails[1]))
-    out, ref = a * b, _mul_full_einsum(a, b)
+    out = a * b
     assert out.order == min(orders)
-    assert np.array_equal(out.coeffs.view(np.int64), ref.coeffs.view(np.int64))
+    assert np.array_equal(out.coeffs.view(np.int64), _mul_per_degree_blocks(a, b).view(np.int64))
     assert series.last_nonzero(a.coeffs) == min(tails[0], orders[0] + 1) - 1
 
 
-def test_bq_frame_residual_is_unchanged_by_the_zero_tail_product(rng, monkeypatch):
-    # bq_frame multiplies its gauge b, padded with zeros to the frame's
-    # order, by the frame series
-    cases = [(SplittingType(c), order) for c in ((2, 1, 0), (3, 1, 0, 0), (4, 2, 1)) for order in (4, 8)]
-    frames = []
-    for c, order in cases:
-        q = MatrixSeries(rng.normal(size=(order + 1, c.rank, c.rank)) + 1j * rng.normal(size=(order + 1, c.rank, c.rank)))
-        frames.append((c, q, bq_frame(c, q)))
-    monkeypatch.setattr(MatrixSeries, "__mul__", _mul_full_einsum)
-    for c, q, frame in frames:
-        ref = bq_frame(c, q)
-        assert frame.perm == ref.perm
-        assert np.array_equal(frame.b.coeffs.view(np.int64), ref.b.coeffs.view(np.int64))
-        assert np.float64(frame.residual).view(np.int64) == np.float64(ref.residual).view(np.int64)
+def _exact_parts(coeffs):
+    """Real and imaginary parts of a coefficient stack as exact rationals."""
+    return [[[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in c] for c in coeffs.tolist()]
+
+
+def _operand(rng, order, shape, spread, zero):
+    if zero:
+        return MatrixSeries(np.zeros((order + 1,) + shape, dtype=np.complex128))
+    scale = 2.0 ** rng.integers(-spread, spread + 1, size=(2, order + 1) + shape)
+    return MatrixSeries(scale[0] * rng.normal(size=(order + 1,) + shape) + 1j * scale[1] * rng.normal(size=(order + 1,) + shape))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    orders=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    spread=st.integers(0, 30),
+    zeros=st.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
+)
+@example(seed=1, orders=(6, 4), dims=(3, 1, 2), spread=10, zeros=(False, False))
+@example(seed=2, orders=(2, 5), dims=(1, 1, 1), spread=0, zeros=(True, False))
+@example(seed=3, orders=(5, 5), dims=(2, 3, 2), spread=0, zeros=(True, True))
+def test_mul_is_within_the_inner_product_bound_of_the_exact_product(seed, orders, dims, spread, zeros):
+    # Entry (a, c) of degree j is an inner product of K = (j + 1) q complex
+    # terms, so its real part is one of 2K real terms, sum ar br - ai bi
+    # over the pairs, and its imaginary part one of sum ar bi + ai br.  In
+    # any summation order, with or without fused multiply-adds, each real
+    # term meets at most 2K roundings, so each part is within
+    # gamma_2K = 2K u / (1 - 2K u) of the sum of its terms' moduli
+    # (Higham, Accuracy and Stability, 2nd ed., section 3.1).  The exact
+    # parts and the bound are rationals; an all-zero operand gives an
+    # exactly zero product
+    rng = np.random.default_rng(seed)
+    p, q, s = dims
+    a = _operand(rng, orders[0], (p, q), spread, zeros[0])
+    b = _operand(rng, orders[1], (q, s), spread, zeros[1])
+    out = a * b
+    n = min(orders)
+    assert out.order == n
+    xa, xb, got = _exact_parts(a.coeffs[: n + 1]), _exact_parts(b.coeffs[: n + 1]), _exact_parts(out.coeffs)
+    u = Fraction(1, 2**53)
+    for j in range(n + 1):
+        gamma = 2 * (j + 1) * q * u / (1 - 2 * (j + 1) * q * u)
+        for i, k in itertools.product(range(p), range(s)):
+            terms = [(xa[t][i][m], xb[j - t][m][k]) for t in range(j + 1) for m in range(q)]
+            real = sum(ar * br - ai * bi for (ar, ai), (br, bi) in terms)
+            imag = sum(ar * bi + ai * br for (ar, ai), (br, bi) in terms)
+            assert abs(got[j][i][k][0] - real) <= gamma * sum(abs(ar * br) + abs(ai * bi) for (ar, ai), (br, bi) in terms)
+            assert abs(got[j][i][k][1] - imag) <= gamma * sum(abs(ar * bi) + abs(ai * br) for (ar, ai), (br, bi) in terms)

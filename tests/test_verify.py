@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -576,6 +577,22 @@ def test_path_into_a_singular_point_raises():
         verify._transport(verify._local_expansion(series, 0.0), [[("line", 0.5, 0.0)]], np.eye(1))
     with pytest.raises(IntegrationError):  # a path of no length that sits on the singular point
         integrate_local(series, LoopPath((("line", 0j, 0j),)))
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        (("line", 0.1, math.nan), ("line", math.nan, 0.1)),
+        (("arc", complex(math.nan, 1.0), 0.5, 0.0, 2.0 * math.pi),),
+        (("arc", 0.0, 0.5, 0.0, math.inf),),
+    ],
+)
+def test_loop_path_refuses_a_non_finite_point(pieces):
+    # a nan point passes the closedness test (abs(nan) > x is False), and
+    # the transport's term count then never ends
+    bad = next(x for piece in pieces for x in piece[1:] if not np.isfinite(x))
+    with pytest.raises(ValueError, match=re.escape(f"non-finite value {bad!r} in path piece {pieces[0]!r}")):
+        integrate_local(MatrixSeries.constant([[-1.5]], 0), LoopPath(pieces))
 
 
 def test_choose_basepoint_matches_loop_reference():
