@@ -328,8 +328,8 @@ def fundamental_check(nf, tol=1e-7, conn=None, radius=0.5):
     Transports a frame along d + B dz/z around an anticlockwise circle
     and compares it with Y0 exp(2 pi i K), Y0 = z0^Phi z0^K being the
     fundamental frame at the start point, to relative threshold `tol`.
-    The transport (:func:`logconn.verify.integrate_local`) steps at most
-    0.4 radius along the circle and sums each step's Taylor series until
+    The transport (:func:`logconn.verify.integrate_local`) cuts the
+    circle into 13 equal steps and sums each step's Taylor series until
     its Cauchy majorant's tail is below roundoff, so it adds only
     rounding error to the comparison.  When the original
     connection is supplied, the check runs against it instead, with the

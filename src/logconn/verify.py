@@ -4,13 +4,16 @@ Flat sections of d + A(z) dz/z (local) or d + sum B_j/(z - a_j) dz
 (global) are transported along explicit paths by Taylor-series analytic
 continuation (van der Hoeven, "Fast evaluation of holonomic functions",
 TCS 1999; Mezzarobba, "Truncation bounds for differentially finite
-series", 2019).  Each step moves at most 0.4 rho along the path, rho
-being the distance to the nearest singular point.  The steps of a batch
-of paths are fixed from their geometry first and concatenated; each
-step is expanded at its chord midpoint, and the Taylor terms of all
-their propagators then come from one fixed-length recurrence over
-geometric accumulators that carry each step's ratios h/(z_m - a_j), so
-for a Fuchsian system every term is one matrix product over all steps.
+series", 2019).  A step moves at most 0.4 rho along the path, rho being
+the distance from its start to the nearest singular point, and an arc
+about a singular point is cut into equal steps, so that every step's
+half chord is at most 0.25 of its midpoint's distance to the singular
+set.  The steps of a batch of paths are fixed from their geometry first
+and concatenated; each step is expanded at its chord midpoint, and the
+Taylor terms of all their propagators then come from one fixed-length
+recurrence over geometric accumulators that carry each step's ratios
+h/(z_m - a_j), so for a Fuchsian system every term is one matrix
+product over all steps.
 The odd and the even terms are summed as they arrive by two compensated
 sums, which give both ends of a step, Y(+-h) = I + Even +- Odd; every
 path then applies its steps in order as y + e_s y with
@@ -109,8 +112,7 @@ class LoopPath:
 
     def clearance(self, points):
         """Minimum distance from the path to any of the given points."""
-        points = np.asarray(points, dtype=np.complex128)
-        return min(float(np.min(_piece_distance(piece, points), initial=math.inf)) for piece in self.pieces)
+        return float(np.min(_piece_distances(self.pieces, points), initial=math.inf))
 
 
 def _reversed_piece(piece):
@@ -178,17 +180,27 @@ def _segment_distance(z0, z1, points):
     return np.hypot(w.real, w.imag)
 
 
-def _piece_distance(piece, points):
-    """Distance from each point to a path piece, in closed form.  On an arc about c the
-    circle's nearest point to a lies on the ray through a, at ||a - c| - r|; off the
-    sweep the distance grows with the angle from that ray, so the nearer end is nearest."""
-    if piece[0] == "line":
-        return _segment_distance(piece[1], piece[2], points)
-    _, c, r, t0, t1 = piece
-    lo, sweep = min(t0, t1), abs(t1 - t0)
-    inside = np.mod(np.angle(points - c) - lo, 2.0 * np.pi) <= sweep  # all points for a full circle
-    ends = np.minimum(np.abs(c + r * np.exp(1j * t0) - points), np.abs(c + r * np.exp(1j * t1) - points))
-    return np.where(inside, np.abs(np.abs(points - c) - r), ends)
+def _piece_distances(pieces, points):
+    """Distance from each point to each path piece, in closed form, shape (pieces, points).
+    All segments go through one :func:`_segment_distance` broadcast and all arcs through
+    one array expression.  On an arc about c the circle's nearest point to a lies on the
+    ray through a, at ||a - c| - r|; off the sweep the distance grows with the angle from
+    that ray, so the nearer end is nearest."""
+    points = np.asarray(points, dtype=np.complex128)
+    out = np.empty((len(pieces), len(points)))
+    lines = [i for i, piece in enumerate(pieces) if piece[0] == "line"]
+    arcs = [i for i, piece in enumerate(pieces) if piece[0] != "line"]
+    if lines:
+        z0, z1 = np.array([pieces[i][1:] for i in lines], dtype=np.complex128).T[:, :, None]
+        out[lines] = _segment_distance(z0, z1, points)
+    if arcs:
+        c, r, t0, t1 = np.array([pieces[i][1:] for i in arcs], dtype=np.complex128).T[:, :, None]
+        r, t0, t1 = r.real, t0.real, t1.real
+        lo, sweep = np.minimum(t0, t1), np.abs(t1 - t0)
+        inside = np.mod(np.angle(points - c) - lo, 2.0 * np.pi) <= sweep  # all points for a full circle
+        ends = np.minimum(np.abs(c + r * np.exp(1j * t0) - points), np.abs(c + r * np.exp(1j * t1) - points))
+        out[arcs] = np.where(inside, np.abs(np.abs(points - c) - r), ends)
+    return out
 
 
 def _connector_clearance(punctures, basepoint):
@@ -250,7 +262,9 @@ def standard_loops(punctures, basepoint=None):
 # --------------------------------------------------------------------------
 # Taylor-series transport
 
-_STEP = 0.4  # arc length of one step, as a fraction of the clearance rho
+_RATIO = 0.25  # largest half-chord ratio |h|/rho at a step's midpoint
+_STEP = 2.0 * _RATIO / (1.0 + _RATIO)  # 0.4: a step's length as a fraction of rho at its start
+_ARC = 2.0 * math.atan(_RATIO)  # the widest equal step of an arc about a singular point
 _ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -286,12 +300,26 @@ def _term_count(beta, t):
 def _schedule(singular, pieces):
     """Steps (z_s, z_{s+1}) of one path; see :func:`_transport`.
 
-    `singular` holds Python complex numbers, so the walk takes each rho
-    in scalar arithmetic, with no array reduction per step.
+    An arc of radius R > 0 about a singular point c, whose other
+    singular points lie at least R (1 + cos(phi/2)) from c,
+    phi = 2 atan(0.25), is cut in closed form into N = ceil(sweep/phi)
+    equal steps, the points of :func:`_piece_point` at t = k/N.  Every
+    other piece is walked: each step goes 0.4 rho along the piece, rho
+    being the distance from its start to the nearest singular point, or
+    to the end of the piece when that is nearer.  `singular` holds
+    Python complex numbers, so the walk takes each rho in scalar
+    arithmetic, with no array reduction per step.
     """
     steps = []
     for piece in pieces:
         point, length = _piece_point(piece)
+        if piece[0] == "arc" and piece[1] in singular and piece[2] > 0.0:
+            _, c, radius, t0, t1 = piece
+            if all(abs(a - c) >= radius * (1.0 + math.cos(_ARC / 2.0)) for a in singular if a != c):
+                count = max(1, math.ceil(abs(t1 - t0) / _ARC))
+                z = point(np.arange(count + 1) / count).tolist()
+                steps += zip(z[:-1], z[1:])
+                continue
         t, z = 0.0, complex(point(0.0))
         while t < 1.0:
             rho = min(abs(a - z) for a in singular)
@@ -335,41 +363,69 @@ def _centred_sums(expansion, z0, z1, r):
     rho = np.abs(zm[:, None] - singular).min(axis=1)
     beta, sigma, product = expand(zm, h, rho)
     ratio = np.abs(h) / rho
-    count = _term_count(float(np.max(beta)), float(np.max(ratio)))
+    largest = float(np.max(ratio))
+    if not largest < 1.0:  # nan too
+        raise IntegrationError(f"a step's half-chord ratio {largest:g} to its nearest singular point is not below 1")
+    count = _term_count(float(np.max(beta)), largest)
     steps, n = sigma.shape
     sigma = np.broadcast_to(sigma.T[:, None, :, None], (n, r, steps, r)).copy()
     acc = sigma * np.eye(r)[:, None, :]
-    # Psi_{k+1} goes to sums[k % 2]: the odd terms to sums[0], the even ones to sums[1]
-    sums = [np.zeros((r, steps, r), dtype=np.complex128) for _ in range(2)]
-    carries = [np.zeros_like(sums[0]) for _ in range(2)]
-    spare = np.empty_like(sums[0])
+    # Psi_{k+1} goes to terms[k % 2]: the odd terms to slot 0, the even ones to slot 1;
+    # the pair is added to the sums in slots 0 and 1 of total after every second term
+    terms, total, carry = np.zeros((3, 2, r, steps, r), dtype=np.complex128)
     for k in range(count - 1):
-        term = product(acc, k)
+        term = terms[k % 2]
+        product(acc, k, term)
         np.subtract(term, acc, out=acc)
         acc *= sigma
-        total, carry = sums[k % 2], carries[k % 2]
-        term -= carry
-        np.add(total, term, out=spare)
-        np.subtract(spare, total, out=carry)
-        carry -= term
-        sums[k % 2], spare = spare, total
-    odd, even = (x.transpose(1, 0, 2) for x in sums)
+        if k % 2 or k == count - 2:
+            m = k % 2 + 1  # a lone odd term comes last when count - 1 is odd
+            y, s, c = terms[:m], total[:m], carry[:m]
+            y -= c
+            np.add(s, y, out=c)  # the new sum t = s + y, in the carry's place
+            np.subtract(c, s, out=s)
+            s -= y  # the new carry (t - s) - y, in the sum's place
+            if m == 2:
+                total, carry = carry, total
+            else:
+                total[0], carry[0] = carry[0], total[0].copy()
+    odd, even = total.transpose(0, 2, 1, 3)
     return beta, ratio, count, even, odd
 
 
 def _transport(expansion, paths, y):
     """Continue the flat frame y analytically along each of the paths.
 
-    Schedule.  A step from z_s goes at most 0.4 rho_s along its piece,
-    rho_s being the distance from z_s to the nearest singular point, so
-    its chord 2h = z_{s+1} - z_s has |2h| <= 0.4 rho_s.  The steps of
-    every path depend only on its geometry; they are fixed first
-    (:func:`_schedule`) and concatenated, so one recurrence serves every
-    step of every path.  Each step is expanded at its chord midpoint
-    z_m = z_s + h.  As |z_m - z_s| <= 0.2 rho_s, the midpoint's distance
-    rho to the singular set is at least 0.8 rho_s, and the ratio
-    t' = |h|/rho at which both ends are evaluated is at most
-    0.2/0.8 = 0.25, against t = |2h|/rho_s <= 0.4 from the start point.
+    Schedule.  The steps of every path depend only on its geometry;
+    they are fixed first (:func:`_schedule`) and concatenated, so one
+    recurrence serves every step of every path.  Each step is expanded
+    at its chord midpoint z_m = z_s + h, and both ends are evaluated at
+    the ratio t' = |h|/rho, rho being the distance from z_m to the
+    nearest singular point.  Every step has t' <= 0.25 (`_RATIO`):
+
+    * A walked step from z_s goes at most 0.4 rho_s along its piece,
+      rho_s being the distance from z_s to the nearest singular point,
+      so its chord 2h = z_{s+1} - z_s has |2h| <= 0.4 rho_s.  As
+      |z_m - z_s| <= 0.2 rho_s, rho >= 0.8 rho_s and t' <= 0.2/0.8,
+      which a step aimed straight at a singular point reaches
+      (0.4 = 2 t'/(1 + t')); from the start point the ratio would be
+      t = |2h|/rho_s <= 0.4.
+    * The term count is shared and taken at the largest t' (see below),
+      which the connectors reach, so a step summed below it pays for
+      terms it does not need: a walked circle about its puncture sits at
+      t' = tan 0.2 = 0.203.  An arc of radius R about a singular point
+      c whose other singular points lie at least R (1 + cos(phi/2))
+      from c, phi = 2 atan 0.25, is therefore cut into
+      N = ceil(sweep/phi) equal steps of angle delta = sweep/N <= phi.
+      A chord has |h| = R sin(delta/2) and its midpoint lies
+      R cos(delta/2) from c, so t' to c is tan(delta/2) <= 0.25; any
+      other singular point lies at least
+      R (1 + cos(phi/2)) - R cos(delta/2) >= R cos(phi/2) from z_m, so
+      t' to it is at most sin(delta/2)/cos(phi/2) <= 0.25 too.  A full
+      circle takes 13 steps at t' <= tan(pi/13) = 0.2465 where the walk
+      took 16.  The circle of every standard loop qualifies (the other
+      punctures lie at least twice its radius away), and so does the
+      circle about the one singular point of a local system.
 
     Recurrence.  ``expand(z_m, h, rho)`` takes the S midpoints, half
     chords and radii and returns ``(beta, sigma, product)``; sigma has
@@ -387,9 +443,9 @@ def _transport(expansion, paths, y):
         U_{j,0} = sigma_j I,   U_{j,k+1} = sigma_j (Psi_{k+1} - U_{j,k}),
 
     van der Hoeven's fixed-length recurrence for holonomic functions.
-    ``product(u, k)`` returns Psi_{k+1}, shape (r, S, r), from the
-    accumulators u of shape (n, r, S, r).  When the P_{j,i} do not
-    depend on the step (a Fuchsian system) that is one 2-D product of
+    ``product(u, k, out)`` writes Psi_{k+1}, shape (r, S, r), into out
+    from the accumulators u of shape (n, r, S, r).  When the P_{j,i} do
+    not depend on the step (a Fuchsian system) that is one 2-D product of
     shape (r, n r) @ (n r, S r) per term.  The accumulators are
     updated in place.  At w = -h the term Psi_k changes sign with k, so
     Y(h) = I + Even + Odd and Y(-h) = I + Even - Odd from the sums of
@@ -408,13 +464,18 @@ def _transport(expansion, paths, y):
     no step controller and no tolerance.
 
     Summation.  Even and Odd are summed as the terms arrive, each with
-    a compensated (Kahan) sum into a preallocated buffer, so no term is
-    stored.  A computed sum differs from the exact sum of the computed
-    terms by at most (2u + O(K u^2)) sum_k |Psi_{s,k}| componentwise
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    section 4.3), whatever the order of the terms, where a plain sum
-    from the largest term would lose up to (K - 1) u.  The majorant
-    bounds sum_k norm(Psi_{s,k}) by (1 - t')^-beta.
+    a compensated (Kahan) sum, so no term is stored: Psi_{k+1} goes to
+    slot k mod 2 of a (2, r, S, r) buffer, and after every second term
+    (and after the last) one compensated update adds the (odd, even)
+    pair to the two sums, stacked likewise.  Each sum follows the
+    compensated recurrence term by term, as two separate sums would,
+    with half the array passes.  A computed sum differs from the exact
+    sum of the computed terms by at most
+    (2u + O(K u^2)) sum_k |Psi_{s,k}| componentwise (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, section 4.3), whatever
+    the order of the terms, where a plain sum from the largest term
+    would lose up to (K - 1) u.  The majorant bounds
+    sum_k norm(Psi_{s,k}) by (1 - t')^-beta.
 
     Solve.  The step propagator is
     Y(h) Y(-h)^-1 = I + e_s with e_s = 2 Odd Y(-h)^-1, taken by one
@@ -478,7 +539,7 @@ def _fuchsian_expansion(system):
 
     def expand(zm, h, rho):
         diff = zm[:, None] - punctures
-        product = lambda u, k: (lhs / (k + 1) @ u.reshape(n * r, -1)).reshape(r, len(zm), r)
+        product = lambda u, k, out: np.matmul(lhs / (k + 1), u.reshape(n * r, -1), out=out.reshape(r, -1))
         return (rho[:, None] / np.abs(diff)) @ norms, h[:, None] / diff, product
 
     return punctures, expand
@@ -518,14 +579,12 @@ def _local_expansion(a_series, center):
         # the slots from (-k) % d1 hold U_k, ..., U_{k-d} in order
         ring = np.zeros((len(s0), 2 * d1, r, r), dtype=np.complex128)
 
-        def product(u, k):
+        def product(u, k, out):
             p, m = -k % d1, min(k, d1 - 1) + 1
             ring[:, p] = ring[:, p + d1] = u[0].transpose(1, 0, 2)
             window = ring[:, p : p + m].reshape(len(s0), m * r, r)
-            psi = np.empty((r, len(s0), r), dtype=np.complex128)
-            np.matmul(lhs[:, :, : m * r], window, out=psi.transpose(1, 0, 2))
-            psi.view(np.float64)[...] /= k + 1  # as reals: a complex divisor costs a complex division
-            return psi
+            np.matmul(lhs[:, :, : m * r], window, out=out.transpose(1, 0, 2))
+            out.view(np.float64)[...] /= k + 1  # as reals: a complex divisor costs a complex division
 
         return beta, (h / s0)[:, None], product
 
@@ -563,9 +622,11 @@ def integrate_fuchsian(system, loops):
     if not batch:
         raise ValueError("no loops to integrate")
     expansion = _fuchsian_expansion(system)
-    for i, loop in enumerate(batch):
-        if loop.clearance(expansion[0]) < 1e-6:
-            raise IntegrationError(f"loop {i} passes within 1e-6 of a puncture")
+    distances = _piece_distances([piece for loop in batch for piece in loop.pieces], expansion[0])
+    starts = np.cumsum([0] + [len(loop.pieces) for loop in batch[:-1]])
+    near = np.flatnonzero(np.minimum.reduceat(distances.min(axis=1, initial=math.inf), starts) < 1e-6)
+    if near.size:
+        raise IntegrationError(f"loop {near[0]} passes within 1e-6 of a puncture")
     tails = [_tail(loop.pieces) for loop in batch]
     bodies = [loop.pieces[len(c) : len(loop.pieces) - len(c)] for c, loop in zip(tails, batch)]
     tailed = [j for j, c in enumerate(tails) if c]

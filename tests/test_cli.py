@@ -212,6 +212,17 @@ def test_growth_refuses_decades_that_leave_the_float_range(tmp_path, capsys, dec
     assert json.loads(err) == {"message": message, "reason": "ValueError"}
 
 
+def test_growth_refuses_a_step_ratio_of_one(tmp_path, capsys):
+    # at radii up to 5e299 the end of a radial step rounds onto the singular
+    # point, so the step's half chord equals its midpoint's distance
+    payload = {"series": doc.encode_series(MatrixSeries.constant(np.array([[-1.5]]), 0))}
+    path = write(tmp_path, "conn.json", "local-connection", payload)
+    code, out, err = run(["growth", path, "--vector", "[[1.0, 0.0]]", "--decades", "-300", "--r0", "0.5"], capsys)
+    assert code == 3 and out == ""
+    message = "a step's half-chord ratio 1 to its nearest singular point is not below 1"
+    assert json.loads(err) == {"message": message, "reason": "IntegrationError"}
+
+
 def test_bq_frame_cli(tmp_path, capsys, rng):
     q = MatrixSeries(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
     path = write(tmp_path, "q.json", "local-connection", {"series": doc.encode_series(q)})

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -692,10 +694,10 @@ def test_piece_distances_match_dense_sampling():
         t0 = rng.uniform(-2 * np.pi, 2 * np.pi)
         sweep = rng.uniform(0.1, 2 * np.pi) * rng.choice([-1, 1])  # clockwise arcs as reversed loops have
         arc = ("arc", complex(rng.normal()), float(rng.uniform(0.2, 2.0)), t0, t0 + sweep)
-        for piece in (("line", z0, z1), ("line", z0, z0), arc):
+        pieces = (("line", z0, z1), ("line", z0, z0), arc)
+        for piece, exact in zip(pieces, verify._piece_distances(pieces, points)):
             point, length = verify._piece_point(piece)
             dense = np.abs(point(ts)[:, None] - points).min(axis=0)
-            exact = verify._piece_distance(piece, points)
             # the samples lie on the piece, one within length / 4e4 of its nearest point
             assert np.all(exact <= dense + 1e-12)
             assert np.all(dense - exact <= length / 4e4 + 1e-12)
@@ -880,3 +882,171 @@ def test_monodromy_report_obeys_liouville_and_telescopes(shape, seed, large, dat
         assert defect <= r * np.linalg.cond(g, 2) * d
     norms = np.prod([np.linalg.norm(g, 2) for g in report.loop_matrices])
     assert report.product_defect <= sum(delta) * norms
+
+
+# --------------------------------------------------------------------------
+# clearance, schedule and compensated sums
+
+
+def reference_piece_distance(piece, points):
+    """The per-piece closed form: a segment by projection, an arc by the ray through each point."""
+    if piece[0] == "line":
+        return verify._segment_distance(piece[1], piece[2], points)
+    _, c, r, t0, t1 = piece
+    lo, sweep = min(t0, t1), abs(t1 - t0)
+    inside = np.mod(np.angle(points - c) - lo, 2.0 * np.pi) <= sweep
+    ends = np.minimum(np.abs(c + r * np.exp(1j * t0) - points), np.abs(c + r * np.exp(1j * t1) - points))
+    return np.where(inside, np.abs(np.abs(points - c) - r), ends)
+
+
+def test_batched_piece_distances_equal_the_per_piece_formula():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(20):
+            punctures = sorted_punctures(rng, n)
+            loops = standard_loops(punctures)[0]
+            t0 = rng.uniform(-2 * np.pi, 2 * np.pi)
+            arc = ("arc", complex(rng.normal()), float(rng.uniform(0.2, 2.0)), t0, t0 + rng.uniform(-7.0, 7.0))
+            loops += [lp.reversed() for lp in loops] + [LoopPath((arc, ("line", *verify._piece_point(arc)[0](np.array([1.0, 0.0])))))]
+            pieces = [piece for lp in loops for piece in lp.pieces]
+            points = np.concatenate([punctures, 2.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))])
+            want = np.array([reference_piece_distance(piece, points) for piece in pieces])
+            assert np.array_equal(verify._piece_distances(pieces, points), want)
+            for lp in loops:
+                assert lp.clearance(points) == min(float(np.min(reference_piece_distance(p, points))) for p in lp.pieces)
+
+
+def test_a_step_ratio_not_below_one_is_refused_with_its_value():
+    expansion = verify._local_expansion(MatrixSeries.constant(np.array([[-1.5]]), 0), 0.0)
+    for z0, z1, ratio in ((0.0, 1.0, "1"), (-0.1, 0.3, "2")):  # from the singular point, and across it
+        with pytest.raises(IntegrationError, match=f"half-chord ratio {ratio} to its nearest singular point is not below 1"):
+            verify._centred_sums(expansion, np.array([z0 + 0j]), np.array([z1 + 0j]), 1)
+
+
+def _centred_ratios(singular, pieces):
+    """|h|/rho of every scheduled step, rho its midpoint's distance to the singular set, and the rounding
+    allowance 8 u max|z| / rho of the step points (as in `_assert_centred_steps`)."""
+    z0, z1 = np.array(verify._schedule([complex(a) for a in singular], pieces)).T
+    zm, h = (z0 + z1) / 2.0, (z1 - z0) / 2.0
+    rho = np.abs(zm[:, None] - np.asarray(singular)).min(axis=1)
+    scale = np.max(np.abs(np.concatenate([z0, z1, singular])))
+    return np.abs(h) / rho, 8.0 * np.finfo(float).eps / 2.0 * scale / rho
+
+
+def _walk(singular, piece):
+    """Steps of the walk rule: 0.4 rho from each start, or to the end of the piece."""
+    point, length = verify._piece_point(piece)
+    steps, t, z = [], 0.0, complex(point(0.0))
+    while t < 1.0:
+        rho = min(abs(a - z) for a in singular)
+        t_next = 1.0 if (1.0 - t) * length <= 0.4 * rho else t + 0.4 * rho / length
+        steps.append((z, complex(point(t_next))))
+        t, z = t_next, steps[-1][1]
+    return steps
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
+def test_every_scheduled_step_has_centred_ratio_at_most_a_quarter(n, seed, data):
+    punctures = sorted_punctures(np.random.default_rng(seed), n)
+    loops = standard_loops(punctures)[0]
+    near = float(np.min(np.abs(punctures[1:] - punctures[0]), initial=2.0))
+    radius = near * data.draw(st.floats(0.05, 0.95))
+    direction = np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
+    radial = ("line", punctures[0] + radius * direction, punctures[0] + radius * 10.0 ** -data.draw(st.floats(0.0, 6.0)) * direction)
+    paths = [lp.pieces for lp in loops + [lp.reversed() for lp in loops]]
+    paths += [circle_loop(punctures[0], radius).pieces, circle_loop(punctures[0], radius).reversed().pieces, [radial]]
+    for pieces in paths:
+        ratio, allowance = _centred_ratios(punctures, pieces)
+        assert np.all(ratio <= verify._RATIO + allowance)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**16), share=st.floats(0.01, 0.5), angle=st.floats(-np.pi, np.pi))
+def test_a_circle_clear_of_its_neighbours_takes_13_equal_steps(n, seed, share, angle):
+    punctures = sorted_punctures(np.random.default_rng(seed), n)
+    near = float(np.min(np.abs(punctures[1:] - punctures[0]), initial=2.0))
+    circle = circle_loop(punctures[0], share * near, angle)  # neighbours at least 2R away
+    for loop in (circle, circle.reversed()):
+        steps = verify._schedule([complex(a) for a in punctures], loop.pieces)
+        assert len(steps) == 13
+        assert steps[0][0] == loop.start and steps[-1][1] == loop.end
+        assert all(a[1] == b[0] for a, b in zip(steps, steps[1:]))
+        # each point rounds at u max|z|
+        chords, tol = np.abs(np.diff(np.array(steps), axis=1)), 8.0 * np.finfo(float).eps * (abs(punctures[0]) + share * near)
+        assert np.ptp(chords) <= tol
+        assert abs(chords[0, 0] - 2.0 * share * near * np.sin(np.pi / 13)) <= tol
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(gap=st.floats(1.05, 1.96), sweep=st.floats(-2.0 * np.pi, 2.0 * np.pi), angle=st.floats(-np.pi, np.pi))
+def test_an_arc_with_a_closer_neighbour_keeps_the_walk(gap, sweep, angle):
+    # a second singular point inside R (1 + cos(phi/2)) = 1.970 R of the centre
+    singular = [0.5 + 0.25j, 0.5 + 0.25j + gap * np.exp(1j * angle)]
+    off_centre = singular[0] - 0.1 * np.exp(1j * angle)  # an arc about a regular point is walked too
+    for piece in (("arc", singular[0], 1.0, angle, angle + sweep), ("arc", off_centre, 1.0, angle, angle + sweep)):
+        assert verify._schedule(singular, [piece]) == _walk(singular, piece)
+    far = [singular[0], singular[0] + 2.0 * np.exp(1j * angle)]
+    arc = ("arc", far[0], 1.0, angle, angle + sweep)
+    assert len(verify._schedule(far, [arc])) == max(1, math.ceil(abs(sweep) / (2.0 * math.atan(0.25))))
+
+
+def _alternating_sums(expansion, z0, z1, r):
+    """Even and odd sums by one compensated update per term, alternating between the two sums."""
+    singular, expand = expansion
+    zm, h = (z0 + z1) / 2.0, (z1 - z0) / 2.0
+    rho = np.abs(zm[:, None] - singular).min(axis=1)
+    beta, sigma, product = expand(zm, h, rho)
+    count = verify._term_count(float(np.max(beta)), float(np.max(np.abs(h) / rho)))
+    steps, n = sigma.shape
+    sigma = np.broadcast_to(sigma.T[:, None, :, None], (n, r, steps, r)).copy()
+    acc = sigma * np.eye(r)[:, None, :]
+    sums = [np.zeros((r, steps, r), dtype=np.complex128) for _ in range(2)]
+    carries = [np.zeros_like(sums[0]) for _ in range(2)]
+    for k in range(count - 1):
+        term = np.empty((r, steps, r), dtype=np.complex128)
+        product(acc, k, term)
+        np.subtract(term, acc, out=acc)
+        acc *= sigma
+        total, carry = sums[k % 2], carries[k % 2]
+        y = term - carry
+        new = total + y
+        carries[k % 2] = (new - total) - y
+        sums[k % 2] = new
+    return sums[1].transpose(1, 0, 2), sums[0].transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("beta, count", [(100.0, 88), (150.0, 111)])  # the last odd term alone, and in a pair
+def test_the_odd_sum_is_compensated(beta, count):
+    # Psi_1 = 1 and every later odd term u/2: a plain sum stays at 1
+    u = np.finfo(float).eps / 2.0
+
+    def expand(zm, h, rho):
+        def product(acc, k, out):
+            out[...] = (1.0 if k == 0 else u / 2.0) if k % 2 == 0 else 0.0
+
+        return np.full(len(zm), beta), np.zeros((len(zm), 1), dtype=np.complex128), product
+
+    expansion = (np.array([0.0j]), expand)
+    _, _, terms, even, odd = verify._centred_sums(expansion, np.array([1.0 + 0.0j]), np.array([1.5 + 0.0j]), 1)
+    assert terms == count
+    odd_terms = [1.0] + [u / 2.0] * ((count - 2) // 2)  # Psi_{k+1} for even k < count - 1
+    assert odd[0, 0, 0] == math.fsum(odd_terms) > sum(odd_terms) == 1.0
+    assert even[0, 0, 0] == 0.0
+
+
+def test_the_paired_update_equals_the_alternating_one_on_the_bench_systems(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    for seed in range(3):
+        for problem in [p for rnd in workloads.build("fuchsian-verify", seed, str(tmp_path / str(seed))) for p in rnd]:
+            if hasattr(problem, "mats"):  # the commuting pipeline: its system comes from synth-commutative
+                assert main(["synth-commutative", problem.rep, "--tol", "1e-8", "--out", problem.system]) == 0
+            system = doc.decode_system(workloads.read_payload(problem.system))
+            expansion = verify._fuchsian_expansion(system)
+            loops = standard_loops(system.punctures)[0]
+            paths = [lp.pieces[:1] for lp in loops] + [lp.pieces[1:-1] for lp in loops]
+            ends = _step_ends(expansion, paths)
+            _, _, _, even, odd = verify._centred_sums(expansion, *ends, system.rank)
+            want_even, want_odd = _alternating_sums(expansion, *ends, system.rank)
+            assert np.array_equal(even, want_even) and np.array_equal(odd, want_odd)
